@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as rio
+from .constants import BACKGROUND_THRESHOLD_KEV, CLUSTER_TOA_GAP_NS, COINCIDENCE_WINDOW_NS
 from .errors import (
     MalformedInputError,
     OrderingError,
@@ -54,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--events", required=True, help="hit or pre-paired event CSV")
     rec.add_argument("--poses", required=True, help="pose stream CSV")
     rec.add_argument("--out", required=True, help="output directory")
-    rec.add_argument("--window-ns", type=float, default=86.0)
-    rec.add_argument("--threshold-kev", type=float, default=800.0)
-    rec.add_argument("--toa-gap-ns", type=float, default=100.0)
+    rec.add_argument("--window-ns", type=float, default=COINCIDENCE_WINDOW_NS)
+    rec.add_argument("--threshold-kev", type=float, default=BACKGROUND_THRESHOLD_KEV)
+    rec.add_argument("--toa-gap-ns", type=float, default=CLUSTER_TOA_GAP_NS)
     rec.add_argument("--duration", type=float, default=None, help="stream duration in s for rates")
     rec.add_argument("--format", choices=["auto", "hits", "pairs"], default="auto")
     rec.add_argument("--swap-hypotheses", action="store_true")
@@ -66,13 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run the estimator over recorded cones")
     est.add_argument("--cones", required=True)
     est.add_argument("--out", required=True)
-    est.add_argument("--mode", choices=["3d", "2d"], default="3d")
-    est.add_argument("--r", type=float, default=1.0)
-    est.add_argument("--q", type=float, default=0.01)
-    est.add_argument("--gate", type=float, default=9.0)
-    est.add_argument("--init-count", type=int, default=5)
-    est.add_argument("--far", type=float, default=1e9)
-    est.add_argument("--multistart", type=int, default=8)
+    # tuning flags left out are not set, so the SourceEstimator and
+    # NoiseConfig defaults apply
+    unset = argparse.SUPPRESS
+    est.add_argument("--mode", choices=[m.value for m in Mode], default=unset)
+    est.add_argument("--r", dest="r", type=float, default=unset)
+    est.add_argument("--q", dest="q", type=float, default=unset)
+    est.add_argument("--gate", dest="outlier_gate", type=float, default=unset)
+    est.add_argument("--init-count", dest="init_cone_count", type=int, default=unset)
+    est.add_argument("--far", dest="far_variance", type=float, default=unset)
+    est.add_argument("--multistart", dest="init_multistart", type=int, default=unset)
 
     sim = sub.add_parser("simulate", help="run a scenario closed loop")
     sim.add_argument("--scenario", required=True)
@@ -158,15 +162,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise MalformedInputError(
             "estimate requires world-frame cones; run reconstruct with poses first"
         )
-    config = NoiseConfig(
-        r=args.r,
-        far_variance=args.far,
-        q=args.q,
-        outlier_gate=args.gate,
-        init_cone_count=args.init_count,
-        init_multistart=args.multistart,
-    )
-    session = SourceEstimator(config, Mode(args.mode))
+    given = vars(args)
+    tuning = {f.name: given[f.name] for f in dataclasses.fields(NoiseConfig) if f.name in given}
+    mode = {"mode": given["mode"]} if "mode" in given else {}
+    session = SourceEstimator(NoiseConfig(**tuning), **mode)
     rows = []
     nan = float("nan")
     for cone in cones:
@@ -204,6 +203,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "rejected": session.rejected,
         "resets": session.resets,
         "degenerate_solves": session.degenerate_solves,
+        "infeasible_solves": session.infeasible_solves,
+        "inconsistent_solves": session.inconsistent_solves,
         "degenerate": session.last_solution.degenerate if session.last_solution else None,
     }
     rio.write_json(out / "summary.json", summary)

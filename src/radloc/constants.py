@@ -9,10 +9,6 @@ from dataclasses import dataclass
 #: the scattering-angle formula is invariant under a common energy rescale.
 ELECTRON_REST_ENERGY_KEV = 511.0
 
-#: Electronvolts per joule. Provided only as a documented conversion
-#: utility (E_J = E_eV / EV_PER_JOULE); no internal formula depends on it.
-EV_PER_JOULE = 6.242e18
-
 #: Charge-gathering (drift) speed through the 2 mm CdTe sensor at 450 V
 #: bias, in micrometers per nanosecond.
 CHARGE_GATHERING_SPEED_UM_PER_NS = 23.256
@@ -29,6 +25,13 @@ PIXEL_PITCH_MM = 0.055
 
 #: Pixel matrix size (square).
 SENSOR_PIXELS = 256
+
+#: Background threshold in keV: a track or pair whose summed energy lies
+#: above it is too energetic for the source isotope.
+BACKGROUND_THRESHOLD_KEV = 800.0
+
+#: Largest time-of-arrival gap in ns between chained hits of one track.
+CLUSTER_TOA_GAP_NS = 100.0
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     MalformedInputError,
 )
 from .geometry import Cone, Frame, rotation_aligning
-from .initializer import InitProblem, InitSolution, Mode, default_bounds, solve
+from .initializer import BOUNDS_MARGIN, InitProblem, InitSolution, Mode, default_bounds, solve
 
 log = logging.getLogger(__name__)
 
@@ -48,11 +48,28 @@ class Action(Enum):
 
 @dataclass
 class NoiseConfig:
-    """Filter and initialization tuning knobs.
+    """Filter and initialization tuning knobs; the one place their defaults live.
 
-    r weighs the correction direction, far_variance the two directions
-    the cone says nothing about. q is per-prediction process noise that
-    lets the stationary-target model follow a slowly moving source.
+    r is the measurement variance (m^2) along the correction direction,
+    far_variance the variance across it, in the two directions the cone
+    says nothing about. q is per-prediction process noise (m^2) that lets
+    the stationary-target model follow a slowly moving source. A cone
+    whose squared Mahalanobis innovation exceeds outlier_gate is rejected;
+    one more rejection than reset_run_length in a row resets the
+    hypothesis, and with reseed_rejected the rejected run seeds the new
+    buffer.
+
+    Initialization solves on init_cone_count cones whose origins lie
+    pairwise more than min_origin_separation m apart, and starts the
+    filter with variance init_variance (m^2) on each axis. If the buffer
+    reaches fallback_factor * init_cone_count cones with no such subset,
+    the freshest init_cone_count cones are solved anyway, so degenerate
+    geometry is reported. The solve searches the apices' box inflated by
+    init_bounds_margin m, from init_multistart starts of at most
+    init_max_iterations iterations each; it is degenerate (direction
+    only) when the normal matrix's condition number exceeds
+    degeneracy_threshold, and inconsistent when its cost exceeds
+    init_cost_gate * init_cone_count * r.
     """
 
     r: float = 1.0
@@ -64,11 +81,11 @@ class NoiseConfig:
     init_variance: float = 100.0
     reseed_rejected: bool = True
     reset_run_length: int = 3
-    init_multistart: int = 8
-    init_bounds_margin: float = 200.0
+    init_multistart: int = InitProblem.multistart_count
+    init_bounds_margin: float = BOUNDS_MARGIN
     fallback_factor: int = 3
-    degeneracy_threshold: float = 1e6
-    init_max_iterations: int = 100
+    degeneracy_threshold: float = InitProblem.degeneracy_threshold
+    init_max_iterations: int = InitProblem.max_iterations
     init_cost_gate: float = 3.0
 
     def __post_init__(self) -> None:
@@ -228,6 +245,7 @@ class SourceEstimator:
         self._rejected_run: list[Cone] = []
         self.last_solution: InitSolution | None = None
         self.degenerate_solves = 0
+        self.infeasible_solves = 0
         self.inconsistent_solves = 0
         self.resets = 0
         self.accepted = 0
@@ -293,7 +311,7 @@ class SourceEstimator:
         try:
             solution = solve(problem)
         except InfeasibleInitError:
-            self.degenerate_solves += 1
+            self.infeasible_solves += 1
             log.debug("initialization infeasible at t=%.3f", timestamp)
             return False
         self.last_solution = solution

@@ -17,6 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .constants import (
+    BACKGROUND_THRESHOLD_KEV,
+    CLUSTER_TOA_GAP_NS,
     COINCIDENCE_WINDOW_NS,
     DEFAULT_CONSTANTS,
     ELECTRON_REST_ENERGY_KEV,
@@ -98,7 +100,7 @@ class EventClass(Enum):
 
 def cluster_hits(
     hits: list[PixelHit],
-    max_toa_gap: float = 100.0,
+    max_toa_gap: float = CLUSTER_TOA_GAP_NS,
     pixel_pitch: float = PIXEL_PITCH_MM,
 ) -> list[PixelTrack]:
     """Partition hits into tracks by 8-neighbor adjacency chained in time.
@@ -199,7 +201,9 @@ def pair_coincident(
     return pairs
 
 
-def classify_track(total_energy: float, paired: bool, threshold: float = 800.0) -> EventClass:
+def classify_track(
+    total_energy: float, paired: bool, threshold: float = BACKGROUND_THRESHOLD_KEV
+) -> EventClass:
     """Energy-threshold event classification.
 
     Anything above the threshold is too energetic for the source isotope
@@ -353,7 +357,7 @@ class PipelineResult:
 
 def process_pairs(
     pairs: list[ComptonPair],
-    threshold: float = 800.0,
+    threshold: float = BACKGROUND_THRESHOLD_KEV,
     swap_hypotheses: bool = False,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     duration: float | None = None,
@@ -404,9 +408,9 @@ def process_pairs(
 
 def process_hits(
     hits: list[PixelHit],
-    max_toa_gap: float = 100.0,
+    max_toa_gap: float = CLUSTER_TOA_GAP_NS,
     window: float = COINCIDENCE_WINDOW_NS,
-    threshold: float = 800.0,
+    threshold: float = BACKGROUND_THRESHOLD_KEV,
     pixel_pitch: float = PIXEL_PITCH_MM,
     energy_weighted: bool = True,
     swap_hypotheses: bool = False,

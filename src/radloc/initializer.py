@@ -34,6 +34,8 @@ _START_SEED = 173
 # cheapest draws are walked downhill before starts are chosen.
 _REFINE_COUNT = 64
 _REFINE_STEPS = 10
+#: Search-box inflation around the cone apices, in metres.
+BOUNDS_MARGIN = 200.0
 
 
 class Mode(Enum):
@@ -78,7 +80,7 @@ class InitSolution:
     iterations: int
 
 
-def default_bounds(cones: list[Cone], margin: float = 200.0) -> tuple[np.ndarray, np.ndarray]:
+def default_bounds(cones: list[Cone], margin: float = BOUNDS_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box around all apices, inflated by the search margin."""
     apices = np.array([c.origin for c in cones])
     return apices.min(axis=0) - margin, apices.max(axis=0) + margin
@@ -255,6 +257,7 @@ def solve(problem: InitProblem) -> InitSolution:
 
 
 __all__ = [
+    "BOUNDS_MARGIN",
     "InitProblem",
     "InitSolution",
     "Mode",

@@ -14,13 +14,16 @@ import io as _io
 import json
 import math
 import os
-from dataclasses import asdict, is_dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
+from .constants import SENSOR_PIXELS
 from .errors import OrderingError, ParseError, SchemaError
 from .estimator import NoiseConfig
 from .events import ComptonPair, PixelHit
@@ -141,7 +144,7 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def read_hits_csv(path: str | Path, sensor_pixels: int = 256) -> list[PixelHit]:
+def read_hits_csv(path: str | Path, sensor_pixels: int = SENSOR_PIXELS) -> list[PixelHit]:
     hits = []
     for lineno, cells in _read_rows(path, HITS_HEADER):
         toa, col, row, energy = _floats(cells, str(path), lineno)
@@ -304,50 +307,73 @@ def write_json(path: str | Path, obj) -> None:
 
 
 # --- scenario config ---
+#
+# Scenario, DetectorModel and NoiseConfig declare every field's type and
+# default; io only names the YAML keys. Each section maps its keys to the
+# (dataclass, field) they set, and that table is also the section's
+# allowed-key set. A key the file leaves out is not passed on, so the
+# dataclass default applies.
 
-_TOP_KEYS = {"source", "area", "uav", "detector", "estimator", "duration", "timestep", "seed"}
-_SOURCE_KEYS = {"position", "velocity", "activity_bq"}
-_UAV_KEYS = {"speed", "orbit_radius", "altitude", "program", "start"}
-_DETECTOR_KEYS = {
-    "cone_rate_constant",
-    "angular_sigma",
-    "axis_sigma",
-    "background_rate",
-    "min_theta",
-    "max_theta",
+# NoiseConfig fields whose YAML key differs from the field name
+_ESTIMATOR_KEY_OF = {
+    "outlier_gate": "gate",
+    "init_cone_count": "init_count",
+    "init_multistart": "multistart",
+    "init_bounds_margin": "bounds_margin",
+    "init_max_iterations": "max_iterations",
+    "init_cost_gate": "cost_gate",
 }
-_ESTIMATOR_KEYS = {
-    "mode",
-    "r",
-    "q",
-    "far_variance",
-    "gate",
-    "init_count",
-    "min_origin_separation",
-    "init_variance",
-    "reseed_rejected",
-    "reset_run_length",
-    "multistart",
-    "bounds_margin",
-    "fallback_factor",
-    "degeneracy_threshold",
-    "max_iterations",
-    "cost_gate",
+_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {  # "" is the top level
+    "": {key: (Scenario, key) for key in ("area", "duration", "timestep", "seed")},
+    "source": {
+        "position": (Scenario, "source_initial"),
+        "velocity": (Scenario, "source_velocity"),
+        "activity_bq": (Scenario, "activity"),
+    },
+    "uav": {
+        "speed": (Scenario, "uav_speed"),
+        "orbit_radius": (Scenario, "orbit_radius"),
+        "altitude": (Scenario, "flight_altitude"),
+        "program": (Scenario, "program"),
+        "start": (Scenario, "uav_start"),
+    },
+    "detector": {f.name: (DetectorModel, f.name) for f in fields(DetectorModel)},
+    "estimator": {
+        "mode": (Scenario, "mode"),
+        **{_ESTIMATOR_KEY_OF.get(f.name, f.name): (NoiseConfig, f.name) for f in fields(NoiseConfig)},
+    },
+}
+_SECTIONS = [name for name in _SCHEMA if name]
+_HINTS = {cls: get_type_hints(cls) for cls in (Scenario, DetectorModel, NoiseConfig)}
+
+
+def _vec3(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).reshape(3)
+
+
+def _area(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("must be [width, height]")
+    return float(value[0]), float(value[1])
+
+
+# field type -> coercion of a YAML value
+_COERCE = {
+    float: float,
+    int: int,
+    bool: bool,
+    np.ndarray: _vec3,
+    np.ndarray | None: lambda value: None if value is None else _vec3(value),
+    tuple[float, float]: _area,
+    Program: lambda value: Program(str(value)),
+    Mode: lambda value: Mode(str(value)),
 }
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def _check_keys(section: dict, allowed: Iterable[str], where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise SchemaError(f"unknown {where} keys: {', '.join(unknown)}", keys=unknown)
-
-
-def _vec3(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float).reshape(3)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must be a 3-vector", keys=[where]) from exc
-    return arr
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -367,78 +393,28 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _check_keys(raw, _TOP_KEYS, "scenario")
-    source = raw.get("source", {}) or {}
-    uav = raw.get("uav", {}) or {}
-    detector_cfg = raw.get("detector", {}) or {}
-    estimator_cfg = raw.get("estimator", {}) or {}
-    for section, allowed, name in (
-        (source, _SOURCE_KEYS, "source"),
-        (uav, _UAV_KEYS, "uav"),
-        (detector_cfg, _DETECTOR_KEYS, "detector"),
-        (estimator_cfg, _ESTIMATOR_KEYS, "estimator"),
-    ):
+    _check_keys(raw, [*_SCHEMA[""], *_SECTIONS], "scenario")
+    kwargs: dict[type, dict] = {Scenario: {}, DetectorModel: {}, NoiseConfig: {}}
+    for where, table in _SCHEMA.items():
+        section = (raw.get(where) or {}) if where else raw
         if not isinstance(section, dict):
-            raise SchemaError(f"{name} must be a mapping", keys=[name])
-        _check_keys(section, allowed, name)
-
-    try:
-        detector = DetectorModel(
-            cone_rate_constant=float(detector_cfg.get("cone_rate_constant", DetectorModel.cone_rate_constant)),
-            angular_sigma=float(detector_cfg.get("angular_sigma", 0.0)),
-            axis_sigma=float(detector_cfg.get("axis_sigma", 0.0)),
-            background_rate=float(detector_cfg.get("background_rate", 0.0)),
-            min_theta=float(detector_cfg.get("min_theta", 0.2)),
-            max_theta=float(detector_cfg.get("max_theta", 1.4)),
-        )
-        noise = NoiseConfig(
-            r=float(estimator_cfg.get("r", 1.0)),
-            far_variance=float(estimator_cfg.get("far_variance", 1e9)),
-            q=float(estimator_cfg.get("q", 0.01)),
-            outlier_gate=float(estimator_cfg.get("gate", 9.0)),
-            init_cone_count=int(estimator_cfg.get("init_count", 5)),
-            min_origin_separation=float(estimator_cfg.get("min_origin_separation", 0.5)),
-            init_variance=float(estimator_cfg.get("init_variance", 100.0)),
-            reseed_rejected=bool(estimator_cfg.get("reseed_rejected", True)),
-            reset_run_length=int(estimator_cfg.get("reset_run_length", 3)),
-            init_multistart=int(estimator_cfg.get("multistart", 8)),
-            init_bounds_margin=float(estimator_cfg.get("bounds_margin", 200.0)),
-            fallback_factor=int(estimator_cfg.get("fallback_factor", 3)),
-            degeneracy_threshold=float(estimator_cfg.get("degeneracy_threshold", 1e6)),
-            init_max_iterations=int(estimator_cfg.get("max_iterations", 100)),
-            init_cost_gate=float(estimator_cfg.get("cost_gate", 3.0)),
-        )
-        area_raw = raw.get("area", [100.0, 100.0])
-        if not isinstance(area_raw, (list, tuple)) or len(area_raw) != 2:
-            raise SchemaError("area must be [width, height]", keys=["area"])
-        start = uav.get("start")
-        scenario = Scenario(
-            source_initial=_vec3(source.get("position", [0.0, 0.0, 0.0]), "source.position"),
-            source_velocity=_vec3(source.get("velocity", [0.0, 0.0, 0.0]), "source.velocity"),
-            activity=float(source.get("activity_bq", 3.0e9)),
-            area=(float(area_raw[0]), float(area_raw[1])),
-            uav_speed=float(uav.get("speed", 1.0)),
-            orbit_radius=float(uav.get("orbit_radius", 10.0)),
-            flight_altitude=float(uav.get("altitude", 5.0)),
-            detector=detector,
-            duration=float(raw.get("duration", 120.0)),
-            seed=int(raw.get("seed", 0)),
-            timestep=float(raw.get("timestep", 0.5)),
-            program=_program(uav.get("program", "search")),
-            uav_start=_vec3(start, "uav.start") if start is not None else None,
-            mode=Mode(str(estimator_cfg.get("mode", "3d"))),
-            estimator=noise,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid scenario value: {exc}", keys=[]) from exc
-    return scenario
-
-
-def _program(value) -> Program:
-    try:
-        return Program(str(value))
-    except ValueError as exc:
-        raise SchemaError(f"unknown program {value!r}", keys=["uav.program"]) from exc
+            raise SchemaError(f"{where} must be a mapping", keys=[where])
+        if where:
+            _check_keys(section, table, where)
+        for key, value in section.items():
+            if key not in table:  # a section name at the top level
+                continue
+            cls, name = table[key]
+            path = f"{where}.{key}" if where else key
+            try:
+                kwargs[cls][name] = _COERCE[_HINTS[cls][name]](value)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"invalid {path}: {exc}", keys=[path]) from exc
+    return Scenario(
+        **kwargs[Scenario],
+        detector=DetectorModel(**kwargs[DetectorModel]),
+        estimator=NoiseConfig(**kwargs[NoiseConfig]),
+    )
 
 
 __all__ = [

@@ -136,6 +136,7 @@ class SimulationReport:
     rejected: int = 0
     resets: int = 0
     degenerate_solves: int = 0
+    infeasible_solves: int = 0
     inconsistent_solves: int = 0
     init_time: float | None = None
     final_estimate: np.ndarray | None = None
@@ -190,7 +191,15 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / n
 
 
-def _sample_step(
+def _perpendicular_unit_random(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random unit vector perpendicular to v."""
+    w0 = perpendicular_unit(v)
+    w1 = np.cross(v, w0)
+    psi = float(rng.uniform(0.0, 2.0 * math.pi))
+    return math.cos(psi) * w0 + math.sin(psi) * w1
+
+
+def sample_cones(
     source: np.ndarray,
     pose: Pose,
     model: DetectorModel,
@@ -198,7 +207,7 @@ def _sample_step(
     dt: float,
     rng: np.random.Generator,
 ) -> tuple[list[Cone], list[Cone]]:
-    """Source-driven and background cones for one timestep."""
+    """Source-driven and background cones for one timestep, in that order."""
     apex = pose.position
     offset = np.asarray(source, dtype=float) - apex
     dist2 = float(offset @ offset)
@@ -210,14 +219,10 @@ def _sample_step(
     source_cones: list[Cone] = []
     for _ in range(int(rng.poisson(lam * dt))):
         theta = float(rng.uniform(model.min_theta, model.max_theta))
-        psi = float(rng.uniform(0.0, 2.0 * math.pi))
-        w0 = perpendicular_unit(true_dir)
-        w1 = np.cross(true_dir, w0)
-        perp = math.cos(psi) * w0 + math.sin(psi) * w1
-        axis = rotate_about_axis(true_dir, perp, theta)
+        axis = rotate_about_axis(true_dir, _perpendicular_unit_random(true_dir, rng), theta)
         if model.axis_sigma > 0.0:
             tilt = float(rng.normal(0.0, model.axis_sigma))
-            axis = rotate_about_axis(axis, perpendicular_unit_random(axis, rng), tilt)
+            axis = rotate_about_axis(axis, _perpendicular_unit_random(axis, rng), tilt)
         half_angle = theta
         if model.angular_sigma > 0.0:
             half_angle = float(
@@ -234,27 +239,6 @@ def _sample_step(
     return source_cones, background
 
 
-def perpendicular_unit_random(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random unit vector perpendicular to v."""
-    w0 = perpendicular_unit(v)
-    w1 = np.cross(v, w0)
-    psi = float(rng.uniform(0.0, 2.0 * math.pi))
-    return math.cos(psi) * w0 + math.sin(psi) * w1
-
-
-def sample_cones(
-    source: np.ndarray,
-    pose: Pose,
-    model: DetectorModel,
-    activity: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> list[Cone]:
-    """All cones for one timestep, source-driven first, background after."""
-    src, bg = _sample_step(source, pose, model, activity, dt, rng)
-    return src + bg
-
-
 def _default_start(scenario: Scenario) -> np.ndarray:
     alt = scenario.flight_altitude
     if scenario.program is Program.STATIONARY:
@@ -265,16 +249,15 @@ def _default_start(scenario: Scenario) -> np.ndarray:
     return np.array([sweep_radius, 0.0, alt])
 
 
-def run_scenario(scenario: Scenario, noise: NoiseConfig | None = None) -> SimulationReport:
+def run_scenario(scenario: Scenario) -> SimulationReport:
     """Advance the closed loop scenario and log every step.
 
     Per step: move the source along its exact linear kinematics, sample
     cones at the current pose, feed them through the estimator, apply the
     strategy transitions, then fly the vehicle one step further.
     """
-    config = noise if noise is not None else scenario.estimator
     rng = np.random.default_rng(scenario.seed)
-    session = SourceEstimator(config, scenario.mode)
+    session = SourceEstimator(scenario.estimator, scenario.mode)
     report = SimulationReport(scenario.seed, scenario.duration)
 
     alt = scenario.flight_altitude
@@ -298,7 +281,7 @@ def run_scenario(scenario: Scenario, noise: NoiseConfig | None = None) -> Simula
         yaw = math.atan2(focus[1] - position[1], focus[0] - position[0])
         pose = Pose(t, position.copy(), quat_from_axis_angle(_E3, yaw))
 
-        src, bg = _sample_step(truth, pose, scenario.detector, scenario.activity, scenario.timestep, rng)
+        src, bg = sample_cones(truth, pose, scenario.detector, scenario.activity, scenario.timestep, rng)
         report.cones_source += len(src)
         report.cones_background += len(bg)
 
@@ -355,6 +338,7 @@ def run_scenario(scenario: Scenario, noise: NoiseConfig | None = None) -> Simula
     report.rejected = session.rejected
     report.resets = session.resets
     report.degenerate_solves = session.degenerate_solves
+    report.infeasible_solves = session.infeasible_solves
     report.inconsistent_solves = session.inconsistent_solves
     if session.state.status is Status.TRACKING:
         report.final_estimate = session.state.x.copy()
@@ -426,6 +410,7 @@ def metrics(report: SimulationReport) -> dict:
         "acceptance_rate": report.accepted / judged if judged > 0 else None,
         "resets": report.resets,
         "degenerate_solves": report.degenerate_solves,
+        "infeasible_solves": report.infeasible_solves,
         "inconsistent_solves": report.inconsistent_solves,
         "degenerate_only": report.degenerate_solves > 0 and report.init_time is None,
         "post_lock_mean_error_m": float(post_lock_errors.mean()) if tracked else None,

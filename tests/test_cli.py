@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from radloc import cli, estimator
 from radloc.cli import main
+from radloc.estimator import NoiseConfig, SourceEstimator
+from radloc.initializer import InitSolution, Mode
 from radloc.geometry import Cone, Frame
 from radloc.io import HITS_HEADER, POSES_HEADER, read_estimates_csv, write_cones_csv
 
@@ -162,6 +165,47 @@ def test_estimate_happy_path(tmp_path, capsys):
     assert summary["status"] == "tracking"
     assert np.linalg.norm(np.array(summary["final_estimate"]) - SOURCE) < 0.01
     assert "status=tracking" in capsys.readouterr().out
+
+
+def test_estimate_tuning_defaults_come_from_noise_config(tmp_path, monkeypatch):
+    sessions = []
+
+    class Recording(SourceEstimator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "SourceEstimator", Recording)
+    cones_path = tmp_path / "cones.csv"
+    exact_cones_file(cones_path)
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "a")]) == 0
+    flags = ["--mode", "2d", "--r", "0.5", "--q", "0.2", "--gate", "16", "--init-count", "6",
+             "--far", "1e8", "--multistart", "3"]
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "b"), *flags]) == 0
+    plain, tuned = sessions
+    assert plain.config == NoiseConfig()
+    assert plain.mode is Mode.THREE_D
+    assert tuned.config == NoiseConfig(
+        r=0.5, q=0.2, outlier_gate=16.0, init_cone_count=6, far_variance=1e8, init_multistart=3
+    )
+    assert tuned.mode is Mode.TWO_D
+
+
+def test_estimate_summary_counts_inconsistent_solves(tmp_path, monkeypatch):
+    # a best fit far above the consistency gate: every attempt is inconsistent
+    def inconsistent(problem):
+        return InitSolution(np.zeros(3), 1e9, 1.0, False, 1)
+
+    monkeypatch.setattr(estimator, "solve", inconsistent)
+    cones_path = tmp_path / "cones.csv"
+    cones = exact_cones_file(cones_path)
+    out = tmp_path / "out"
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["inconsistent_solves"] == len(cones) - 4
+    assert summary["infeasible_solves"] == 0
+    assert summary["degenerate_solves"] == 0
+    assert not summary["initialized"]
 
 
 def test_estimate_rejects_camera_frame_exit_1(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from radloc.cones import distance_to_cone, surface_point
-from radloc.errors import FilterLifecycleError, MalformedInputError
+from radloc import estimator
+from radloc.errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
 from radloc.estimator import (
     Action,
     FilterState,
@@ -402,6 +403,24 @@ def test_session_rejects_inconsistent_geometry():
         )
         assert state.status is Status.COLLECTING
     assert est.inconsistent_solves >= 1
+    assert est.init_time is None
+
+
+def test_session_counts_infeasible_solves_apart(monkeypatch):
+    # an infeasible solve is its own reason, not a degenerate geometry
+    def infeasible(problem):
+        raise InfeasibleInitError("no feasible start")
+
+    monkeypatch.setattr(estimator, "solve", infeasible)
+    rng = np.random.default_rng(13)
+    est = SourceEstimator(NoiseConfig(init_cone_count=5, init_multistart=4))
+    for c in world_cones_through(np.array([5.0, 5.0, 0.0]), rng, 7):
+        state, action = est.ingest(c)
+        assert action is Action.BUFFERED
+    assert est.infeasible_solves == 3
+    assert est.degenerate_solves == 0
+    assert est.inconsistent_solves == 0
+    assert est.last_solution is None
     assert est.init_time is None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -28,7 +29,9 @@ from radloc.io import (
     write_json,
     write_steps_csv,
 )
-from radloc.simulator import Scenario, run_scenario
+from radloc.estimator import NoiseConfig
+from radloc.initializer import Mode
+from radloc.simulator import DetectorModel, Scenario, run_scenario
 
 SCENARIO_DIR = Path(radloc.__file__).parent / "scenarios"
 
@@ -316,6 +319,14 @@ def test_scenario_defaults_from_empty_file(tmp_path):
     assert scenario.area == (100.0, 100.0)
     assert scenario.uav_speed == 1.0
     assert scenario.orbit_radius == 10.0
+    # every default comes from the dataclasses, none from the parser
+    parsed, default = scenario_from_dict({}), Scenario()
+    for f in dataclasses.fields(Scenario):
+        got, want = getattr(parsed, f.name), getattr(default, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_scenario_unknown_keys_rejected():
@@ -329,6 +340,10 @@ def test_scenario_unknown_keys_rejected():
         scenario_from_dict({"uav": {"speeed": 1.0}})
     with pytest.raises(SchemaError):
         scenario_from_dict({"detector": {"sigma": 0.1}})
+    # a renamed knob is read under its YAML key only, not its field name
+    with pytest.raises(SchemaError) as err:
+        scenario_from_dict({"estimator": {"outlier_gate": 16.0}})
+    assert "outlier_gate" in err.value.keys
 
 
 def test_scenario_value_validation():
@@ -342,17 +357,51 @@ def test_scenario_value_validation():
         scenario_from_dict({"duration": "soon"})
 
 
+# YAML key -> (NoiseConfig field, a value other than its default)
+ESTIMATOR_KEYS = {
+    "r": ("r", 2.5),
+    "far_variance": ("far_variance", 1e8),
+    "q": ("q", 0.5),
+    "gate": ("outlier_gate", 16.0),
+    "init_count": ("init_cone_count", 6),
+    "min_origin_separation": ("min_origin_separation", 1.5),
+    "init_variance": ("init_variance", 25.0),
+    "reseed_rejected": ("reseed_rejected", False),
+    "reset_run_length": ("reset_run_length", 4),
+    "multistart": ("init_multistart", 3),
+    "bounds_margin": ("init_bounds_margin", 150.0),
+    "fallback_factor": ("fallback_factor", 2),
+    "degeneracy_threshold": ("degeneracy_threshold", 1e7),
+    "max_iterations": ("init_max_iterations", 60),
+    "cost_gate": ("init_cost_gate", 5.0),
+}
+DETECTOR_KEYS = {
+    "cone_rate_constant": 1e-7,
+    "angular_sigma": 0.05,
+    "axis_sigma": 0.01,
+    "background_rate": 0.3,
+    "min_theta": 0.3,
+    "max_theta": 1.2,
+}
+
+
 def test_scenario_estimator_mapping():
+    assert {f for f, _ in ESTIMATOR_KEYS.values()} == {f.name for f in dataclasses.fields(NoiseConfig)}
+    assert set(DETECTOR_KEYS) == {f.name for f in dataclasses.fields(DetectorModel)}
     scenario = scenario_from_dict(
         {
-            "estimator": {"r": 2.5, "gate": 16.0, "multistart": 3, "cost_gate": 5.0},
+            "estimator": {"mode": "2d", **{key: value for key, (_, value) in ESTIMATOR_KEYS.items()}},
+            "detector": DETECTOR_KEYS,
             "uav": {"start": [1.0, 2.0, 5.0]},
         }
     )
-    assert scenario.estimator.r == 2.5
-    assert scenario.estimator.outlier_gate == 16.0
-    assert scenario.estimator.init_multistart == 3
-    assert scenario.estimator.init_cost_gate == 5.0
+    for key, (name, value) in ESTIMATOR_KEYS.items():
+        assert getattr(NoiseConfig(), name) != value, key
+        assert getattr(scenario.estimator, name) == value, key
+    for name, value in DETECTOR_KEYS.items():
+        assert getattr(DetectorModel(), name) != value, name
+        assert getattr(scenario.detector, name) == value, name
+    assert scenario.mode is Mode.TWO_D
     assert np.array_equal(scenario.uav_start, [1.0, 2.0, 5.0])
 
 

@@ -103,7 +103,9 @@ def test_sample_cones_exact_geometry():
     pose = level_pose(0.0, [0.0, 0.0, 5.0])
     seen = 0
     for _ in range(200):
-        for cone in sample_cones(source, pose, model, 3.0e9, 0.5, rng):
+        src, bg = sample_cones(source, pose, model, 3.0e9, 0.5, rng)
+        assert bg == []
+        for cone in src:
             assert distance_to_cone(source, cone) < 1e-9
             assert model.min_theta <= cone.half_angle <= model.max_theta
             assert np.array_equal(cone.origin, pose.position)
@@ -119,7 +121,8 @@ def test_sample_cones_moving_source_geometry():
         t = 0.5 * k
         source = sc.source_at(t)
         pose = level_pose(t, [0.0, 0.0, 5.0])
-        for cone in sample_cones(source, pose, model, 3.0e9, 0.5, rng):
+        src, bg = sample_cones(source, pose, model, 3.0e9, 0.5, rng)
+        for cone in src + bg:
             assert distance_to_cone(source, cone) < 1e-9
 
 
@@ -129,7 +132,7 @@ def test_sample_cones_calibrated_rate():
     model = DetectorModel()
     source = np.array([10.0, 0.0, 0.0])
     pose = level_pose(0.0, [0.0, 0.0, 0.0])
-    total = sum(len(sample_cones(source, pose, model, 3.0e9, 1.0, rng)) for _ in range(1000))
+    total = sum(sum(map(len, sample_cones(source, pose, model, 3.0e9, 1.0, rng))) for _ in range(1000))
     assert total / 1000.0 == pytest.approx(1.7, abs=0.2)
 
 
@@ -138,11 +141,11 @@ def test_sample_cones_inverse_square():
     model = DetectorModel()
     pose = level_pose(0.0, [0.0, 0.0, 0.0])
     near = sum(
-        len(sample_cones(np.array([10.0, 0, 0]), pose, model, 3.0e9, 5.0, rng))
+        sum(map(len, sample_cones(np.array([10.0, 0, 0]), pose, model, 3.0e9, 5.0, rng)))
         for _ in range(2000)
     )
     far = sum(
-        len(sample_cones(np.array([20.0, 0, 0]), pose, model, 3.0e9, 5.0, rng))
+        sum(map(len, sample_cones(np.array([20.0, 0, 0]), pose, model, 3.0e9, 5.0, rng)))
         for _ in range(2000)
     )
     assert near / far == pytest.approx(4.0, abs=0.3)
@@ -153,14 +156,19 @@ def test_sample_cones_background_rate_and_noise():
     model = DetectorModel(angular_sigma=0.05, background_rate=0.5)
     source = np.array([10.0, 0.0, 0.0])
     pose = level_pose(0.0, [0.0, 0.0, 0.0])
-    cones = []
+    src_cones, bg_cones = [], []
     for _ in range(400):
-        cones.extend(sample_cones(source, pose, model, 3.0e9, 1.0, rng))
+        src, bg = sample_cones(source, pose, model, 3.0e9, 1.0, rng)
+        src_cones.extend(src)
+        bg_cones.extend(bg)
+    cones = src_cones + bg_cones
     # noisy cones no longer contain the source exactly, but most come close
     misses = np.array([distance_to_cone(source, c) for c in cones])
     assert np.median(misses) < 1.0
-    # background share roughly 0.5 / (1.7 + 0.5)
+    # background share roughly 0.5 / (1.7 + 0.5), both as returned and as seen
     assert np.mean(misses > 3.0) == pytest.approx(0.5 / 2.2, abs=0.1)
+    assert len(bg_cones) / len(cones) == pytest.approx(0.5 / 2.2, abs=0.1)
+    assert np.median([distance_to_cone(source, c) for c in src_cones]) < 1.0
 
 
 def test_sample_cones_rejects_coincident_source():
@@ -306,8 +314,8 @@ def test_run_scenario_background_only_never_initializes():
     assert report.cones_source == 0
     assert report.cones_background >= 5
     assert report.init_time is None
-    # every attempted solve was thrown out one way or the other
-    assert report.degenerate_solves + report.inconsistent_solves > 0
+    # every attempted solve was thrown out one way or another
+    assert report.degenerate_solves + report.infeasible_solves + report.inconsistent_solves > 0
     assert metrics(report)["time_to_init_s"] is None
 
 
