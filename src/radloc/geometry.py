@@ -42,12 +42,23 @@ def signed_angle(a: np.ndarray, b: np.ndarray) -> float:
     return math.atan2(cross, dot)
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, bit-identical to np.cross.
+
+    Written out on floats: np.cross costs tens of microseconds per call
+    on a single 3-vector, far more than the six products.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v about a unit axis by angle (right-hand rule)."""
     v = np.asarray(v, dtype=float)
     k = unit(axis)
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(k, v) * s + k * float(np.dot(k, v)) * (1.0 - c)
+    return v * c + cross(k, v) * s + k * float(np.dot(k, v)) * (1.0 - c)
 
 
 def perpendicular_unit(v: np.ndarray) -> np.ndarray:
@@ -267,6 +278,7 @@ __all__ = [
     "Pose",
     "RigidTransform",
     "IDENTITY_TRANSFORM",
+    "cross",
     "interpolate_pose",
     "perpendicular_unit",
     "quat_from_axis_angle",

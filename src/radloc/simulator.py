@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .estimator import Action, NoiseConfig, SourceEstimator, Status
-from .geometry import Cone, Frame, Pose, perpendicular_unit, quat_from_axis_angle, rotate_about_axis
+from .geometry import Cone, Frame, Pose, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis
 from .initializer import Mode
 
 log = logging.getLogger(__name__)
@@ -194,7 +194,7 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
 def _perpendicular_unit_random(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random unit vector perpendicular to v."""
     w0 = perpendicular_unit(v)
-    w1 = np.cross(v, w0)
+    w1 = cross(v, w0)
     psi = float(rng.uniform(0.0, 2.0 * math.pi))
     return math.cos(psi) * w0 + math.sin(psi) * w1
 

@@ -10,6 +10,7 @@ from radloc.geometry import (
     IDENTITY_TRANSFORM,
     Pose,
     RigidTransform,
+    cross,
     interpolate_pose,
     perpendicular_unit,
     quat_from_axis_angle,
@@ -50,6 +51,15 @@ def test_signed_angle_stable_near_pi():
 def test_signed_angle_rejects_zero():
     with pytest.raises(MalformedInputError):
         signed_angle(np.zeros(3), np.array([1.0, 0, 0]))
+
+
+def test_cross_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(2000, 3)) * rng.lognormal(0.0, 5.0, size=(2000, 1))
+    b = rng.normal(size=(2000, 3))
+    for ai, bi in zip(a, b):
+        assert np.array_equal(cross(ai, bi), np.cross(ai, bi))
+    assert np.array_equal(cross([1.0, 0, 0], [0.0, 1, 0]), [0.0, 0.0, 1.0])
 
 
 def test_rotate_about_axis_quarter_turn():
