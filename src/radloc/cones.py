@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Cone, perpendicular_unit, unit
+from .geometry import Cone, cross, perpendicular_unit, unit
 
 
 class ProjectionCase(Enum):
@@ -44,12 +44,15 @@ class ProjectionResult:
     distance: float
 
 
-def _split(point: np.ndarray, cone: Cone) -> tuple[np.ndarray, float, float]:
-    """Offset from apex, its length, and the axial coordinate."""
-    u = np.asarray(point, dtype=float) - cone.origin
-    ell = float(np.linalg.norm(u))
-    axial = float(np.dot(cone.axis, u))
-    return u, ell, axial
+def _split(point: np.ndarray, cone: Cone) -> tuple[float, float, float, float, float, float]:
+    """Apex offset length, axial coordinate, off-axis offset and its length, on floats."""
+    px, py, pz = np.asarray(point, dtype=float).tolist()
+    ox, oy, oz = cone.origin.tolist()
+    ax, ay, az = cone.axis.tolist()
+    ux, uy, uz = px - ox, py - oy, pz - oz
+    axial = ax * ux + ay * uy + az * uz
+    wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
+    return math.hypot(ux, uy, uz), axial, wx, wy, wz, math.hypot(wx, wy, wz)
 
 
 @dataclass(frozen=True)
@@ -185,13 +188,11 @@ def project_to_cone(x: np.ndarray, cone: Cone) -> ProjectionResult:
     behind the apex (cos(beta) <= 0); the apex is then nearest.
     """
     x = np.asarray(x, dtype=float)
-    u, ell, axial = _split(x, cone)
+    ell, axial, wx, wy, wz, perp_norm = _split(x, cone)
     if ell < 1e-15:
         # apex is itself a surface point; azimuth meaningless
         return ProjectionResult(cone.origin.copy(), ProjectionCase.ON_AXIS, 0.0, -cone.half_angle, 0.0)
 
-    perp = u - axial * cone.axis
-    perp_norm = float(np.linalg.norm(perp))
     alpha = math.atan2(perp_norm, axial)
     beta = alpha - cone.half_angle
 
@@ -200,18 +201,23 @@ def project_to_cone(x: np.ndarray, cone: Cone) -> ProjectionResult:
 
     case = ProjectionCase.SURFACE
     if perp_norm < 1e-12 * ell:
-        w = perpendicular_unit(cone.axis)
+        wx, wy, wz = perpendicular_unit(cone.axis).tolist()
         case = ProjectionCase.ON_AXIS
     else:
-        w = perp / perp_norm
+        wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
 
     along = ell * math.cos(beta)
     if along <= 0.0:
         return ProjectionResult(cone.origin.copy(), ProjectionCase.APEX, alpha, beta, ell)
 
-    v = math.cos(cone.half_angle) * cone.axis + math.sin(cone.half_angle) * w
-    xp = cone.origin + along * v
-    return ProjectionResult(xp, case, alpha, beta, float(np.linalg.norm(x - xp)))
+    c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
+    (ox, oy, oz), (ax, ay, az) = cone.origin.tolist(), cone.axis.tolist()
+    qx = ox + along * (c * ax + s * wx)
+    qy = oy + along * (c * ay + s * wy)
+    qz = oz + along * (c * az + s * wz)
+    px, py, pz = x.tolist()
+    gap = math.hypot(px - qx, py - qy, pz - qz)
+    return ProjectionResult(np.array([qx, qy, qz]), case, alpha, beta, gap)
 
 
 def surface_normal(point: np.ndarray, cone: Cone) -> np.ndarray:
@@ -221,15 +227,15 @@ def surface_normal(point: np.ndarray, cone: Cone) -> np.ndarray:
     Used by the filter when a zero-length innovation still carries
     directional information.
     """
-    u, ell, axial = _split(point, cone)
+    ell, _, wx, wy, wz, perp_norm = _split(point, cone)
     if ell < 1e-15:
         raise ValueError("normal undefined at the apex")
-    perp = u - axial * cone.axis
-    perp_norm = float(np.linalg.norm(perp))
     if perp_norm < 1e-12 * ell:
         raise ValueError("normal undefined on the axis")
-    w = perp / perp_norm
-    return math.cos(cone.half_angle) * w - math.sin(cone.half_angle) * cone.axis
+    wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
+    c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
+    ax, ay, az = cone.axis.tolist()
+    return np.array([c * wx - s * ax, c * wy - s * ay, c * wz - s * az])
 
 
 def surface_point(cone: Cone, range_: float, azimuth: float) -> np.ndarray:
@@ -241,7 +247,7 @@ def surface_point(cone: Cone, range_: float, azimuth: float) -> np.ndarray:
     if range_ < 0.0:
         raise ValueError("range must be nonnegative")
     w0 = perpendicular_unit(cone.axis)
-    w1 = np.cross(cone.axis, w0)
+    w1 = cross(cone.axis, w0)
     w = math.cos(azimuth) * w0 + math.sin(azimuth) * w1
     v = math.cos(cone.half_angle) * cone.axis + math.sin(cone.half_angle) * w
     return cone.origin + range_ * unit(v)

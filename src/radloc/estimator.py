@@ -13,23 +13,22 @@ reset after a run of gated outliers.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .cones import ProjectionCase, project_to_cone, surface_normal
-from .errors import (
-    FilterLifecycleError,
-    InfeasibleInitError,
-    MalformedInputError,
-)
-from .geometry import Cone, Frame, rotation_aligning
+from .errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
+from .geometry import Cone, Frame
 from .initializer import BOUNDS_MARGIN, InitProblem, InitSolution, Mode, default_bounds, solve
 
 log = logging.getLogger(__name__)
 
-_E1 = np.array([1.0, 0.0, 0.0])
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 class Status(Enum):
@@ -122,47 +121,63 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     """Identity-motion prediction: position kept, covariance inflated by q."""
     if state.status is not Status.TRACKING:
         raise FilterLifecycleError("predict requires an initialized (tracking) state")
-    return replace(state, x=state.x.copy(), omega=state.omega + config.q * np.eye(3))
+    omega = state.omega + config.q * _IDENTITY
+    return FilterState(state.x, omega, state.mode, state.consecutive_outliers, state.status)
 
 
 def measurement_covariance(x: np.ndarray, x_prime: np.ndarray, config: NoiseConfig) -> np.ndarray:
-    """Measurement covariance rotated onto the correction direction.
+    """Measurement covariance: r along unit(x' - x), far_variance across it.
 
-    Eigenvalue r along unit(x' - x), far_variance across it, realized by
-    rotating diag(r, far, far) with the minimal rotation that carries the
-    first basis vector onto the correction direction.
+    Built in closed form as far_variance * (I - n n^T) + r * n n^T; the
+    two cross-cone eigenvalues are equal, so no rotation is needed.
     """
     d = np.asarray(x_prime, dtype=float) - np.asarray(x, dtype=float)
     n = float(np.linalg.norm(d))
     if n <= 1e-12:
         raise MalformedInputError("measurement covariance undefined for zero innovation")
-    return _rotated_covariance(d / n, config)
+    along, across = _projectors(d / n)
+    return config.far_variance * across + config.r * along
 
 
-def _rotated_covariance(direction: np.ndarray, config: NoiseConfig) -> np.ndarray:
-    p = rotation_aligning(_E1, direction)
-    r_e = np.diag([config.r, config.far_variance, config.far_variance])
-    cov = p @ r_e @ p.T
-    return 0.5 * (cov + cov.T)
+def _projectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors along and across n, exactly symmetric; n^T n divides out its rounding."""
+    along = (direction[:, None] * direction) / float(direction @ direction)
+    return along, _IDENTITY - along
 
 
-def _innovation(state: FilterState, cone: Cone) -> tuple[np.ndarray, np.ndarray | None]:
-    """Innovation vector and the direction to weigh it along.
+class _Gate(NamedTuple):
+    """Innovation nu, its unit direction n, I - n n^T, S^-1 [nu | omega] and
+    d2 = nu^T S^-1 nu, for S = omega + far (I - n n^T) + r n n^T."""
+
+    nu: np.ndarray
+    direction: np.ndarray
+    across: np.ndarray
+    solved: np.ndarray
+    d2: float
+
+
+def _gate(state: FilterState, cone: Cone, config: NoiseConfig) -> _Gate | None:
+    """Innovation toward the cone, S and d2; None without a usable direction.
 
     A hypothesis already on the surface still pins down the local surface
     normal; only at the apex or on the axis is there no usable direction.
     """
     res = project_to_cone(state.x, cone)
     nu = res.point - state.x
-    n = float(np.linalg.norm(nu))
-    if n > 1e-12 * max(1.0, float(np.linalg.norm(state.x))):
-        return nu, nu / n
-    if res.case is ProjectionCase.SURFACE:
+    n = math.hypot(*nu.tolist())
+    if n > 1e-12 * max(1.0, math.hypot(*state.x.tolist())):
+        direction = nu / n
+    elif res.case is ProjectionCase.SURFACE:
         try:
-            return nu, surface_normal(res.point, cone)
+            direction = surface_normal(res.point, cone)
         except ValueError:
-            return nu, None
-    return nu, None
+            return None
+    else:
+        return None
+    along, across = _projectors(direction)
+    s_mat = state.omega + config.far_variance * across + config.r * along
+    solved = np.linalg.solve(s_mat, np.concatenate((nu[:, None], state.omega), axis=1))
+    return _Gate(nu, direction, across, solved, float(nu @ solved[:, 0]))
 
 
 def is_outlier(state: FilterState, cone: Cone, config: NoiseConfig) -> bool:
@@ -172,12 +187,8 @@ def is_outlier(state: FilterState, cone: Cone, config: NoiseConfig) -> bool:
     """
     if state.status is not Status.TRACKING:
         raise FilterLifecycleError("outlier test requires a tracking state")
-    nu, direction = _innovation(state, cone)
-    if direction is None or float(np.linalg.norm(nu)) == 0.0:
-        return False
-    cov = state.omega + _rotated_covariance(direction, config)
-    d2 = float(nu @ np.linalg.solve(cov, nu))
-    return d2 > config.outlier_gate
+    gate = _gate(state, cone, config)
+    return gate is not None and gate.d2 > config.outlier_gate
 
 
 def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
@@ -194,26 +205,22 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     if cone.frame is not Frame.WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
-    nu, direction = _innovation(state, cone)
-    if direction is None:
+    gate = _gate(state, cone, config)
+    if gate is None:
         # apex/axis degeneracy with zero innovation: nothing to update
-        return replace(state, x=state.x.copy(), omega=state.omega.copy(), consecutive_outliers=0)
+        return replace(state, consecutive_outliers=0)
+    if gate.d2 > config.outlier_gate:
+        return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
 
-    r_mat = _rotated_covariance(direction, config)
-    s_mat = state.omega + r_mat
-    d2 = float(nu @ np.linalg.solve(s_mat, nu))
-    if d2 > config.outlier_gate:
-        return replace(
-            state,
-            x=state.x.copy(),
-            omega=state.omega.copy(),
-            consecutive_outliers=state.consecutive_outliers + 1,
-        )
-
-    gain = np.linalg.solve(s_mat, state.omega).T  # omega (omega + R)^-1
-    x_new = state.x + gain @ nu
-    ik = np.eye(3) - gain
-    omega_new = ik @ state.omega @ ik.T + gain @ r_mat @ gain.T
+    gain = gate.solved[:, 1:].T  # omega S^-1
+    x_new = state.x + gain @ gate.nu
+    ik = _IDENTITY - gain
+    # Joseph form, with K R K^T = r (K n)(K n)^T + far (K P)(K P)^T for
+    # P = I - n n^T: no far_variance-sized terms are formed to cancel
+    kn = gain @ gate.direction
+    kp = gain @ gate.across
+    omega_new = ik @ state.omega @ ik.T + config.r * (kn[:, None] * kn)
+    omega_new += config.far_variance * (kp @ kp.T)
     omega_new = 0.5 * (omega_new + omega_new.T)
 
     if state.mode is Mode.TWO_D:

@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from radloc.geometry import perpendicular_unit
+
 
 def cone_distance_reference(points: np.ndarray, origin, axis, half_angle) -> np.ndarray:
     """Distance from each point to the cone, same case split as production.
@@ -52,6 +54,57 @@ def surface_points(origin, axis, half_angle, ranges, azimuths) -> np.ndarray:
     radial = np.cos(az) * w0 + np.sin(az) * w1
     gen = np.cos(half_angle) * axis + np.sin(half_angle) * radial
     return origin + ranges * gen
+
+
+def measurement_covariance_reference(direction, r: float, far: float) -> np.ndarray:
+    """R from its eigenbasis: r along n, far along two unit vectors across it."""
+    n = np.asarray(direction, dtype=float)
+    n = n / np.linalg.norm(n)
+    w0 = perpendicular_unit(n)
+    w1 = np.cross(n, w0)
+    return r * np.outer(n, n) + far * (np.outer(w0, w0) + np.outer(w1, w1))
+
+
+def kalman_cone_update_reference(x, omega, nu, direction, r: float, far: float, ground_plane=False):
+    """Textbook Kalman update for one cone pseudo-measurement.
+
+    R from the eigenbasis, separate solves for the squared Mahalanobis
+    distance and the gain, and the Joseph form (I - K) omega (I - K)^T +
+    K R K^T. With ground_plane, z is pinned to 0 and the prior z variance
+    restored, as the filter's 2d mode does. Returns (d2, x_new, omega_new).
+    """
+    x = np.asarray(x, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    R = measurement_covariance_reference(direction, r, far)
+    S = omega + R
+    d2 = float(nu @ np.linalg.solve(S, nu))
+    K = np.linalg.solve(S, omega).T  # omega S^-1, omega and S symmetric
+    x_new = x + K @ nu
+    IK = np.eye(3) - K
+    omega_new = IK @ omega @ IK.T + K @ R @ K.T
+    omega_new = 0.5 * (omega_new + omega_new.T)
+    if ground_plane:
+        x_new[2] = 0.0
+        omega_new[2, :] = 0.0
+        omega_new[:, 2] = 0.0
+        omega_new[2, 2] = omega[2, 2]
+    return d2, x_new, omega_new
+
+
+def cone_normal_reference(point, origin, axis, half_angle) -> np.ndarray:
+    """Outward unit surface normal: the numerical gradient of the signed
+    axial-plane offset rho cos T - t sin T at a point off the axis."""
+    origin = np.asarray(origin, dtype=float)
+    axis = np.asarray(axis, dtype=float)
+
+    def offset(p):
+        u = p - origin
+        t = u @ axis
+        return np.sqrt(max(u @ u - t * t, 0.0)) * np.cos(half_angle) - t * np.sin(half_angle)
+
+    g = central_difference(offset, point)
+    return g / np.linalg.norm(g)
 
 
 def central_difference(f, p: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from radloc.cones import distance_to_cone, surface_point
+from radloc.cones import ProjectionCase, distance_to_cone, project_to_cone, surface_point
 from radloc import estimator
 from radloc.errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
 from radloc.estimator import (
@@ -20,6 +21,7 @@ from radloc.estimator import (
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import Mode
 
+from oracles import cone_normal_reference, kalman_cone_update_reference
 from test_initializer import cone_through, exact_instance
 
 
@@ -250,6 +252,83 @@ def test_is_outlier_boundary_is_inclusive():
 def test_is_outlier_requires_tracking():
     with pytest.raises(FilterLifecycleError):
         is_outlier(FilterState(), apex_cone([1.0, 0, 0], [0.0, 0, 0]), NoiseConfig())
+
+
+# --- filter step against the textbook reference ---
+
+
+def reference_cases(rng, count):
+    """Tracking states in both modes, each with a cone whose surface passes
+    near the state, far from it, or exactly through it (zero innovation).
+    Half use the default far_variance; at the smaller ones the across-cone
+    term of the covariance update is large enough to be checked."""
+    for i in range(count):
+        mode = Mode.TWO_D if i % 2 else Mode.THREE_D
+        kind = ("near", "far", "surface")[i % 3]
+        p_star = rng.normal(size=3) * 10.0
+        if mode is Mode.TWO_D:
+            p_star[2] = 0.0
+        origin = p_star + unit(rng.normal(size=3)) * rng.uniform(5.0, 30.0)
+        cone = cone_through(p_star, origin, rng.uniform(0.2, 1.3), rng.normal(size=3))
+        x = p_star.copy()
+        if kind == "near":
+            x += rng.normal(size=3) * rng.choice([0.1, 1.0, 3.0])
+        elif kind == "far":
+            x += rng.normal(size=3) * 30.0
+        if mode is Mode.TWO_D:
+            x[2] = 0.0
+        a = rng.normal(size=(3, 3)) * rng.uniform(0.3, 5.0, size=3)
+        omega = a @ a.T + rng.uniform(0.01, 1.0) * np.eye(3)
+        cfg = NoiseConfig(
+            r=rng.uniform(0.25, 2.0),
+            far_variance=rng.choice([1e9, 1e9, 1e5, 1e3]),
+            outlier_gate=rng.choice([9.0, 25.0]),
+        )
+        yield tracking_state(x, 0.5 * (omega + omega.T), mode), cone, cfg
+
+
+def test_correct_matches_reference_kalman_update():
+    # Tolerances from a long-double analysis of this update: S holds
+    # far_variance-sized entries, so its small eigenvalue lam = r + n'omega n
+    # along the correction direction n is known only to about
+    # far_variance * eps, and the step K nu is known to a relative
+    # far_variance * eps / lam (worst seen over 15,000 cases: 0.8 of that).
+    # The reference's covariance is within 7e-7 of the long-double one
+    # (relative to its largest entry) over those cases, the filter's 2e-9.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    for state, cone, cfg in reference_cases(rng, 2400):
+        res = project_to_cone(state.x, cone)
+        nu = res.point - state.x
+        on_surface = np.linalg.norm(nu) <= 1e-12 * max(1.0, np.linalg.norm(state.x))
+        direction = nu
+        if on_surface:
+            assert res.case is ProjectionCase.SURFACE
+            direction = cone_normal_reference(res.point, cone.origin, cone.axis, cone.half_angle)
+        d2, x_ref, omega_ref = kalman_cone_update_reference(
+            state.x, state.omega, nu, direction, cfg.r, cfg.far_variance,
+            ground_plane=state.mode is Mode.TWO_D,
+        )
+        out = correct(state, cone, cfg)
+        gated = out.consecutive_outliers == 1
+        assert is_outlier(state, cone, cfg) == gated
+        if abs(d2 - cfg.outlier_gate) <= 1e-6:
+            continue
+        assert gated == (d2 > cfg.outlier_gate)
+        if gated:
+            assert np.array_equal(out.x, state.x) and np.array_equal(out.omega, state.omega)
+            seen["gated"] += 1
+            continue
+        seen["surface" if on_surface else "accepted"] += 1
+        n = direction / np.linalg.norm(direction)
+        lam = cfg.r + float(n @ state.omega @ n)
+        step = float(np.linalg.norm(x_ref - state.x))
+        assert np.linalg.norm(out.x - x_ref) <= 10.0 * cfg.far_variance * eps / lam * step + 1e-12
+        assert np.max(np.abs(out.omega - omega_ref)) <= 1e-6 * np.max(np.abs(omega_ref))
+        if state.mode is Mode.TWO_D:
+            assert out.x[2] == 0.0 and out.omega[2, 2] == state.omega[2, 2]
+    assert min(seen["accepted"], seen["gated"], seen["surface"]) >= 300, seen
 
 
 # --- covariance health and convergence ---

@@ -17,7 +17,6 @@ from radloc.geometry import (
     quat_slerp,
     quat_to_matrix,
     rotate_about_axis,
-    rotation_aligning,
     rotation_matrix,
     signed_angle,
     transform_cone,
@@ -91,21 +90,6 @@ def test_perpendicular_unit_properties():
     # x-parallel input falls back to the y basis
     w = perpendicular_unit(np.array([1.0, 0.0, 0.0]))
     assert np.allclose(w, [0.0, 1.0, 0.0])
-
-
-def test_rotation_aligning():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = unit(rng.normal(size=3))
-        b = unit(rng.normal(size=3))
-        R = rotation_aligning(a, b)
-        assert np.allclose(R @ a, b, atol=1e-12)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-    # aligned and anti-aligned special cases
-    assert np.allclose(rotation_aligning(a, a), np.eye(3), atol=1e-12)
-    R = rotation_aligning(np.array([0.0, 0, 1]), np.array([0.0, 0, -1]))
-    assert np.allclose(R @ [0, 0, 1], [0, 0, -1], atol=1e-12)
 
 
 def test_quat_to_matrix_matches_axis_angle():
