@@ -4,7 +4,7 @@ bench/tracer.py and the benchmark's step clock wrap radloc functions at
 the names their callers look up (radloc.estimator.predict, correct,
 project_to_cone, surface_normal, solve, SourceEstimator.ingest, ...).
 Renaming or inlining one of them breaks the benchmark; running
-bench/smoke.py here makes that a test failure. It takes about 15 s.
+bench/smoke.py here makes that a test failure. It takes about 20 s.
 """
 
 from __future__ import annotations

@@ -291,10 +291,10 @@ def test_correct_matches_reference_kalman_update():
     # Tolerances from a long-double analysis of this update: S holds
     # far_variance-sized entries, so its small eigenvalue lam = r + n'omega n
     # along the correction direction n is known only to about
-    # far_variance * eps, and the step K nu is known to a relative
-    # far_variance * eps / lam (worst seen over 15,000 cases: 0.8 of that).
-    # The reference's covariance is within 7e-7 of the long-double one
-    # (relative to its largest entry) over those cases, the filter's 2e-9.
+    # far_variance * eps, and the step K nu only to a relative
+    # far_variance * eps / lam (worst seen over 15,000 cases: 1.5 times that).
+    # Over those cases the reference's covariance is within 7e-7 of the
+    # long-double one (relative to its largest entry), the filter's 1.4e-9.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(31)
     seen = Counter()
