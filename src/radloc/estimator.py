@@ -139,10 +139,12 @@ def measurement_covariance(x: np.ndarray, x_prime: np.ndarray, config: NoiseConf
     return config.far_variance * across + config.r * along
 
 
-def _projectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors along and across n, exactly symmetric; n^T n divides out its rounding."""
-    along = (direction[:, None] * direction) / float(direction @ direction)
-    return along, _IDENTITY - along
+def _projectors(direction: np.ndarray) -> np.ndarray:
+    """n n^T / n^T n and I minus it, stacked: symmetric, and no entry cancels."""
+    x, y, z = direction.tolist()
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    flat = [xx, xy, xz, xy, yy, yz, xz, yz, zz, yy + zz, -xy, -xz, -xy, xx + zz, -yz, -xz, -yz, xx + yy]
+    return np.array(flat).reshape(2, 3, 3) / (xx + yy + zz)
 
 
 class _Gate(NamedTuple):
