@@ -10,14 +10,7 @@ Pipeline layout:
 - ``io`` / ``cli``: file formats and the command-line front end
 """
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .cones import (
-    ProjectionCase,
-    ProjectionResult,
-    distance_to_cone,
-    project_to_cone,
-    signed_deviation,
-)
+from .cones import ProjectionCase, ProjectionResult, distance_to_cone, project_to_cone
 from .errors import (
     DegenerateGeometryError,
     FilterLifecycleError,
@@ -37,8 +30,6 @@ from .estimator import (
     SourceEstimator,
     Status,
     correct,
-    is_outlier,
-    measurement_covariance,
     predict,
 )
 from .events import (
@@ -57,15 +48,7 @@ from .events import (
     scattering_angle,
     track_centroid,
 )
-from .geometry import (
-    Cone,
-    Frame,
-    Pose,
-    RigidTransform,
-    interpolate_pose,
-    signed_angle,
-    transform_cone,
-)
+from .geometry import Cone, Frame, Pose, interpolate_pose, transform_cone
 from .initializer import InitProblem, InitSolution, Mode, jacobian, residuals, solve
 from .simulator import (
     DetectorModel,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Cone, cross, perpendicular_unit, unit
+from .geometry import Cone, perpendicular_unit
 
 
 class ProjectionCase(Enum):
@@ -168,14 +168,6 @@ def distance_to_cone(point: np.ndarray, cone: Cone) -> float:
     return float(ConeBatch.of([cone]).distance(point)[0])
 
 
-def signed_deviation(point: np.ndarray, cone: Cone) -> float:
-    """Signed surface offset: positive outside the cone, negative inside.
-
-    Behind the apex plane every point counts as outside, at apex distance.
-    """
-    return float(ConeBatch.of([cone]).signed_deviation(point)[0])
-
-
 def project_to_cone(x: np.ndarray, cone: Cone) -> ProjectionResult:
     """Orthogonally project a point onto the cone surface.
 
@@ -238,28 +230,11 @@ def surface_normal(point: np.ndarray, cone: Cone) -> np.ndarray:
     return np.array([c * wx - s * ax, c * wy - s * ay, c * wz - s * az])
 
 
-def surface_point(cone: Cone, range_: float, azimuth: float) -> np.ndarray:
-    """Point on the cone at the given distance from the apex.
-
-    Azimuth is measured about the axis from the deterministic reference
-    perpendicular. Mostly a test and plotting helper.
-    """
-    if range_ < 0.0:
-        raise ValueError("range must be nonnegative")
-    w0 = perpendicular_unit(cone.axis)
-    w1 = cross(cone.axis, w0)
-    w = math.cos(azimuth) * w0 + math.sin(azimuth) * w1
-    v = math.cos(cone.half_angle) * cone.axis + math.sin(cone.half_angle) * w
-    return cone.origin + range_ * unit(v)
-
-
 __all__ = [
     "ConeBatch",
     "ProjectionCase",
     "ProjectionResult",
     "distance_to_cone",
     "project_to_cone",
-    "signed_deviation",
     "surface_normal",
-    "surface_point",
 ]

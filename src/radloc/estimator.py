@@ -16,7 +16,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,20 +124,6 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     return FilterState(state.x, omega, state.mode, state.consecutive_outliers, state.status)
 
 
-def measurement_covariance(x: np.ndarray, x_prime: np.ndarray, config: NoiseConfig) -> np.ndarray:
-    """Measurement covariance: r along unit(x' - x), far_variance across it.
-
-    Built in closed form as far_variance * (I - n n^T) + r * n n^T; the
-    two cross-cone eigenvalues are equal, so no rotation is needed.
-    """
-    d = np.asarray(x_prime, dtype=float) - np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(d))
-    if n <= 1e-12:
-        raise MalformedInputError("measurement covariance undefined for zero innovation")
-    along, across = _projectors(d / n)
-    return config.far_variance * across + config.r * along
-
-
 def _projectors(direction: np.ndarray) -> np.ndarray:
     """n n^T / n^T n and I minus it, stacked: symmetric, and no entry cancels."""
     x, y, z = direction.tolist()
@@ -147,23 +132,26 @@ def _projectors(direction: np.ndarray) -> np.ndarray:
     return np.array(flat).reshape(2, 3, 3) / (xx + yy + zz)
 
 
-class _Gate(NamedTuple):
-    """Innovation nu, its unit direction n, I - n n^T, S^-1 [nu | omega] and
-    d2 = nu^T S^-1 nu, for S = omega + far (I - n n^T) + r n n^T."""
+def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
+    """One gated Kalman correction toward the cone surface.
 
-    nu: np.ndarray
-    direction: np.ndarray
-    across: np.ndarray
-    solved: np.ndarray
-    d2: float
-
-
-def _gate(state: FilterState, cone: Cone, config: NoiseConfig) -> _Gate | None:
-    """Innovation toward the cone, S and d2; None without a usable direction.
-
-    A hypothesis already on the surface still pins down the local surface
-    normal; only at the apex or on the axis is there no usable direction.
+    The innovation nu points from the hypothesis to its projection on the
+    cone, along n; one solve of S = omega + far (I - n n^T) + r n n^T
+    gives both d2 = nu^T S^-1 nu and the gain. A hypothesis already on the
+    surface takes the surface normal as n; at the apex or on the axis
+    there is no usable direction and nothing to update. A cone whose d2
+    exceeds outlier_gate is gated: an innovation exactly at the gate is
+    accepted. Accepted measurements (including zero-innovation ones,
+    which update only the covariance along the surface normal) reset the
+    outlier run; gated ones increment it and leave the state untouched
+    otherwise. Ground-plane mode re-pins z to 0 and restores the prior z
+    variance so the flattening never fakes confidence in altitude.
     """
+    if state.status is not Status.TRACKING:
+        raise FilterLifecycleError("correct requires an initialized (tracking) state")
+    if cone.frame is not Frame.WORLD:
+        raise MalformedInputError("corrections expect world-frame cones")
+
     res = project_to_cone(state.x, cone)
     nu = res.point - state.x
     n = math.hypot(*nu.tolist())
@@ -173,54 +161,22 @@ def _gate(state: FilterState, cone: Cone, config: NoiseConfig) -> _Gate | None:
         try:
             direction = surface_normal(res.point, cone)
         except ValueError:
-            return None
+            return replace(state, consecutive_outliers=0)
     else:
-        return None
+        return replace(state, consecutive_outliers=0)
     along, across = _projectors(direction)
     s_mat = state.omega + config.far_variance * across + config.r * along
     solved = np.linalg.solve(s_mat, np.concatenate((nu[:, None], state.omega), axis=1))
-    return _Gate(nu, direction, across, solved, float(nu @ solved[:, 0]))
-
-
-def is_outlier(state: FilterState, cone: Cone, config: NoiseConfig) -> bool:
-    """Mahalanobis gate on the innovation under the combined covariance.
-
-    Strict inequality: an innovation exactly at the gate is accepted.
-    """
-    if state.status is not Status.TRACKING:
-        raise FilterLifecycleError("outlier test requires a tracking state")
-    gate = _gate(state, cone, config)
-    return gate is not None and gate.d2 > config.outlier_gate
-
-
-def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
-    """One gated Kalman correction toward the cone surface.
-
-    Accepted measurements (including zero-innovation ones, which update
-    only the covariance along the surface normal) reset the outlier run;
-    gated ones increment it and leave the state untouched otherwise.
-    Ground-plane mode re-pins z to 0 and restores the prior z variance
-    so the flattening never fakes confidence in altitude.
-    """
-    if state.status is not Status.TRACKING:
-        raise FilterLifecycleError("correct requires an initialized (tracking) state")
-    if cone.frame is not Frame.WORLD:
-        raise MalformedInputError("corrections expect world-frame cones")
-
-    gate = _gate(state, cone, config)
-    if gate is None:
-        # apex/axis degeneracy with zero innovation: nothing to update
-        return replace(state, consecutive_outliers=0)
-    if gate.d2 > config.outlier_gate:
+    if float(nu @ solved[:, 0]) > config.outlier_gate:
         return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
 
-    gain = gate.solved[:, 1:].T  # omega S^-1
-    x_new = state.x + gain @ gate.nu
+    gain = solved[:, 1:].T  # omega S^-1
+    x_new = state.x + gain @ nu
     ik = _IDENTITY - gain
     # Joseph form, with K R K^T = r (K n)(K n)^T + far (K P)(K P)^T for
     # P = I - n n^T: no far_variance-sized terms are formed to cancel
-    kn = gain @ gate.direction
-    kp = gain @ gate.across
+    kn = gain @ direction
+    kp = gain @ across
     omega_new = ik @ state.omega @ ik.T + config.r * (kn[:, None] * kn)
     omega_new += config.far_variance * (kp @ kp.T)
     omega_new = 0.5 * (omega_new + omega_new.T)
@@ -360,7 +316,5 @@ __all__ = [
     "SourceEstimator",
     "Status",
     "correct",
-    "is_outlier",
-    "measurement_covariance",
     "predict",
 ]

@@ -18,12 +18,11 @@ import numpy as np
 
 from .constants import (
     BACKGROUND_THRESHOLD_KEV,
+    CHARGE_GATHERING_SPEED_UM_PER_NS,
     CLUSTER_TOA_GAP_NS,
     COINCIDENCE_WINDOW_NS,
-    DEFAULT_CONSTANTS,
     ELECTRON_REST_ENERGY_KEV,
     PIXEL_PITCH_MM,
-    PhysicalConstants,
 )
 from .errors import DegenerateGeometryError, InvalidScatteringError, MalformedInputError
 from .geometry import Cone, Frame
@@ -52,7 +51,6 @@ class PixelTrack:
     """A connected cluster of hits left by one particle interaction."""
 
     hits: tuple[PixelHit, ...]
-    pixel_pitch: float = PIXEL_PITCH_MM  # mm
 
     def __post_init__(self) -> None:
         if not self.hits:
@@ -98,11 +96,7 @@ class EventClass(Enum):
     BACKGROUND = "background"
 
 
-def cluster_hits(
-    hits: list[PixelHit],
-    max_toa_gap: float = CLUSTER_TOA_GAP_NS,
-    pixel_pitch: float = PIXEL_PITCH_MM,
-) -> list[PixelTrack]:
+def cluster_hits(hits: list[PixelHit], max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list[PixelTrack]:
     """Partition hits into tracks by 8-neighbor adjacency chained in time.
 
     Two hits land in one track iff they are connected through a chain of
@@ -142,7 +136,7 @@ def cluster_hits(
     groups: dict[int, list[PixelHit]] = {}
     for idx in order:
         groups.setdefault(find(idx), []).append(hits[idx])
-    tracks = [PixelTrack(tuple(g), pixel_pitch) for g in groups.values()]
+    tracks = [PixelTrack(tuple(g)) for g in groups.values()]
     tracks.sort(key=lambda t: t.toa)
     return tracks
 
@@ -158,13 +152,12 @@ def track_centroid(
     """
     if not track.hits:
         raise MalformedInputError("empty track")
-    pitch = track.pixel_pitch
     cols = np.array([h.col + 0.5 for h in track.hits])
     rows = np.array([h.row + 0.5 for h in track.hits])
     energies = np.array([h.energy for h in track.hits])
     weights = energies if energy_weighted else np.ones_like(energies)
-    x = float(np.average(cols, weights=weights)) * pitch
-    y = float(np.average(rows, weights=weights)) * pitch
+    x = float(np.average(cols, weights=weights)) * PIXEL_PITCH_MM
+    y = float(np.average(rows, weights=weights)) * PIXEL_PITCH_MM
     return x, y, float(energies.sum()), track.toa
 
 
@@ -219,25 +212,17 @@ def classify_track(
     return EventClass.PHOTOELECTRIC
 
 
-def delta_z(
-    electron_toa: float,
-    photon_toa: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def delta_z(electron_toa: float, photon_toa: float) -> float:
     """Depth separation in mm from the arrival-time difference in ns.
 
     The charge cloud drifts through the biased sensor at a fixed speed,
     so the time difference maps linearly to a depth difference. Sign
     follows (electron_toa - photon_toa).
     """
-    return constants.charge_gathering_speed * 1e-3 * (electron_toa - photon_toa)
+    return CHARGE_GATHERING_SPEED_UM_PER_NS * 1e-3 * (electron_toa - photon_toa)
 
 
-def scattering_angle(
-    electron_energy: float,
-    photon_energy: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def scattering_angle(electron_energy: float, photon_energy: float) -> float:
     """Scattering angle from the energy split between the two products.
 
     cos(theta) = 1 + m_e c^2 (1/(E_e + E_p) - 1/E_p), everything in keV.
@@ -247,7 +232,7 @@ def scattering_angle(
     """
     if electron_energy <= 0.0 or photon_energy <= 0.0:
         raise MalformedInputError("energies must be positive")
-    b = 1.0 + constants.electron_rest_energy * (
+    b = 1.0 + ELECTRON_REST_ENERGY_KEV * (
         1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy
     )
     if not (-1.0 < b < 1.0):
@@ -296,7 +281,7 @@ def swap_roles(pair: ComptonPair) -> ComptonPair:
     )
 
 
-def build_cone(pair: ComptonPair, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Cone:
+def build_cone(pair: ComptonPair) -> Cone:
     """Camera-frame measurement cone of one Compton pair.
 
     The electron event sits at (x, y, delta_z), the photon event at
@@ -306,8 +291,8 @@ def build_cone(pair: ComptonPair, constants: PhysicalConstants = DEFAULT_CONSTAN
     Raises if the two events coincide (axis undefined) or the energy
     split is kinematically impossible.
     """
-    theta = scattering_angle(pair.electron_energy, pair.photon_energy, constants)
-    dz = delta_z(pair.electron_toa, pair.photon_toa, constants)
+    theta = scattering_angle(pair.electron_energy, pair.photon_energy)
+    dz = delta_z(pair.electron_toa, pair.photon_toa)
     electron = np.array([pair.electron_xy[0], pair.electron_xy[1], dz]) * 1e-3
     photon = np.array([pair.photon_xy[0], pair.photon_xy[1], 0.0]) * 1e-3
     sep = electron - photon
@@ -359,7 +344,6 @@ def process_pairs(
     pairs: list[ComptonPair],
     threshold: float = BACKGROUND_THRESHOLD_KEV,
     swap_hypotheses: bool = False,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
     duration: float | None = None,
     unpaired_tracks: list[PixelTrack] | None = None,
     ambiguous: int = 0,
@@ -385,7 +369,7 @@ def process_pairs(
         ok = 0
         for cand in candidates:
             try:
-                cones.append(build_cone(cand, constants))
+                cones.append(build_cone(cand))
                 ok += 1
             except (InvalidScatteringError, DegenerateGeometryError) as exc:
                 log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
@@ -411,15 +395,13 @@ def process_hits(
     max_toa_gap: float = CLUSTER_TOA_GAP_NS,
     window: float = COINCIDENCE_WINDOW_NS,
     threshold: float = BACKGROUND_THRESHOLD_KEV,
-    pixel_pitch: float = PIXEL_PITCH_MM,
     energy_weighted: bool = True,
     swap_hypotheses: bool = False,
     drop_ambiguous: bool = False,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
     duration: float | None = None,
 ) -> PipelineResult:
     """Full flat-hit pipeline: cluster, pair, classify, build cones."""
-    tracks = cluster_hits(hits, max_toa_gap, pixel_pitch)
+    tracks = cluster_hits(hits, max_toa_gap)
     pairs_raw = pair_coincident(tracks, window, drop_ambiguous)
     paired_ids = {id(t) for pair in pairs_raw for t in pair}
     unpaired = [t for t in tracks if id(t) not in paired_ids]
@@ -431,7 +413,6 @@ def process_hits(
         pairs,
         threshold=threshold,
         swap_hypotheses=swap_hypotheses,
-        constants=constants,
         duration=duration,
         unpaired_tracks=unpaired,
         ambiguous=ambiguous,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,19 +25,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-15:
         raise MalformedInputError("cannot normalize a zero-length vector")
     return v / n
-
-
-def signed_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between two vectors in [0, pi].
-
-    Uses atan2(|a x b|, a . b), which stays accurate near 0 and pi where
-    the arccos form loses precision.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.linalg.norm(a) < 1e-15 or np.linalg.norm(b) < 1e-15:
-        raise MalformedInputError("signed_angle requires nonzero vectors")
-    return math.atan2(float(np.linalg.norm(cross(a, b))), float(np.dot(a, b)))
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,13 +55,6 @@ def perpendicular_unit(v: np.ndarray) -> np.ndarray:
         if n > 1e-6:
             return w / n
     raise MalformedInputError("could not construct a perpendicular vector")
-
-
-def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """3x3 rotation matrix about a unit axis (Rodrigues form)."""
-    k = unit(axis)
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
 # --- Quaternions (w-first) ---
@@ -176,32 +156,6 @@ class Pose:
         return quat_to_matrix(self.orientation)
 
 
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rigid map x_to = R @ x_from + t between two named frames."""
-
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self) -> None:
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if np.linalg.norm(R @ R.T - np.eye(3)) > 1e-9 or np.linalg.det(R) < 0.0:
-            raise MalformedInputError("rotation must be a proper orthonormal matrix")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(x, dtype=float) + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        Rt = self.rotation.T
-        return RigidTransform(Rt, -Rt @ self.translation)
-
-
-IDENTITY_TRANSFORM = RigidTransform()
-
-
 def interpolate_pose(stream: list[Pose], t: float) -> Pose:
     """Pose at time t from a time-ordered stream.
 
@@ -227,21 +181,18 @@ def interpolate_pose(stream: list[Pose], t: float) -> Pose:
     return Pose(t, pos, q)
 
 
-def transform_cone(
-    cone: Cone, pose: Pose, extrinsics: RigidTransform = IDENTITY_TRANSFORM
-) -> Cone:
+def transform_cone(cone: Cone, pose: Pose) -> Cone:
     """Map a camera-frame cone into the world frame.
 
-    ``extrinsics`` is the body-to-camera rigid transform; the cone origin
-    goes through world <- body <- camera, the axis is rotated only, and
-    the half-angle is untouched.
+    The camera frame is the body frame, since no flag or config key sets
+    camera extrinsics: the pose rotates and moves the cone origin, rotates
+    the axis, and leaves the half-angle untouched.
     """
     if cone.frame is not Frame.CAMERA:
         raise MalformedInputError("transform_cone expects a camera-frame cone")
-    cam_to_body = extrinsics.inverse()
     R_wb = pose.rotation()
-    origin_w = R_wb @ cam_to_body.apply(cone.origin) + pose.position
-    axis_w = R_wb @ (cam_to_body.rotation @ cone.axis)
+    origin_w = R_wb @ cone.origin + pose.position
+    axis_w = R_wb @ cone.axis
     axis_w = axis_w / float(np.linalg.norm(axis_w))
     return Cone(origin_w, axis_w, cone.half_angle, Frame.WORLD, pose.timestamp)
 
@@ -250,8 +201,6 @@ __all__ = [
     "Cone",
     "Frame",
     "Pose",
-    "RigidTransform",
-    "IDENTITY_TRANSFORM",
     "cross",
     "interpolate_pose",
     "perpendicular_unit",
@@ -260,8 +209,6 @@ __all__ = [
     "quat_slerp",
     "quat_to_matrix",
     "rotate_about_axis",
-    "rotation_matrix",
-    "signed_angle",
     "transform_cone",
     "unit",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import minimize
 
 from .cones import ConeBatch
 from .cones import distance_to_cone  # noqa: F401  the benchmark's tracer wraps it at this name
@@ -51,7 +51,6 @@ class InitProblem:
     mode: Mode = Mode.THREE_D
     bounds: tuple[np.ndarray, np.ndarray] | None = None  # (lo, hi), meters
     multistart_count: int = 8
-    tolerance: float = 1e-6
     degeneracy_threshold: float = 1e6
     max_iterations: int = 100
 
@@ -107,25 +106,6 @@ def _constraint_system(cones: list[Cone]) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([c.axis for c in cones])
     b = np.array([float(np.dot(c.axis, c.origin)) for c in cones])
     return a, b
-
-
-def stationarity_residual(p: np.ndarray, problem: InitProblem) -> float:
-    """Norm of the cost gradient projected onto the feasible directions.
-
-    First-order optimality measure: the gradient minus its best
-    representation by nonnegative multipliers on the active constraints.
-    """
-    p = np.asarray(p, dtype=float)
-    free = slice(0, 2) if problem.mode is Mode.TWO_D else slice(0, 3)
-    _, g = cost_and_gradient(p, problem.cones)
-    a, b = _constraint_system(problem.cones)
-    active = (a @ p - b) < 1e-6
-    g_free = g[free]
-    if not np.any(active):
-        return float(np.linalg.norm(g_free))
-    coeffs, resid = nnls(a[active][:, free].T, g_free)
-    del coeffs
-    return float(resid)
 
 
 def _refine(
@@ -226,7 +206,7 @@ def solve(problem: InitProblem) -> InitSolution:
                 method="SLSQP",
                 bounds=box,
                 constraints=[constraints],
-                options={"maxiter": problem.max_iterations, "ftol": problem.tolerance ** 2},
+                options={"maxiter": problem.max_iterations, "ftol": 1e-12},
             )
         feasible = float(np.min(a_full @ lift(res.x) - b_vec)) >= -1e-6
         if not feasible or not np.all(np.isfinite(res.x)):
@@ -266,5 +246,4 @@ __all__ = [
     "jacobian",
     "residuals",
     "solve",
-    "stationarity_residual",
 ]

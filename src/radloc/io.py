@@ -126,14 +126,23 @@ def _floats(cells: list[str], path: str, lineno: int) -> list[float]:
     return out
 
 
-def sniff_events_format(path: str | Path) -> str:
-    """'hits' or 'pairs', decided by the header line."""
-    path = Path(path)
+def _check_timestamp(t: float, path: str, lineno: int) -> None:
+    # NaN compares false with everything, so it would pass the ordering checks
+    if not math.isfinite(t):
+        raise ParseError(f"timestamp must be finite, got {t!r}", path=path, line=lineno)
+
+
+def _header(path: Path) -> list[str]:
     try:
         with open(path) as fh:
-            header = [c.strip() for c in fh.readline().split(",")]
+            return [c.strip() for c in fh.readline().split(",")]
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
+
+
+def sniff_events_format(path: str | Path) -> str:
+    """'hits' or 'pairs', decided by the header line."""
+    header = _header(Path(path))
     if header == HITS_HEADER:
         return "hits"
     if header == PAIRS_HEADER:
@@ -144,13 +153,14 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def read_hits_csv(path: str | Path, sensor_pixels: int = SENSOR_PIXELS) -> list[PixelHit]:
+def read_hits_csv(path: str | Path) -> list[PixelHit]:
     hits = []
     for lineno, cells in _read_rows(path, HITS_HEADER):
         toa, col, row, energy = _floats(cells, str(path), lineno)
-        if not (0 <= col < sensor_pixels and 0 <= row < sensor_pixels):
+        _check_timestamp(toa, str(path), lineno)
+        if not (0 <= col < SENSOR_PIXELS and 0 <= row < SENSOR_PIXELS):
             raise ParseError(
-                f"pixel ({col:g}, {row:g}) outside {sensor_pixels}x{sensor_pixels} matrix",
+                f"pixel ({col:g}, {row:g}) outside {SENSOR_PIXELS}x{SENSOR_PIXELS} matrix",
                 path=str(path),
                 line=lineno,
             )
@@ -164,6 +174,8 @@ def read_pairs_csv(path: str | Path) -> list[ComptonPair]:
     pairs = []
     for lineno, cells in _read_rows(path, PAIRS_HEADER):
         ex, ey, ee, et, px, py, pe, pt = _floats(cells, str(path), lineno)
+        for t in (et, pt):
+            _check_timestamp(t, str(path), lineno)
         if ee <= 0 or pe <= 0:
             raise ParseError("pair energies must be positive", path=str(path), line=lineno)
         pairs.append(ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
@@ -175,6 +187,7 @@ def read_poses_csv(path: str | Path) -> list[Pose]:
     last_t = None
     for lineno, cells in _read_rows(path, POSES_HEADER):
         t, px, py, pz, qw, qx, qy, qz = _floats(cells, str(path), lineno)
+        _check_timestamp(t, str(path), lineno)
         if last_t is not None and t <= last_t:
             raise OrderingError(f"{path}:{lineno}: pose timestamps must strictly increase")
         last_t = t
@@ -195,6 +208,7 @@ def read_cones_csv(path: str | Path) -> list[Cone]:
         if frame not in ("C", "W"):
             raise ParseError(f"frame must be C or W, got {frame!r}", path=str(path), line=lineno)
         t, ox, oy, oz, dx, dy, dz, theta = values
+        _check_timestamp(t, str(path), lineno)
         if last_t is not None and t < last_t:
             raise OrderingError(f"{path}:{lineno}: cone timestamps must be nondecreasing")
         last_t = t
@@ -264,18 +278,14 @@ def read_truth_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth positions over time: accepts the plain t,x,y,z schema
     or a simulator step log (truth columns extracted)."""
     path = Path(path)
-    with open(path) as fh:
-        header = [c.strip() for c in fh.readline().split(",")]
-    if header == TRUTH_HEADER:
-        rows = _read_rows(path, TRUTH_HEADER)
-        data = np.array([_floats(cells, str(path), n) for n, cells in rows])
-    elif header == STEPS_HEADER:
-        rows = _read_rows(path, STEPS_HEADER)
-        data = np.array(
-            [_floats(cells[:4], str(path), n) for n, cells in rows]
-        )
-    else:
+    header = _header(path)
+    if header not in (TRUTH_HEADER, STEPS_HEADER):
         raise SchemaError(f"{path}: not a truth or step file", keys=sorted(set(header)))
+    data = []
+    for lineno, cells in _read_rows(path, header):
+        data.append(_floats(cells[:4], str(path), lineno))
+        _check_timestamp(data[-1][0], str(path), lineno)
+    data = np.array(data)
     if data.size == 0:
         raise SchemaError(f"{path}: no truth samples", keys=[])
     t = data[:, 0]
@@ -357,11 +367,25 @@ def _area(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _int(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 # field type -> coercion of a YAML value
 _COERCE = {
     float: float,
-    int: int,
-    bool: bool,
+    int: _int,
+    bool: _bool,
     np.ndarray: _vec3,
     np.ndarray | None: lambda value: None if value is None else _vec3(value),
     tuple[float, float]: _area,

@@ -9,10 +9,20 @@ is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import nnls
 
 from radloc.geometry import perpendicular_unit
+from radloc.initializer import Mode, cost_and_gradient
+
+
+def rotation_matrix(axis, angle: float) -> np.ndarray:
+    """3x3 rotation matrix about an axis (Rodrigues form)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
 
 def cone_distance_reference(points: np.ndarray, origin, axis, half_angle) -> np.ndarray:
@@ -141,6 +151,24 @@ def grid_search_cost(cones, lo, hi, resolution: float = 0.1):
         cost += d * d
     k = int(np.argmin(cost))
     return float(cost[k]), pts[k]
+
+
+def stationarity_residual(p, problem) -> float:
+    """Norm of the cost gradient projected onto the feasible directions.
+
+    First-order optimality measure of an InitProblem solution: the
+    gradient minus its best representation by nonnegative multipliers on
+    the active half-space constraints axis . (p - origin) >= 0.
+    """
+    p = np.asarray(p, dtype=float)
+    free = slice(0, 2) if problem.mode is Mode.TWO_D else slice(0, 3)
+    _, g = cost_and_gradient(p, problem.cones)
+    a = np.array([c.axis for c in problem.cones])
+    b = np.array([float(np.dot(c.axis, c.origin)) for c in problem.cones])
+    active = (a @ p - b) < 1e-6
+    if not np.any(active):
+        return float(np.linalg.norm(g[free]))
+    return float(nnls(a[active][:, free].T, g[free])[1])
 
 
 def best_disjoint_pairing(toas, window: float):

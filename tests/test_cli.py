@@ -8,7 +8,13 @@ from radloc.cli import main
 from radloc.estimator import NoiseConfig, SourceEstimator
 from radloc.initializer import InitSolution, Mode
 from radloc.geometry import Cone, Frame
-from radloc.io import HITS_HEADER, POSES_HEADER, read_estimates_csv, write_cones_csv
+from radloc.io import (
+    HITS_HEADER,
+    POSES_HEADER,
+    read_estimates_csv,
+    write_cones_csv,
+    write_estimates_csv,
+)
 
 from test_events import synthetic_stream
 from test_initializer import cone_through
@@ -318,3 +324,19 @@ def test_metrics_no_overlap_exit_1(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_metrics_missing_truth_exit_2(tmp_path, capsys):
+    estimates = tmp_path / "estimates.csv"
+    write_estimates_csv(estimates, [])
+    missing = tmp_path / "missing.csv"
+    code = main(
+        [
+            "metrics",
+            "--estimates", str(estimates),
+            "--truth", str(missing),
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from radloc.cones import (
+    ConeBatch,
     ProjectionCase,
     distance_to_cone,
     project_to_cone,
-    signed_deviation,
     surface_normal,
-    surface_point,
 )
-from radloc.geometry import Cone, Frame, rotate_about_axis, rotation_matrix, unit
+from radloc.geometry import Cone, Frame, unit
 
-from oracles import cone_distance_reference, planar_cone_distance, surface_points
+from oracles import cone_distance_reference, planar_cone_distance, rotation_matrix, surface_points
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -22,14 +21,14 @@ def upcone(theta=math.pi / 4):
     return Cone(np.zeros(3), UP, theta, Frame.WORLD)
 
 
-def random_cone(rng, max_half_angle=math.pi / 2 - 0.05):
+def random_cone(rng):
     # the printed case split (behind-apex -> apex distance, alpha >= pi/2
     # -> apex projection) is only self-consistent for half-angles below a
     # right angle; wider cones are pinned in a dedicated test below
     return Cone(
         rng.normal(size=3) * 3.0,
         unit(rng.normal(size=3)),
-        rng.uniform(0.1, max_half_angle),
+        rng.uniform(0.1, math.pi / 2 - 0.05),
         Frame.WORLD,
     )
 
@@ -79,16 +78,18 @@ def test_distance_planar_oracle_axial_cases():
 
 
 def test_signed_deviation_sign():
-    cone = upcone()
-    assert signed_deviation(np.array([0.9, 0.0, 0.1]), cone) > 0  # outside (wide of the surface)
-    assert signed_deviation(np.array([0.1, 0.0, 0.9]), cone) < 0  # inside the cone
-    assert abs(signed_deviation(np.array([1.0, 0.0, 1.0]), cone)) < 1e-15
+    points = np.array([[0.9, 0.0, 0.1], [0.1, 0.0, 0.9], [1.0, 0.0, 1.0]])
+    outside, inside, on_surface = ConeBatch.of([upcone()]).signed_deviation(points)[:, 0]
+    assert outside > 0  # wide of the surface
+    assert inside < 0
+    assert abs(on_surface) < 1e-15
     # magnitude always matches the unsigned distance
     rng = np.random.default_rng(5)
     for _ in range(100):
         c = random_cone(rng)
         p = c.origin + rng.normal(size=3) * 3.0
-        assert abs(signed_deviation(p, c)) == pytest.approx(distance_to_cone(p, c), abs=1e-15)
+        got = ConeBatch.of([c]).signed_deviation(p)[0]
+        assert abs(got) == pytest.approx(distance_to_cone(p, c), abs=1e-15)
 
 
 # --- projection ---
@@ -242,7 +243,8 @@ def test_surface_normal_orthogonal_to_tangents():
     rng = np.random.default_rng(9)
     for _ in range(100):
         cone = random_cone(rng)
-        p = surface_point(cone, rng.uniform(0.5, 5.0), rng.uniform(0, 2 * math.pi))
+        r, az = rng.uniform(0.5, 5.0), rng.uniform(0, 2 * math.pi)
+        p = surface_points(cone.origin, cone.axis, cone.half_angle, [r], [az])[0]
         n = surface_normal(p, cone)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-12
         gen = unit(p - cone.origin)
@@ -250,7 +252,7 @@ def test_surface_normal_orthogonal_to_tangents():
         assert abs(np.dot(n, gen)) < 1e-12
         assert abs(np.dot(n, azim)) < 1e-12
         # outward: stepping along the normal leaves the cone
-        assert signed_deviation(p + 1e-6 * n, cone) > 0
+        assert ConeBatch.of([cone]).signed_deviation(p + 1e-6 * n)[0] > 0
 
 
 def test_surface_normal_undefined_cases():
@@ -259,26 +261,6 @@ def test_surface_normal_undefined_cases():
         surface_normal(np.zeros(3), cone)
     with pytest.raises(ValueError):
         surface_normal(np.array([0.0, 0.0, 3.0]), cone)
-
-
-def test_surface_point_lies_on_cone():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        cone = random_cone(rng, max_half_angle=math.pi - 0.1)
-        r = rng.uniform(0.0, 10.0)
-        p = surface_point(cone, r, rng.uniform(0, 2 * math.pi))
-        # geometric membership holds for any opening angle
-        assert np.linalg.norm(p - cone.origin) == pytest.approx(r, abs=1e-9)
-        if r > 1e-6:
-            from radloc.geometry import signed_angle
-
-            assert signed_angle(p - cone.origin, cone.axis) == pytest.approx(
-                cone.half_angle, abs=1e-9
-            )
-        if cone.half_angle < math.pi / 2:
-            assert distance_to_cone(p, cone) < 1e-9
-    with pytest.raises(ValueError):
-        surface_point(cone, -1.0, 0.0)
 
 
 def test_wide_cone_clips_to_apex():

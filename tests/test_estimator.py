@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from radloc.cones import ProjectionCase, distance_to_cone, project_to_cone, surface_point
+from radloc.cones import ProjectionCase, project_to_cone
 from radloc import estimator
 from radloc.errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
 from radloc.estimator import (
@@ -14,14 +14,12 @@ from radloc.estimator import (
     SourceEstimator,
     Status,
     correct,
-    is_outlier,
-    measurement_covariance,
     predict,
 )
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import Mode
 
-from oracles import cone_normal_reference, kalman_cone_update_reference
+from oracles import cone_normal_reference, kalman_cone_update_reference, surface_points
 from test_initializer import cone_through, exact_instance
 
 
@@ -87,39 +85,6 @@ def test_predict_additive_q():
 def test_predict_requires_tracking():
     with pytest.raises(FilterLifecycleError):
         predict(FilterState(), NoiseConfig())
-
-
-# --- measurement covariance ---
-
-
-def test_measurement_covariance_axis_aligned():
-    cfg = NoiseConfig(r=1.0, far_variance=1e9)
-    R = measurement_covariance(np.zeros(3), np.array([2.0, 0, 0]), cfg)
-    assert np.allclose(R, np.diag([1.0, 1e9, 1e9]))
-    R2 = measurement_covariance(np.zeros(3), np.array([0.0, 3.0, 0]), cfg)
-    assert R2[1, 1] == pytest.approx(1.0)
-    assert R2[0, 0] == pytest.approx(1e9)
-    assert R2[2, 2] == pytest.approx(1e9)
-
-
-def test_measurement_covariance_eigenstructure():
-    cfg = NoiseConfig(r=0.5, far_variance=1e9)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        u = unit(rng.normal(size=3))
-        R = measurement_covariance(np.zeros(3), 4.0 * u, cfg)
-        assert np.allclose(R, R.T, atol=1e-6)
-        # u is the low-variance eigenvector
-        assert np.linalg.norm(R @ u - cfg.r * u) < 1e-9 * cfg.far_variance
-        # absolute tolerance set by far_variance * eps
-        vals = np.sort(np.linalg.eigvalsh(R))
-        assert vals[0] == pytest.approx(cfg.r, abs=1e-5)
-        assert vals[1] == pytest.approx(cfg.far_variance, rel=1e-9)
-
-
-def test_measurement_covariance_zero_innovation_rejected():
-    with pytest.raises(MalformedInputError):
-        measurement_covariance(np.ones(3), np.ones(3), NoiseConfig())
 
 
 # --- correct ---
@@ -226,18 +191,18 @@ def test_gain_orthogonality_bound():
         assert abs(ortho) <= cfg.r / cfg.far_variance * abs(parallel) + 1e-12
 
 
-# --- outlier gate ---
+# --- outlier gate: correct counts a gated cone in consecutive_outliers ---
 
 
 def test_is_outlier_examples():
     state = tracking_state([0.0, 0.0, 0.0])
     cfg = NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0)
     on_surface = Cone(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5, Frame.WORLD)
-    p = surface_point(on_surface, 2.0, 0.3)
-    assert not is_outlier(tracking_state(p), on_surface, cfg)
+    p = surface_points(on_surface.origin, on_surface.axis, on_surface.half_angle, [2.0], [0.3])[0]
+    assert correct(tracking_state(p), on_surface, cfg).consecutive_outliers == 0
     # a 100 m innovation against unit-scale covariance trips the gate
     far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
-    assert is_outlier(state, far_cone, cfg)
+    assert correct(state, far_cone, cfg).consecutive_outliers == 1
 
 
 def test_is_outlier_boundary_is_inclusive():
@@ -245,13 +210,8 @@ def test_is_outlier_boundary_is_inclusive():
     # r = 1 give S = 2 along it, so d^2 = 16 / 2 = 8 exactly
     state = tracking_state([4.0, 0.0, 0.0])
     cone = apex_cone([0.0, 0.0, 0.0], toward=[4.0, 0.0, 0.0])
-    assert not is_outlier(state, cone, NoiseConfig(r=1.0, outlier_gate=8.0))
-    assert is_outlier(state, cone, NoiseConfig(r=1.0, outlier_gate=7.999))
-
-
-def test_is_outlier_requires_tracking():
-    with pytest.raises(FilterLifecycleError):
-        is_outlier(FilterState(), apex_cone([1.0, 0, 0], [0.0, 0, 0]), NoiseConfig())
+    assert correct(state, cone, NoiseConfig(r=1.0, outlier_gate=8.0)).consecutive_outliers == 0
+    assert correct(state, cone, NoiseConfig(r=1.0, outlier_gate=7.999)).consecutive_outliers == 1
 
 
 # --- filter step against the textbook reference ---
@@ -312,7 +272,6 @@ def test_correct_matches_reference_kalman_update():
         )
         out = correct(state, cone, cfg)
         gated = out.consecutive_outliers == 1
-        assert is_outlier(state, cone, cfg) == gated
         if abs(d2 - cfg.outlier_gate) <= 1e-6:
             continue
         assert gated == (d2 > cfg.outlier_gate)

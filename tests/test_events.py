@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from radloc.constants import DEFAULT_CONSTANTS
+from radloc.constants import (
+    CHARGE_GATHERING_SPEED_UM_PER_NS,
+    COINCIDENCE_WINDOW_NS,
+    SENSOR_THICKNESS_MM,
+)
 from radloc.errors import (
     DegenerateGeometryError,
     InvalidScatteringError,
@@ -88,6 +92,12 @@ def test_delta_z_simultaneous_and_full_depth():
     assert delta_z(5.0, 5.0) == 0.0
     # the coincidence window spans exactly the sensor thickness
     assert delta_z(86.0, 0.0) == pytest.approx(2.0, abs=1e-3)
+
+
+def test_coincidence_window_spans_sensor_thickness():
+    # drifting through the whole sensor takes one coincidence window (0.1 % slack)
+    spanned_mm = CHARGE_GATHERING_SPEED_UM_PER_NS * COINCIDENCE_WINDOW_NS * 1e-3
+    assert spanned_mm == pytest.approx(SENSOR_THICKNESS_MM, rel=1e-3)
 
 
 def test_delta_z_is_odd():

@@ -14,10 +14,14 @@ from radloc.initializer import (
     jacobian,
     residuals,
     solve,
-    stationarity_residual,
 )
 
-from oracles import central_difference, cone_distance_reference, grid_search_cost
+from oracles import (
+    central_difference,
+    cone_distance_reference,
+    grid_search_cost,
+    stationarity_residual,
+)
 
 UP = np.array([0.0, 0.0, 1.0])
 

@@ -81,6 +81,12 @@ def test_cones_reader_rejects_backwards_time(tmp_path):
     write_lines(path, CONES_HEADER, ["1.0,0,0,0,1,0,0,0.7,W", "0.5,1,0,0,0,1,0,0.8,W"])
     with pytest.raises(OrderingError):
         read_cones_csv(path)
+    # NaN compares false both ways, so it must not pass as "in order"
+    for bad in ("nan", "inf"):
+        write_lines(path, CONES_HEADER, ["0,0,0,0,1,0,0,0.7,W", f"{bad},1,0,0,0,1,0,0.8,W"])
+        with pytest.raises(ParseError) as err:
+            read_cones_csv(path)
+        assert err.value.line == 3
 
 
 def test_cones_reader_normalizes_axis(tmp_path):
@@ -141,6 +147,12 @@ def test_poses_reader_happy_and_ordering(tmp_path):
     write_lines(path, POSES_HEADER, ["0.5,1,2,3,1,0,0,0", "0.5,2,2,3,1,0,0,0"])
     with pytest.raises(OrderingError):
         read_poses_csv(path)
+    write_lines(
+        path, POSES_HEADER, ["0,1,2,3,1,0,0,0", "nan,2,2,3,1,0,0,0", "2,3,2,3,1,0,0,0"]
+    )
+    with pytest.raises(ParseError) as err:
+        read_poses_csv(path)
+    assert err.value.line == 3
 
 
 def test_poses_reader_rejects_unnormalized_quaternion(tmp_path):
@@ -173,6 +185,9 @@ def test_hits_reader_validation(tmp_path):
     write_lines(path, HITS_HEADER, ["100.0,10,12,0.0"])
     with pytest.raises(ParseError):
         read_hits_csv(path)
+    write_lines(path, HITS_HEADER, ["nan,10,12,340.5"])
+    with pytest.raises(ParseError):
+        read_hits_csv(path)
 
 
 def test_pairs_reader_validation(tmp_path):
@@ -183,6 +198,9 @@ def test_pairs_reader_validation(tmp_path):
     assert pair.photon_xy == (3.0, 4.0)
 
     write_lines(path, PAIRS_HEADER, ["1.0,2.0,-5.0,120.31,3.0,4.0,394.22,100.0"])
+    with pytest.raises(ParseError):
+        read_pairs_csv(path)
+    write_lines(path, PAIRS_HEADER, ["1.0,2.0,315.70,nan,3.0,4.0,394.22,100.0"])
     with pytest.raises(ParseError):
         read_pairs_csv(path)
 
@@ -262,6 +280,9 @@ def test_truth_csv_plain_schema(tmp_path):
 
     write_lines(path, ["t_s", "x", "y", "z"], ["1,1,2,0", "0,1.5,2,0"])
     with pytest.raises(OrderingError):
+        read_truth_csv(path)
+    write_lines(path, ["t_s", "x", "y", "z"], ["0,1,2,0", "nan,1.5,2,0", "2,2,2,0"])
+    with pytest.raises(ParseError):
         read_truth_csv(path)
 
     write_lines(path, ["who", "knows"], ["1,2"])
@@ -355,6 +376,19 @@ def test_scenario_value_validation():
         scenario_from_dict({"source": {"position": [1.0, 2.0]}})
     with pytest.raises(SchemaError):
         scenario_from_dict({"duration": "soon"})
+    # bool("false") is True and int(5.9) is 5: only real bools and integral
+    # values are accepted
+    for raw in (
+        {"estimator": {"reseed_rejected": "false"}},
+        {"estimator": {"reseed_rejected": 0}},
+        {"estimator": {"init_count": 5.9}},
+        {"estimator": {"init_count": True}},
+        {"seed": 2.7},
+        {"seed": "3"},
+    ):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(raw)
+    assert scenario_from_dict({"seed": 3.0}).seed == 3
 
 
 # YAML key -> (NoiseConfig field, a value other than its default)
