@@ -214,6 +214,14 @@ def test_is_outlier_boundary_is_inclusive():
     assert correct(state, cone, NoiseConfig(r=1.0, outlier_gate=7.999)).consecutive_outliers == 1
 
 
+def test_is_outlier_requires_tracking():
+    # the gate needs a tracked estimate: an idle filter raises instead of
+    # counting a cone it would gate as an outlier
+    far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
+    with pytest.raises(FilterLifecycleError):
+        correct(FilterState(), far_cone, NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0))
+
+
 # --- filter step against the textbook reference ---
 
 
