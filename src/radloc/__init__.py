@@ -27,6 +27,7 @@ from .estimator import (
     Action,
     FilterState,
     NoiseConfig,
+    SessionStats,
     SourceEstimator,
     Status,
     correct,

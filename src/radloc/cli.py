@@ -199,12 +199,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "status": session.state.status.value,
         "final_estimate": session.state.x if tracking else None,
         "final_covariance": session.state.omega if tracking else None,
-        "accepted": session.accepted,
-        "rejected": session.rejected,
-        "resets": session.resets,
-        "degenerate_solves": session.degenerate_solves,
-        "infeasible_solves": session.infeasible_solves,
-        "inconsistent_solves": session.inconsistent_solves,
+        **dataclasses.asdict(session.stats),
         "degenerate": session.last_solution.degenerate if session.last_solution else None,
     }
     rio.write_json(out / "summary.json", summary)
@@ -213,9 +208,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"status=tracking estimate=({x[0]:.3f}, {x[1]:.3f}, {x[2]:.3f}) m")
     else:
         print(f"status=collecting (uninitialized after {len(cones)} cones)")
+    stats = session.stats
     print(
-        f"init_time={session.init_time} accepted={session.accepted} "
-        f"rejected={session.rejected} resets={session.resets}"
+        f"init_time={session.init_time} accepted={stats.accepted} "
+        f"rejected={stats.rejected} resets={stats.resets}"
     )
     return 0
 

@@ -98,6 +98,22 @@ class NoiseConfig:
 
 
 @dataclass
+class SessionStats:
+    """One session's counters, spread into summary.json as they are.
+
+    Corrections taken and gated, hypotheses reset, and failed
+    initialization attempts by reason.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    resets: int = 0
+    degenerate_solves: int = 0
+    infeasible_solves: int = 0
+    inconsistent_solves: int = 0
+
+
+@dataclass
 class FilterState:
     x: np.ndarray = field(default_factory=lambda: np.zeros(3))
     omega: np.ndarray = field(default_factory=lambda: np.eye(3))
@@ -209,12 +225,7 @@ class SourceEstimator:
         self.buffer: list[Cone] = []
         self._rejected_run: list[Cone] = []
         self.last_solution: InitSolution | None = None
-        self.degenerate_solves = 0
-        self.infeasible_solves = 0
-        self.inconsistent_solves = 0
-        self.resets = 0
-        self.accepted = 0
-        self.rejected = 0
+        self.stats = SessionStats()
         self.init_time: float | None = None
 
     def ingest(self, cone: Cone) -> tuple[FilterState, Action]:
@@ -235,17 +246,17 @@ class SourceEstimator:
         before = self.state.consecutive_outliers
         self.state = correct(self.state, cone, self.config)
         if self.state.consecutive_outliers > before:
-            self.rejected += 1
+            self.stats.rejected += 1
             self._rejected_run.append(cone)
             if self.state.consecutive_outliers > self.config.reset_run_length:
                 return self._reset()
             return self.state, Action.REJECTED
-        self.accepted += 1
+        self.stats.accepted += 1
         self._rejected_run.clear()
         return self.state, Action.CORRECTED
 
     def _reset(self) -> tuple[FilterState, Action]:
-        self.resets += 1
+        self.stats.resets += 1
         seed = list(self._rejected_run[-(self.config.reset_run_length + 1) :])
         self._rejected_run.clear()
         self.buffer = seed if self.config.reseed_rejected else []
@@ -276,12 +287,12 @@ class SourceEstimator:
         try:
             solution = solve(problem)
         except InfeasibleInitError:
-            self.infeasible_solves += 1
+            self.stats.infeasible_solves += 1
             log.debug("initialization infeasible at t=%.3f", timestamp)
             return False
         self.last_solution = solution
         if solution.degenerate:
-            self.degenerate_solves += 1
+            self.stats.degenerate_solves += 1
             log.debug(
                 "degenerate initialization (condition %.3g) at t=%.3f",
                 solution.condition,
@@ -291,7 +302,7 @@ class SourceEstimator:
         # consistency gate: geometrically lucky but mutually inconsistent
         # cones (pure background) leave a large best-fit residual
         if solution.cost > self.config.init_cost_gate * len(cones) * self.config.r:
-            self.inconsistent_solves += 1
+            self.stats.inconsistent_solves += 1
             log.debug(
                 "inconsistent initialization (cost %.3g) at t=%.3f", solution.cost, timestamp
             )
@@ -313,6 +324,7 @@ __all__ = [
     "Action",
     "FilterState",
     "NoiseConfig",
+    "SessionStats",
     "SourceEstimator",
     "Status",
     "correct",

@@ -23,6 +23,7 @@ from .constants import (
     COINCIDENCE_WINDOW_NS,
     ELECTRON_REST_ENERGY_KEV,
     PIXEL_PITCH_MM,
+    SENSOR_PIXELS,
 )
 from .errors import DegenerateGeometryError, InvalidScatteringError, MalformedInputError
 from .geometry import Cone, Frame
@@ -40,10 +41,11 @@ class PixelHit:
     energy: float  # keV
 
     def __post_init__(self) -> None:
-        if self.energy <= 0.0:
+        # "not > 0" rather than "<= 0", so that NaN fails too
+        if not self.energy > 0.0:
             raise MalformedInputError(f"hit energy must be positive, got {self.energy!r}")
-        if self.col < 0 or self.row < 0:
-            raise MalformedInputError(f"pixel ({self.col}, {self.row}) out of sensor bounds")
+        if not (0 <= self.col < SENSOR_PIXELS and 0 <= self.row < SENSOR_PIXELS):
+            raise MalformedInputError(f"pixel ({self.col}, {self.row}) outside the sensor matrix")
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,10 @@ class ComptonPair:
     photon_toa: float
 
     def __post_init__(self) -> None:
-        if self.electron_energy <= 0.0 or self.photon_energy <= 0.0:
+        if not (self.electron_energy > 0.0 and self.photon_energy > 0.0):
             raise MalformedInputError("pair energies must be positive")
+        if not all(map(math.isfinite, (*self.electron_xy, *self.photon_xy))):
+            raise MalformedInputError("pair positions must be finite")
 
     @property
     def total_energy(self) -> float:
@@ -203,7 +207,7 @@ def classify_track(
     and counts as background; below it, paired events are Compton
     candidates and lone tracks photoelectric absorptions.
     """
-    if total_energy <= 0.0:
+    if not total_energy > 0.0:
         raise MalformedInputError("total_energy must be positive")
     if total_energy > threshold:
         return EventClass.BACKGROUND
@@ -230,7 +234,7 @@ def scattering_angle(electron_energy: float, photon_energy: float) -> float:
     so keV-native math is exact. Energy splits with cos(theta) outside
     (-1, 1) cannot come from a single scattering and are rejected.
     """
-    if electron_energy <= 0.0 or photon_energy <= 0.0:
+    if not (electron_energy > 0.0 and photon_energy > 0.0):
         raise MalformedInputError("energies must be positive")
     b = 1.0 + ELECTRON_REST_ENERGY_KEV * (
         1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy
@@ -245,7 +249,7 @@ def scattered_photon_energy(incident_energy: float, theta: float) -> float:
 
     E' = E / (1 + (E / m_e c^2)(1 - cos theta)); keV in, keV out.
     """
-    if incident_energy <= 0.0:
+    if not incident_energy > 0.0:
         raise MalformedInputError("incident energy must be positive")
     return incident_energy / (
         1.0 + (incident_energy / ELECTRON_REST_ENERGY_KEV) * (1.0 - math.cos(theta))

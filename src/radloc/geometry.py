@@ -115,8 +115,8 @@ class Cone:
     """One Compton measurement: all source directions consistent with an event.
 
     The surface is the single nap {origin + t * v : t >= 0, angle(v, axis)
-    = half_angle}. Origin in meters, axis a unit vector, half_angle in
-    radians within (0, pi).
+    = half_angle}. Origin finite, in meters, axis a unit vector, half_angle
+    in radians within (0, pi).
     """
 
     origin: np.ndarray
@@ -128,8 +128,12 @@ class Cone:
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=float).reshape(3).copy()
         self.axis = np.asarray(self.axis, dtype=float).reshape(3).copy()
-        n = float(np.linalg.norm(self.axis))
-        if abs(n - 1.0) > _UNIT_TOL:
+        # checked on floats: np.isfinite and np.linalg.norm cost several times more
+        if not all(map(math.isfinite, self.origin.tolist())):
+            raise MalformedInputError(f"cone origin must be finite, got {self.origin.tolist()!r}")
+        # "not <=" so that a NaN norm fails too
+        n = math.hypot(*self.axis.tolist())
+        if not abs(n - 1.0) <= _UNIT_TOL:
             raise MalformedInputError(f"cone axis must be unit length, got |axis| = {n!r}")
         if not (0.0 < self.half_angle < math.pi):
             raise MalformedInputError(f"cone half-angle out of (0, pi): {self.half_angle!r}")
@@ -146,9 +150,11 @@ class Pose:
 
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
+        if not all(map(math.isfinite, self.position.tolist())):
+            raise MalformedInputError(f"pose position must be finite, got {self.position.tolist()!r}")
         q = np.asarray(self.orientation, dtype=float).reshape(4).copy()
         n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:
             raise MalformedInputError(f"orientation quaternion not unit norm: {n!r}")
         self.orientation = q / n
 

@@ -2,7 +2,9 @@
 
 All CSV files carry a mandatory header line. Readers raise ParseError
 with the offending line number, SchemaError for wrong headers or config
-keys, and OrderingError when a time-ordered stream runs backwards.
+keys, and OrderingError when a time-ordered stream runs backwards. A
+record's values are checked by its own type (PixelHit, ComptonPair,
+Pose, Cone); the readers report its refusal as a ParseError at the line.
 Writers go through an atomic temp-file rename so interrupted runs never
 leave truncated output behind.
 """
@@ -23,8 +25,7 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .constants import SENSOR_PIXELS
-from .errors import OrderingError, ParseError, SchemaError
+from .errors import MalformedInputError, OrderingError, ParseError, SchemaError
 from .estimator import NoiseConfig
 from .events import ComptonPair, PixelHit
 from .geometry import Cone, Frame, Pose
@@ -158,15 +159,12 @@ def read_hits_csv(path: str | Path) -> list[PixelHit]:
     for lineno, cells in _read_rows(path, HITS_HEADER):
         toa, col, row, energy = _floats(cells, str(path), lineno)
         _check_timestamp(toa, str(path), lineno)
-        if not (0 <= col < SENSOR_PIXELS and 0 <= row < SENSOR_PIXELS):
-            raise ParseError(
-                f"pixel ({col:g}, {row:g}) outside {SENSOR_PIXELS}x{SENSOR_PIXELS} matrix",
-                path=str(path),
-                line=lineno,
-            )
-        if energy <= 0:
-            raise ParseError("energy must be positive", path=str(path), line=lineno)
-        hits.append(PixelHit(toa, int(col), int(row), energy))
+        if not (col.is_integer() and row.is_integer()):  # int() would truncate
+            raise ParseError(f"pixel ({col:g}, {row:g}) not integral", path=str(path), line=lineno)
+        try:
+            hits.append(PixelHit(toa, int(col), int(row), energy))
+        except MalformedInputError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return hits
 
 
@@ -176,9 +174,10 @@ def read_pairs_csv(path: str | Path) -> list[ComptonPair]:
         ex, ey, ee, et, px, py, pe, pt = _floats(cells, str(path), lineno)
         for t in (et, pt):
             _check_timestamp(t, str(path), lineno)
-        if ee <= 0 or pe <= 0:
-            raise ParseError("pair energies must be positive", path=str(path), line=lineno)
-        pairs.append(ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
+        try:
+            pairs.append(ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
+        except MalformedInputError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return pairs
 
 
@@ -191,11 +190,10 @@ def read_poses_csv(path: str | Path) -> list[Pose]:
         if last_t is not None and t <= last_t:
             raise OrderingError(f"{path}:{lineno}: pose timestamps must strictly increase")
         last_t = t
-        quat = np.array([qw, qx, qy, qz])
-        norm = float(np.linalg.norm(quat))
-        if abs(norm - 1.0) > 1e-6:
-            raise ParseError(f"quaternion norm {norm:.6g} != 1", path=str(path), line=lineno)
-        poses.append(Pose(t, np.array([px, py, pz]), quat))
+        try:
+            poses.append(Pose(t, np.array([px, py, pz]), np.array([qw, qx, qy, qz])))
+        except MalformedInputError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return poses
 
 
@@ -216,7 +214,10 @@ def read_cones_csv(path: str | Path) -> list[Cone]:
         norm = float(np.linalg.norm(axis))
         if norm < 1e-12:
             raise ParseError("zero cone axis", path=str(path), line=lineno)
-        cones.append(Cone(np.array([ox, oy, oz]), axis / norm, theta, Frame(frame), t))
+        try:
+            cones.append(Cone(np.array([ox, oy, oz]), axis / norm, theta, Frame(frame), t))
+        except MalformedInputError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return cones
 
 

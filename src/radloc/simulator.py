@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import MalformedInputError
-from .estimator import Action, NoiseConfig, SourceEstimator, Status
+from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Status
 from .geometry import Cone, Frame, Pose, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis
 from .initializer import Mode
 
@@ -109,7 +109,6 @@ class StrategyState:
     phase: Phase = Phase.SWEEP_AREA
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     azimuth: float = 0.0
-    transitions: list[tuple[float, Phase]] = field(default_factory=list)
 
 
 @dataclass
@@ -132,15 +131,8 @@ class SimulationReport:
     corrections: list[tuple[float, int, float, float]] = field(default_factory=list)
     cones_source: int = 0
     cones_background: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    resets: int = 0
-    degenerate_solves: int = 0
-    infeasible_solves: int = 0
-    inconsistent_solves: int = 0
-    init_time: float | None = None
-    final_estimate: np.ndarray | None = None
-    final_covariance: np.ndarray | None = None
+    stats: SessionStats = field(default_factory=SessionStats)
+    init_time: float | None = None  # first lock
 
 
 def _circle_pose(t: float, center: np.ndarray, radius: float, azimuth: float, altitude: float) -> Pose:
@@ -258,7 +250,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     """
     rng = np.random.default_rng(scenario.seed)
     session = SourceEstimator(scenario.estimator, scenario.mode)
-    report = SimulationReport(scenario.seed, scenario.duration)
+    report = SimulationReport(scenario.seed, scenario.duration, stats=session.stats)
 
     alt = scenario.flight_altitude
     sweep_center = np.array([0.0, 0.0, alt])
@@ -292,7 +284,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
             if action is Action.CORRECTED:
                 err = float(np.linalg.norm(state.x - truth))
                 err_xy = float(np.linalg.norm((state.x - truth)[:2]))
-                report.corrections.append((t, session.accepted, err, err_xy))
+                report.corrections.append((t, session.stats.accepted, err, err_xy))
             elif action is Action.RESET:
                 log.info("reset at t=%.1f", t)
 
@@ -300,22 +292,15 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         if report.init_time is None and session.init_time is not None:
             report.init_time = session.init_time
 
-        # strategy reacts only to estimator status changes
-        if scenario.program is Program.SEARCH:
-            if tracking and strategy.phase is Phase.SWEEP_AREA:
-                strategy.phase = Phase.ORBIT_HYPOTHESIS
-                strategy.center = session.state.x.copy()
-                strategy.azimuth = math.atan2(
-                    position[1] - strategy.center[1], position[0] - strategy.center[0]
-                )
-                strategy.transitions.append((t, strategy.phase))
-            elif not tracking and strategy.phase is Phase.ORBIT_HYPOTHESIS:
-                strategy.phase = Phase.SWEEP_AREA
-                strategy.center = sweep_center.copy()
-                strategy.azimuth = math.atan2(
-                    position[1] - sweep_center[1], position[0] - sweep_center[0]
-                )
-                strategy.transitions.append((t, strategy.phase))
+        # strategy reacts only to estimator status changes: a lock starts
+        # the orbit around the hypothesis, a reset the sweep again
+        if scenario.program is Program.SEARCH and tracking == (strategy.phase is Phase.SWEEP_AREA):
+            strategy.phase = Phase.ORBIT_HYPOTHESIS if tracking else Phase.SWEEP_AREA
+            strategy.center = session.state.x.copy() if tracking else sweep_center.copy()
+            strategy.azimuth = math.atan2(
+                position[1] - strategy.center[1], position[0] - strategy.center[0]
+            )
+            report.transitions.append((t, strategy.phase.value))
 
         estimate = session.state.x.copy() if tracking else None
         error = float(np.linalg.norm(estimate - truth)) if estimate is not None else float("nan")
@@ -333,16 +318,6 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
         position = _advance(scenario, strategy, session, position)
 
-    report.transitions = [(t, ph.value) for t, ph in strategy.transitions]
-    report.accepted = session.accepted
-    report.rejected = session.rejected
-    report.resets = session.resets
-    report.degenerate_solves = session.degenerate_solves
-    report.infeasible_solves = session.infeasible_solves
-    report.inconsistent_solves = session.inconsistent_solves
-    if session.state.status is Status.TRACKING:
-        report.final_estimate = session.state.x.copy()
-        report.final_covariance = session.state.omega.copy()
     return report
 
 
@@ -396,7 +371,8 @@ def metrics(report: SimulationReport) -> dict:
         else np.array([])
     )
     total_cones = report.cones_source + report.cones_background
-    judged = report.accepted + report.rejected
+    stats = report.stats
+    judged = stats.accepted + stats.rejected
     return {
         "duration_s": report.duration,
         "seed": report.seed,
@@ -405,14 +381,9 @@ def metrics(report: SimulationReport) -> dict:
         "cones_source": report.cones_source,
         "cones_background": report.cones_background,
         "cone_rate_per_s": total_cones / report.duration if report.duration > 0 else 0.0,
-        "accepted": report.accepted,
-        "rejected": report.rejected,
-        "acceptance_rate": report.accepted / judged if judged > 0 else None,
-        "resets": report.resets,
-        "degenerate_solves": report.degenerate_solves,
-        "infeasible_solves": report.infeasible_solves,
-        "inconsistent_solves": report.inconsistent_solves,
-        "degenerate_only": report.degenerate_solves > 0 and report.init_time is None,
+        **asdict(stats),
+        "acceptance_rate": stats.accepted / judged if judged > 0 else None,
+        "degenerate_only": stats.degenerate_solves > 0 and report.init_time is None,
         "post_lock_mean_error_m": float(post_lock_errors.mean()) if tracked else None,
         "post_lock_max_error_m": float(post_lock_errors.max()) if tracked else None,
         "post_lock_mean_planar_error_m": float(planar.mean()) if tracked else None,

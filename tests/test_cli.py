@@ -9,6 +9,7 @@ from radloc.estimator import NoiseConfig, SourceEstimator
 from radloc.initializer import InitSolution, Mode
 from radloc.geometry import Cone, Frame
 from radloc.io import (
+    CONES_HEADER,
     HITS_HEADER,
     POSES_HEADER,
     read_estimates_csv,
@@ -120,15 +121,18 @@ def test_reconstruct_pairs_input(tmp_path):
     assert summary["cones_written"] == 1
 
 
-def test_reconstruct_parse_error_exit_2(tmp_path):
+def test_reconstruct_parse_error_exit_2(tmp_path, capsys):
     events = tmp_path / "hits.csv"
-    events.write_text(",".join(HITS_HEADER) + "\nnot_a_number,1,1,300\n")
     poses = tmp_path / "poses.csv"
     write_poses_csv(poses)
-    code = main(
-        ["reconstruct", "--events", str(events), "--poses", str(poses), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
+    # a bad number, then values PixelHit refuses: NaN energy, fractional pixel
+    for row in ("not_a_number,1,1,300", "100.0,10,12,nan", "100.0,10.7,12,340.5"):
+        events.write_text(",".join(HITS_HEADER) + "\n99.0,10,12,340.5\n" + row + "\n")
+        code = main(
+            ["reconstruct", "--events", str(events), "--poses", str(poses), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2, row
+        assert f"{events}:3:" in capsys.readouterr().err
 
 
 def test_reconstruct_schema_error_exit_3(tmp_path):
@@ -233,6 +237,16 @@ def test_estimate_ordering_error_exit_4(tmp_path):
     )
     code = main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+def test_estimate_parse_error_exit_2(tmp_path, capsys):
+    cones_path = tmp_path / "cones.csv"
+    # values the Cone refuses: a NaN origin, a half-angle outside (0, pi)
+    for row in ("1,nan,0,0,1,0,0,0.5,W", "1,0,0,0,1,0,0,3.5,W"):
+        cones_path.write_text(",".join(CONES_HEADER) + "\n0,0,0,0,1,0,0,0.5,W\n" + row + "\n")
+        code = main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "o")])
+        assert code == 2, row
+        assert f"{cones_path}:3:" in capsys.readouterr().err
 
 
 def test_estimate_schema_error_exit_3(tmp_path):

@@ -429,7 +429,7 @@ def test_session_ignores_unseparated_origins():
             Cone(c.origin, c.axis, c.half_angle, Frame.WORLD, float(i))
         )
         assert state.status is Status.COLLECTING
-    assert est.degenerate_solves > 0
+    assert est.stats.degenerate_solves > 0
 
 
 def test_session_rejects_inconsistent_geometry():
@@ -448,7 +448,7 @@ def test_session_rejects_inconsistent_geometry():
             Cone(c.origin, c.axis, c.half_angle, Frame.WORLD, float(i))
         )
         assert state.status is Status.COLLECTING
-    assert est.inconsistent_solves >= 1
+    assert est.stats.inconsistent_solves >= 1
     assert est.init_time is None
 
 
@@ -463,9 +463,9 @@ def test_session_counts_infeasible_solves_apart(monkeypatch):
     for c in world_cones_through(np.array([5.0, 5.0, 0.0]), rng, 7):
         state, action = est.ingest(c)
         assert action is Action.BUFFERED
-    assert est.infeasible_solves == 3
-    assert est.degenerate_solves == 0
-    assert est.inconsistent_solves == 0
+    assert est.stats.infeasible_solves == 3
+    assert est.stats.degenerate_solves == 0
+    assert est.stats.inconsistent_solves == 0
     assert est.last_solution is None
     assert est.init_time is None
 
@@ -490,7 +490,7 @@ def test_session_reset_after_outlier_run():
     assert actions[:3] == [Action.REJECTED] * 3
     assert actions[3] is Action.RESET
     assert est.state.status is Status.COLLECTING
-    assert est.resets == 1
+    assert est.stats.resets == 1
     # rejected cones reseed the buffer for the next initialization attempt
     assert len(est.buffer) == 4
 
@@ -522,5 +522,5 @@ def test_session_accept_counters():
         est.ingest(c)
     for c in world_cones_through(p_star, rng, 6, base_angle=0.3):
         est.ingest(c)
-    assert est.accepted == 6
-    assert est.rejected == 0
+    assert est.stats.accepted == 6
+    assert est.stats.rejected == 0

@@ -115,6 +115,10 @@ def test_hit_validation():
         PixelHit(toa=0.0, col=0, row=0, energy=0.0)
     with pytest.raises(MalformedInputError):
         PixelHit(toa=0.0, col=-1, row=0, energy=1.0)
+    with pytest.raises(MalformedInputError):
+        PixelHit(toa=0.0, col=0, row=256, energy=1.0)
+    with pytest.raises(MalformedInputError):
+        PixelHit(toa=0.0, col=0, row=0, energy=math.nan)
 
 
 def test_cluster_adjacent_hits_merge():
@@ -250,6 +254,8 @@ def test_classify_monotone_background():
         assert classify_track(e, paired=False) is EventClass.BACKGROUND
     with pytest.raises(MalformedInputError):
         classify_track(0.0, paired=False)
+    with pytest.raises(MalformedInputError):
+        classify_track(math.nan, paired=True)
 
 
 # --- pair and cone construction ---

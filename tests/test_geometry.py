@@ -97,6 +97,14 @@ def test_cone_validation():
         Cone(np.zeros(3), np.array([0.0, 0, 1.0]), 0.0)
     with pytest.raises(MalformedInputError):
         Cone(np.zeros(3), np.array([0.0, 0, 1.0]), math.pi)
+    # NaN compares false both ways, so each check must fail it explicitly
+    for bad in (math.nan, math.inf):
+        with pytest.raises(MalformedInputError):
+            Cone(np.array([bad, 0.0, 0.0]), np.array([0.0, 0, 1.0]), 0.5)
+        with pytest.raises(MalformedInputError):
+            Cone(np.zeros(3), np.array([bad, 0, 1.0]), 0.5)
+        with pytest.raises(MalformedInputError):
+            Cone(np.zeros(3), np.array([0.0, 0, 1.0]), bad)
     c = Cone(np.zeros(3), np.array([0.0, 0, 1.0]), 0.5, frame="W")
     assert c.frame is Frame.WORLD
 
@@ -107,6 +115,11 @@ def test_pose_quaternion_normalized():
     assert abs(np.linalg.norm(p.orientation) - 1.0) < 1e-15
     with pytest.raises(MalformedInputError):
         Pose(0.0, np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(MalformedInputError):
+            Pose(0.0, np.array([0.0, bad, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(MalformedInputError):
+            Pose(0.0, np.zeros(3), np.array([1.0, bad, 0.0, 0.0]))
 
 
 def test_interpolate_pose_exact_and_midpoint():

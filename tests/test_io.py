@@ -104,6 +104,20 @@ def test_cones_reader_rejects_bad_frame_and_axis(tmp_path):
     write_lines(path, CONES_HEADER, ["0,0,0,0,0,0,0,0.5,W"])
     with pytest.raises(ParseError):
         read_cones_csv(path)
+    # the Cone refuses these values; the reader names the line
+    good = "0,0,0,0,1,0,0,0.5,W"
+    for bad in (
+        "1,nan,0,0,1,0,0,0.5,W",
+        "1,0,inf,0,1,0,0,0.5,W",
+        "1,0,0,0,nan,0,0,0.5,W",
+        "1,0,0,0,1,0,0,nan,W",
+        "1,0,0,0,1,0,0,3.5,W",
+        "1,0,0,0,1,0,0,0,W",
+    ):
+        write_lines(path, CONES_HEADER, [good, bad])
+        with pytest.raises(ParseError) as err:
+            read_cones_csv(path)
+        assert err.value.line == 3, bad
 
 
 def test_csv_error_carries_line_number(tmp_path):
@@ -157,10 +171,11 @@ def test_poses_reader_happy_and_ordering(tmp_path):
 
 def test_poses_reader_rejects_unnormalized_quaternion(tmp_path):
     path = tmp_path / "p.csv"
-    write_lines(path, POSES_HEADER, ["0.0,1,2,3,2,0,0,0"])
-    with pytest.raises(ParseError) as err:
-        read_poses_csv(path)
-    assert err.value.line == 2
+    for bad in ("0.0,1,2,3,2,0,0,0", "0.0,1,2,3,nan,0,0,0", "0.0,nan,2,3,1,0,0,0"):
+        write_lines(path, POSES_HEADER, [bad])
+        with pytest.raises(ParseError) as err:
+            read_poses_csv(path)
+        assert err.value.line == 2, bad
 
 
 def test_poses_reader_rejects_short_row(tmp_path):
@@ -188,6 +203,15 @@ def test_hits_reader_validation(tmp_path):
     write_lines(path, HITS_HEADER, ["nan,10,12,340.5"])
     with pytest.raises(ParseError):
         read_hits_csv(path)
+    # NaN energy, fractional or NaN pixel indices: refused at their line
+    for bad in ("100.0,10,12,nan", "100.0,10.7,12,340.5", "100.0,10,12.5,340.5", "100.0,nan,12,340.5"):
+        write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", bad])
+        with pytest.raises(ParseError) as err:
+            read_hits_csv(path)
+        assert err.value.line == 3, bad
+    write_lines(path, HITS_HEADER, ["100.0,10.0,12.0,340.5"])
+    (hit,) = read_hits_csv(path)
+    assert (hit.col, hit.row) == (10, 12)
 
 
 def test_pairs_reader_validation(tmp_path):
@@ -203,6 +227,11 @@ def test_pairs_reader_validation(tmp_path):
     write_lines(path, PAIRS_HEADER, ["1.0,2.0,315.70,nan,3.0,4.0,394.22,100.0"])
     with pytest.raises(ParseError):
         read_pairs_csv(path)
+    for bad in ("1.0,2.0,nan,120.31,3.0,4.0,394.22,100.0", "nan,2.0,315.70,120.31,3.0,4.0,394.22,100.0"):
+        write_lines(path, PAIRS_HEADER, [bad])
+        with pytest.raises(ParseError) as err:
+            read_pairs_csv(path)
+        assert err.value.line == 2, bad
 
 
 def test_sniff_events_format(tmp_path):
