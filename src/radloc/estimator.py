@@ -87,14 +87,15 @@ class NoiseConfig:
     init_cost_gate: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0 or self.far_variance <= self.r:
-            raise MalformedInputError("need 0 < r < far_variance")
-        if self.q < 0.0 or self.outlier_gate <= 0.0:
-            raise MalformedInputError("q must be >= 0 and outlier_gate > 0")
-        if self.init_cone_count < 3:
-            raise MalformedInputError("init_cone_count must be >= 3")
-        if self.init_cost_gate <= 0.0:
-            raise MalformedInputError("init_cost_gate must be positive")
+        # each check reads "not (valid)", so a NaN fails it
+        if not (0.0 < self.r < self.far_variance < math.inf and 0.0 < self.init_variance < math.inf):
+            raise MalformedInputError("need 0 < r < far_variance < inf and 0 < init_variance < inf")
+        if not all(0.0 <= v < math.inf for v in (self.q, self.min_origin_separation, self.init_bounds_margin)):
+            raise MalformedInputError("q, min_origin_separation and init_bounds_margin must be finite and >= 0")
+        if not (self.outlier_gate > 0.0 and self.init_cost_gate > 0.0 and self.degeneracy_threshold >= 1.0):
+            raise MalformedInputError("need outlier_gate > 0, init_cost_gate > 0 and degeneracy_threshold >= 1")
+        if not (self.init_cone_count >= 3 and self.fallback_factor >= 1 and self.reset_run_length >= 0):
+            raise MalformedInputError("need init_cone_count >= 3, fallback_factor >= 1, reset_run_length >= 0")
 
 
 @dataclass
@@ -115,6 +116,13 @@ class SessionStats:
 
 @dataclass
 class FilterState:
+    """Source hypothesis x (m) with covariance omega (m^2), and its lifecycle.
+
+    Every state is checked on construction, the filter's own included:
+    x and omega are finite, omega is symmetric to 1e-12 and positive
+    definite (every LDL^T pivot > 0). A failure raises MalformedInputError.
+    """
+
     x: np.ndarray = field(default_factory=lambda: np.zeros(3))
     omega: np.ndarray = field(default_factory=lambda: np.eye(3))
     mode: Mode = Mode.THREE_D
@@ -122,14 +130,40 @@ class FilterState:
     status: Status = Status.COLLECTING
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float).reshape(3).copy()
-        omega = np.asarray(self.omega, dtype=float).reshape(3, 3).copy()
-        if float(np.max(np.abs(omega - omega.T))) > 1e-12:
+        # checked on floats: eigvalsh and numpy comparisons cost several times more
+        self.x = np.array(self.x, dtype=float).reshape(3)
+        self.omega = np.array(self.omega, dtype=float).reshape(3, 3)
+        o00, o01, o02, o10, o11, o12, o20, o21, o22 = flat = self.omega.ravel().tolist()
+        if not all(map(math.isfinite, self.x.tolist() + flat)):
+            raise MalformedInputError("state must be finite")
+        if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
             raise MalformedInputError("covariance must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(omega))) <= 0.0:
+        if _ldl(o00, o01, o02, o11, o12, o22) is None:
             raise MalformedInputError("covariance must be positive definite")
-        self.omega = omega
         self.mode = Mode(self.mode)
+
+
+def _ldl(s00: float, s01: float, s02: float, s11: float, s12: float, s22: float):
+    """S = L D L^T of a symmetric 3x3 S given by its upper triangle, as (e0, e1, e2, l10, l20,
+    l21); None unless every pivot e is positive, which is when S is positive definite."""
+    if not s00 > 0.0:
+        return None
+    l10, l20 = s01 / s00, s02 / s00
+    e1 = s11 - l10 * s01
+    if not e1 > 0.0:
+        return None
+    l21 = (s12 - l20 * s01) / e1
+    e2 = s22 - l20 * s02 - l21 * l21 * e1
+    return (s00, e1, e2, l10, l20, l21) if e2 > 0.0 else None
+
+
+def _ldl_solve(factor, b0: float, b1: float, b2: float) -> tuple[float, float, float]:
+    """S^-1 b from _ldl's factor of S."""
+    e0, e1, e2, l10, l20, l21 = factor
+    z1 = b1 - l10 * b0
+    y2 = (b2 - l20 * b0 - l21 * z1) / e2
+    y1 = z1 / e1 - l21 * y2
+    return b0 / e0 - l10 * y1 - l20 * y2, y1, y2
 
 
 def predict(state: FilterState, config: NoiseConfig) -> FilterState:
@@ -140,26 +174,18 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     return FilterState(state.x, omega, state.mode, state.consecutive_outliers, state.status)
 
 
-def _projectors(direction: np.ndarray) -> np.ndarray:
-    """n n^T / n^T n and I minus it, stacked: symmetric, and no entry cancels."""
-    x, y, z = direction.tolist()
-    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
-    flat = [xx, xy, xz, xy, yy, yz, xz, yz, zz, yy + zz, -xy, -xz, -xy, xx + zz, -yz, -xz, -yz, xx + yy]
-    return np.array(flat).reshape(2, 3, 3) / (xx + yy + zz)
-
-
 def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     """One gated Kalman correction toward the cone surface.
 
     The innovation nu points from the hypothesis to its projection on the
-    cone, along n; one solve of S = omega + far (I - n n^T) + r n n^T
-    gives both d2 = nu^T S^-1 nu and the gain. A hypothesis already on the
-    surface takes the surface normal as n; at the apex or on the axis
-    there is no usable direction and nothing to update. A cone whose d2
-    exceeds outlier_gate is gated: an innovation exactly at the gate is
-    accepted. Accepted measurements (including zero-innovation ones,
-    which update only the covariance along the surface normal) reset the
-    outlier run; gated ones increment it and leave the state untouched
+    cone, along n; one LDL^T factorization of S = omega + far (I - n n^T)
+    + r n n^T gives both d2 = nu^T S^-1 nu and the gain. A hypothesis
+    already on the surface takes the surface normal as n; at the apex or
+    on the axis there is no usable direction and nothing to update. A cone
+    whose d2 exceeds outlier_gate is gated: an innovation exactly at the
+    gate is accepted. Accepted measurements (including zero-innovation
+    ones, which update only the covariance along the surface normal) reset
+    the outlier run; gated ones increment it and leave the state untouched
     otherwise. Ground-plane mode re-pins z to 0 and restores the prior z
     variance so the flattening never fakes confidence in altitude.
     """
@@ -168,43 +194,62 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     if cone.frame is not Frame.WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
+    # on floats: each numpy call on a 3x3 array costs more than its arithmetic
     res = project_to_cone(state.x, cone)
-    nu = res.point - state.x
-    n = math.hypot(*nu.tolist())
-    if n > 1e-12 * max(1.0, math.hypot(*state.x.tolist())):
-        direction = nu / n
+    (x0, x1, x2), (p0, p1, p2) = state.x.tolist(), res.point.tolist()
+    v0, v1, v2 = p0 - x0, p1 - x1, p2 - x2
+    n = math.hypot(v0, v1, v2)
+    if n > 1e-12 * max(1.0, math.hypot(x0, x1, x2)):
+        d0, d1, d2 = v0 / n, v1 / n, v2 / n
     elif res.case is ProjectionCase.SURFACE:
         try:
-            direction = surface_normal(res.point, cone)
+            d0, d1, d2 = surface_normal(res.point, cone).tolist()
         except ValueError:
             return replace(state, consecutive_outliers=0)
     else:
         return replace(state, consecutive_outliers=0)
-    along, across = _projectors(direction)
-    s_mat = state.omega + config.far_variance * across + config.r * along
-    solved = np.linalg.solve(s_mat, np.concatenate((nu[:, None], state.omega), axis=1))
-    if float(nu @ solved[:, 0]) > config.outlier_gate:
+    # along = n n^T / n^T n and P = I - along; each diagonal entry of P is
+    # a sum of the other two squares, so no entry cancels
+    r, far = config.r, config.far_variance
+    nn = d0 * d0 + d1 * d1 + d2 * d2
+    a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
+    a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
+    c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
+    omega = state.omega.tolist()
+    (o00, o01, o02), (_, o11, o12), (_, _, o22) = omega
+    factor = _ldl(  # of S = omega + far P + r along
+        o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
+        o11 + far * c11 + r * a11, o12 - far * a12 + r * a12, o22 + far * c22 + r * a22,
+    )
+    if factor is None:
+        raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
+    y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
+    if v0 * y0 + v1 * y1 + v2 * y2 > config.outlier_gate:
         return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
 
-    gain = solved[:, 1:].T  # omega S^-1
-    x_new = state.x + gain @ nu
-    ik = _IDENTITY - gain
-    # Joseph form, with K R K^T = r (K n)(K n)^T + far (K P)(K P)^T for
-    # P = I - n n^T: no far_variance-sized terms are formed to cancel
-    kn = gain @ direction
-    kp = gain @ across
-    omega_new = ik @ state.omega @ ik.T + config.r * (kn[:, None] * kn)
-    omega_new += config.far_variance * (kp @ kp.T)
-    omega_new = 0.5 * (omega_new + omega_new.T)
-
+    # x moves by K nu = omega S^-1 nu. K = omega S^-1 is solved row by row
+    # (omega is symmetric), then the Joseph form with K R K^T = r (K n)(K n)^T
+    # + far (K P)(K P)^T, so no far_variance-sized terms are formed to cancel.
+    x_new = [xi + o0 * y0 + o1 * y1 + o2 * y2 for xi, (o0, o1, o2) in zip((x0, x1, x2), omega)]
+    gain = [_ldl_solve(factor, *row) for row in omega]
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gain
+    kn = [k0 * d0 + k1 * d1 + k2 * d2 for k0, k1, k2 in gain]
+    ik = (1.0 - k00, -k01, -k02), (-k10, 1.0 - k11, -k12), (-k20, -k21, 1.0 - k22)
+    kp = _mul(gain, ((c00, -a01, -a02), (-a01, c11, -a12), (-a02, -a12, c22)))
+    j, f = _mul(_mul(ik, omega), ik), _mul(kp, kp)
+    # each entry of the new omega is written once, so it is symmetric
+    (w00, w01, w02), (w11, w12), (w22,) = [
+        [j[i][k] + r * kn[i] * kn[k] + far * f[i][k] for k in range(i, 3)] for i in range(3)
+    ]
     if state.mode is Mode.TWO_D:
-        prior_zz = state.omega[2, 2]
-        x_new[2] = 0.0
-        omega_new[2, :] = 0.0
-        omega_new[:, 2] = 0.0
-        omega_new[2, 2] = prior_zz
+        x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
+    omega_new = [[w00, w01, w02], [w01, w11, w12], [w02, w12, w22]]
+    return FilterState(np.array(x_new), np.array(omega_new), state.mode, 0, Status.TRACKING)
 
-    return FilterState(x_new, omega_new, state.mode, 0, Status.TRACKING)
+
+def _mul(a, b_t) -> list[list[float]]:
+    """a @ b for 3x3 nested sequences, b given by its columns."""
+    return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in b_t] for a0, a1, a2 in a]
 
 
 class SourceEstimator:

@@ -56,10 +56,9 @@ class DetectorModel:
     max_theta: float = 1.4
 
     def __post_init__(self) -> None:
-        if self.cone_rate_constant < 0 or self.background_rate < 0:
-            raise MalformedInputError("rates must be nonnegative")
-        if self.angular_sigma < 0 or self.axis_sigma < 0:
-            raise MalformedInputError("noise sigmas must be nonnegative")
+        rates_and_sigmas = (self.cone_rate_constant, self.background_rate, self.angular_sigma, self.axis_sigma)
+        if not all(0.0 <= v < math.inf for v in rates_and_sigmas):  # written so that NaN fails
+            raise MalformedInputError("rates and noise sigmas must be finite and nonnegative")
         if not (0.0 < self.min_theta < self.max_theta < math.pi):
             raise MalformedInputError("need 0 < min_theta < max_theta < pi")
 
@@ -87,18 +86,18 @@ class Scenario:
     def __post_init__(self) -> None:
         self.source_initial = np.asarray(self.source_initial, dtype=float).reshape(3)
         self.source_velocity = np.asarray(self.source_velocity, dtype=float).reshape(3)
-        if self.activity <= 0:
-            raise MalformedInputError("activity must be positive")
-        if self.uav_speed < 0 or self.orbit_radius <= 0 or self.timestep <= 0:
-            raise MalformedInputError("speed must be >= 0; radius and timestep positive")
-        if self.duration < 0:
-            raise MalformedInputError("duration must be nonnegative")
-        if min(self.area) <= 0:
-            raise MalformedInputError("area sides must be positive")
-        self.program = Program(self.program)
-        self.mode = Mode(self.mode)
         if self.uav_start is not None:
             self.uav_start = np.asarray(self.uav_start, dtype=float).reshape(3)
+        points = [p for p in (self.source_initial, self.source_velocity, self.uav_start) if p is not None]
+        scalars = [self.activity, self.uav_speed, self.orbit_radius, self.flight_altitude, self.duration]
+        if not all(map(math.isfinite, np.concatenate(points).tolist() + scalars + [self.timestep, *self.area])):
+            raise MalformedInputError("scenario values must be finite")
+        if not (self.activity > 0 and self.orbit_radius > 0 and self.timestep > 0 and min(self.area) > 0):
+            raise MalformedInputError("activity, orbit radius, timestep and area sides must be positive")
+        if not (self.uav_speed >= 0 and self.duration >= 0):
+            raise MalformedInputError("speed and duration must be nonnegative")
+        self.program = Program(self.program)
+        self.mode = Mode(self.mode)
 
     def source_at(self, t: float) -> np.ndarray:
         return self.source_initial + t * self.source_velocity

@@ -287,6 +287,29 @@ def test_simulate_schema_error_exit_3(tmp_path):
     assert code == 3
 
 
+def test_simulate_out_of_range_value_exit_1_at_load(tmp_path, capsys):
+    # NaN and negative tuning or scenario values are refused before any
+    # simulation step, with a message and no traceback; estimate's tuning
+    # flags go through the same checks
+    for default, bad in (
+        ("  r: 2.0", "  r: .nan"),
+        ("  q: 0.02", "  q: .nan"),
+        ("  init_variance: 25.0", "  init_variance: -1.0"),
+        ("  activity_bq: 3.0e9", "  activity_bq: .nan"),
+        ("timestep: 0.5", "timestep: .nan"),
+    ):
+        scenario = tmp_path / "scenario.yaml"
+        write_scenario_yaml(scenario)
+        scenario.write_text(scenario.read_text().replace(default, bad))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1, bad
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+    cones_path = tmp_path / "cones.csv"
+    exact_cones_file(cones_path)
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "e"), "--r", "nan"]) == 1
+
+
 def test_simulate_yaml_parse_error_exit_2(tmp_path):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("duration: [unclosed\n")

@@ -52,6 +52,31 @@ def test_noise_config_validation():
         NoiseConfig(outlier_gate=0.0)
     with pytest.raises(MalformedInputError):
         NoiseConfig(init_cone_count=2)
+    nan, inf = math.nan, math.inf
+    # NaN fails every range check, and a knob the filter's arithmetic uses
+    # must be finite
+    for bad in (
+        {"r": nan},
+        {"far_variance": nan},
+        {"far_variance": inf},
+        {"q": nan},
+        {"q": inf},
+        {"outlier_gate": nan},
+        {"init_variance": -1.0},
+        {"init_variance": 0.0},
+        {"init_variance": nan},
+        {"init_variance": inf},
+        {"min_origin_separation": -0.1},
+        {"min_origin_separation": nan},
+        {"init_bounds_margin": nan},
+        {"init_bounds_margin": -1.0},
+        {"fallback_factor": 0},
+        {"reset_run_length": -1},
+        {"degeneracy_threshold": nan},
+        {"init_cost_gate": nan},
+    ):
+        with pytest.raises(MalformedInputError):
+            NoiseConfig(**bad)
 
 
 def test_filter_state_validation():
@@ -61,6 +86,60 @@ def test_filter_state_validation():
     bad[0, 1] = 1e-6
     with pytest.raises(MalformedInputError):
         FilterState(omega=bad)
+    for x in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]):
+        with pytest.raises(MalformedInputError):
+            FilterState(x=x)
+    for i, j, value in ((0, 0, math.nan), (1, 1, math.inf), (0, 2, math.nan), (1, 2, math.inf)):
+        bad = np.eye(3)
+        bad[i, j] = bad[j, i] = value
+        with pytest.raises(MalformedInputError):
+            FilterState(omega=bad)
+
+
+def test_positive_definite_check_matches_eigvalsh():
+    # FilterState's float LDL^T pivot test against the eigenvalue verdict on
+    # random symmetric matrices: positive definite, indefinite, semidefinite
+    # like diag(1, 1, 0), near singular and badly scaled. The two may differ
+    # only in the band |lam_min| <= 1e-12 * lam_max, where rounding decides
+    # either way (lam_max: the largest eigenvalue magnitude).
+    rng = np.random.default_rng(47)
+    outside, inside = Counter(), 0
+    for i in range(4000):
+        kind = ("spd", "indefinite", "semidefinite", "near_singular", "scaled")[i % 5]
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        lam = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        if kind == "indefinite":
+            lam[rng.integers(3)] *= -1.0
+        elif kind == "semidefinite":
+            lam[rng.integers(3)] = 0.0
+        elif kind == "near_singular":
+            lam[0] = lam.max() * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -8.0)
+        elif kind == "scaled" and rng.random() < 0.3:  # about a third indefinite
+            lam[0] *= -1.0
+        omega = q @ np.diag(lam) @ q.T
+        if kind == "scaled":
+            # entries from about 1e-6 to 1e9, the range of init_variance
+            # and far_variance
+            scale = 10.0 ** rng.uniform(-1.5, 3.0, size=3)
+            omega = omega * np.outer(scale, scale)
+        omega = 0.5 * (omega + omega.T)
+        eig = np.linalg.eigvalsh(omega)
+        if abs(eig[0]) <= 1e-12 * np.max(np.abs(eig)):
+            inside += 1
+            continue
+        try:
+            FilterState(omega=omega)
+            accepted = True
+        except MalformedInputError:
+            accepted = False
+        assert accepted == (eig[0] > 0.0), (kind, eig, omega)
+        outside[kind, accepted] += 1
+    assert outside["spd", True] == 800 and not outside["spd", False], outside
+    for kind in ("near_singular", "scaled"):
+        assert outside[kind, True] >= 100, outside
+    for kind in ("indefinite", "near_singular", "scaled"):
+        assert outside[kind, False] >= 100, outside
+    assert inside >= 800, inside  # every semidefinite one
 
 
 # --- predict ---
@@ -138,6 +217,15 @@ def test_correct_requires_tracking_and_world_frame():
     cam = Cone(np.zeros(3), np.array([0.0, 0, 1.0]), 0.5, Frame.CAMERA)
     with pytest.raises(MalformedInputError):
         correct(tracking_state([0.0, 0, 2.0]), cam, NoiseConfig())
+
+
+def test_correct_refuses_innovation_covariance_it_cannot_factor():
+    # far_variance / r = 1e20 leaves S positive definite on paper but not
+    # in doubles: the filter says so instead of updating with garbage
+    cone = Cone(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.5, Frame.WORLD)
+    with pytest.raises(MalformedInputError, match="innovation covariance"):
+        correct(tracking_state([3.0, 1.0, 2.0]), cone, NoiseConfig(r=1.0, far_variance=1e20))
+    assert correct(tracking_state([3.0, 1.0, 2.0]), cone, NoiseConfig()).consecutive_outliers == 0
 
 
 def test_correct_mode2d_pins_ground_plane():

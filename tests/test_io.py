@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import radloc
-from radloc.errors import OrderingError, ParseError, SchemaError
+from radloc.errors import MalformedInputError, OrderingError, ParseError, SchemaError
 from radloc.geometry import Cone, Frame
 from radloc.io import (
     CONES_HEADER,
@@ -418,6 +418,28 @@ def test_scenario_value_validation():
         with pytest.raises(SchemaError):
             scenario_from_dict(raw)
     assert scenario_from_dict({"seed": 3.0}).seed == 3
+    # well-typed values out of range, NaN or infinite are domain errors
+    nan, inf = math.nan, math.inf
+    for raw in (
+        {"estimator": {"r": nan}},
+        {"estimator": {"q": nan}},
+        {"estimator": {"init_variance": -1.0}},
+        {"estimator": {"min_origin_separation": -1.0}},
+        {"estimator": {"fallback_factor": 0}},
+        {"estimator": {"reset_run_length": -1}},
+        {"source": {"activity_bq": nan}},
+        {"source": {"position": [nan, 0.0, 0.0]}},
+        {"source": {"velocity": [0.0, inf, 0.0]}},
+        {"uav": {"start": [0.0, 0.0, nan]}},
+        {"uav": {"altitude": inf}},
+        {"detector": {"angular_sigma": nan}},
+        {"detector": {"background_rate": inf}},
+        {"timestep": nan},
+        {"duration": inf},
+        {"area": [nan, 10.0]},
+    ):
+        with pytest.raises(MalformedInputError):
+            scenario_from_dict(raw)
 
 
 # YAML key -> (NoiseConfig field, a value other than its default)
