@@ -94,7 +94,9 @@ class ConeBatch:
         return ell, axial, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
     def _signed(self, ell: np.ndarray, axial: np.ndarray, perp_norm: np.ndarray) -> np.ndarray:
-        surface = ell * np.sin(np.arctan2(perp_norm, axial) - self.half_angles)
+        # |u| sin(alpha - T), expanded
+        cos_t, sin_t = self._cos_sin
+        surface = perp_norm * cos_t - axial * sin_t
         return np.where(ell < 1e-15, 0.0, np.where(axial < 0.0, ell, surface))
 
     def signed_deviation(self, points: np.ndarray) -> np.ndarray:
@@ -110,21 +112,32 @@ class ConeBatch:
         """Shortest distance to each cone, as used by the solver."""
         return np.abs(self.signed_deviation(points))
 
-    def distance_and_gradient(
+    def derivatives(
         self, points: np.ndarray, eps: float = 1e-9
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and their gradients, with nonsmooth points nudged.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Distances, their gradients and curvature terms, with nonsmooth points nudged.
 
         The distance has kinks at the apex, on the axis, and on the apex
         plane between the behind-apex and surface expressions; there the
         point is moved by a deterministic eps (along a fixed perpendicular
         of the axis at the apex and on the axis, along the axis on the
-        apex plane) to pick one one-sided derivative. Behind the apex
-        plane the gradient is the unit apex offset.
+        apex plane) to pick one one-sided derivative, and the distance is
+        taken at the moved point too. Behind the apex plane the gradient
+        is the unit apex offset.
+
+        The curvature terms, shape (..., 3, 3), sum d * Hessian(d) over
+        the cones; with J^T J they add up to half the Hessian of the
+        summed squared distance. Ahead of the apex plane d = |s| with
+        s = |axis x u| cos(T) - (axis . u) sin(T), so
+        d * Hessian(d) = s cos(T) / |axis x u|^3 (axis x u)(axis x u)^T:
+        convex where that coefficient is positive (outside a cone narrower
+        than a half-space, inside a wider one), concave elsewhere. Behind
+        the plane d = |u| and d * Hessian(d) = I - uhat uhat^T, convex.
+        Returns distances, gradients, the convex sum and the concave sum;
+        J^T J plus the convex sum is positive semidefinite.
         """
         u = self._offsets(points)
         ell, axial, perp_norm = self._coordinates(u)
-        dist = np.abs(self._signed(ell, axial, perp_norm))
         at_apex = ell < 1e-12
         if at_apex.any():
             u = np.where(at_apex[..., None], u + eps * self._perpendiculars, u)
@@ -138,19 +151,38 @@ class ConeBatch:
         if on_axis.any():
             u = np.where(on_axis[..., None], u + eps * self._perpendiculars, u)
             ell, axial, perp_norm = self._coordinates(u)
+        cos_t, sin_t = self._cos_sin
+        a = self.axes
         uhat = u / ell[..., None]
-        alpha = np.arctan2(perp_norm, axial)
-        beta = alpha - self.half_angles
-        sin_beta = np.sin(beta)
-        sign = np.where(sin_beta >= 0.0, 1.0, -1.0)
-        # d(ell)/dp = uhat, d(alpha)/dp = -(axis - cos(alpha) uhat)/(ell sin(alpha));
-        # sin(alpha) vanishes only behind the apex, where this branch is unused
+        cross = np.stack(
+            [
+                a[:, 1] * u[..., 2] - a[:, 2] * u[..., 1],
+                a[:, 2] * u[..., 0] - a[:, 0] * u[..., 2],
+                a[:, 0] * u[..., 1] - a[:, 1] * u[..., 0],
+            ],
+            axis=-1,
+        )
+        signed = perp_norm * cos_t - axial * sin_t
+        dist = np.where(behind, ell, np.abs(signed))
+        # ahead of the plane perp_norm > 0, the axis having been nudged off;
+        # the unit radial direction is d(perp_norm)/dp
         with np.errstate(divide="ignore", invalid="ignore"):
-            tilt = (sign * np.cos(beta) / np.sin(alpha))[..., None]
-            surface = (sign * sin_beta)[..., None] * uhat - tilt * (
-                self.axes - np.cos(alpha)[..., None] * uhat
-            )
-        return dist, np.where(behind[..., None], uhat, surface)
+            radial = (u - axial[..., None] * a) / perp_norm[..., None]
+            weight = np.where(behind, 0.0, signed * cos_t / perp_norm**3)
+        surface = np.where(signed >= 0.0, 1.0, -1.0)[..., None] * (
+            cos_t[:, None] * radial - sin_t[:, None] * a
+        )
+        back = behind.astype(float)
+        cross_t = np.swapaxes(cross, -1, -2)
+        convex = (cross_t * np.maximum(weight, 0.0)[..., None, :]) @ cross
+        convex -= (np.swapaxes(uhat, -1, -2) * back[..., None, :]) @ uhat
+        convex += back.sum(axis=-1)[..., None, None] * np.eye(3)
+        concave = (cross_t * np.minimum(weight, 0.0)[..., None, :]) @ cross
+        return dist, np.where(behind[..., None], uhat, surface), convex, concave
+
+    @cached_property
+    def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cos(self.half_angles), np.sin(self.half_angles)
 
     @cached_property
     def _perpendiculars(self) -> np.ndarray:

@@ -96,6 +96,8 @@ class NoiseConfig:
             raise MalformedInputError("need outlier_gate > 0, init_cost_gate > 0 and degeneracy_threshold >= 1")
         if not (self.init_cone_count >= 3 and self.fallback_factor >= 1 and self.reset_run_length >= 0):
             raise MalformedInputError("need init_cone_count >= 3, fallback_factor >= 1, reset_run_length >= 0")
+        if not (self.init_multistart >= 1 and self.init_max_iterations >= 1):
+            raise MalformedInputError("need init_multistart >= 1 and init_max_iterations >= 1")
 
 
 @dataclass

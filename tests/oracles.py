@@ -12,7 +12,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from radloc.geometry import perpendicular_unit
 from radloc.initializer import Mode, cost_and_gradient
@@ -158,17 +158,45 @@ def stationarity_residual(p, problem) -> float:
 
     First-order optimality measure of an InitProblem solution: the
     gradient minus its best representation by nonnegative multipliers on
-    the active half-space constraints axis . (p - origin) >= 0.
+    the active constraints, the half-spaces axis . (p - origin) >= 0 and
+    the faces of the bounds box.
     """
     p = np.asarray(p, dtype=float)
     free = slice(0, 2) if problem.mode is Mode.TWO_D else slice(0, 3)
     _, g = cost_and_gradient(p, problem.cones)
     a = np.array([c.axis for c in problem.cones])
     b = np.array([float(np.dot(c.axis, c.origin)) for c in problem.cones])
-    active = (a @ p - b) < 1e-6
-    if not np.any(active):
+    lo, hi = problem.bounds
+    eye = np.eye(3)[free]
+    rows = np.vstack(
+        [a[(a @ p - b) < 1e-6], eye[p[free] - lo[free] < 1e-9], -eye[hi[free] - p[free] < 1e-9]]
+    )
+    if len(rows) == 0:
         return float(np.linalg.norm(g[free]))
-    return float(nnls(a[active][:, free].T, g[free])[1])
+    return float(nnls(rows[:, free].T, g[free])[1])
+
+
+def feasibility_margin(problem) -> float:
+    """Largest t for which a point of the bounds box meets every half-space by t.
+
+    Linear program over (p, t), with t capped at 1 m: maximize t subject
+    to axis . (p - origin) >= t for every cone and lo <= p <= hi (z = 0
+    in the ground-plane mode). The half-spaces and the box have a common
+    point exactly when the result is >= 0.
+    """
+    free = 2 if problem.mode is Mode.TWO_D else 3
+    a = np.array([c.axis for c in problem.cones])[:, :free]
+    b = np.array([float(np.dot(c.axis, c.origin)) for c in problem.cones])
+    lo, hi = problem.bounds
+    res = linprog(
+        c=np.r_[np.zeros(free), -1.0],
+        A_ub=np.hstack([-a, np.ones((len(a), 1))]),
+        b_ub=-b,
+        bounds=[*zip(lo[:free], hi[:free]), (None, 1.0)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 def best_disjoint_pairing(toas, window: float):

@@ -310,6 +310,23 @@ def test_simulate_out_of_range_value_exit_1_at_load(tmp_path, capsys):
     assert main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "e"), "--r", "nan"]) == 1
 
 
+def test_simulate_solver_knobs_below_one_exit_1_at_load(tmp_path, capsys):
+    # a solve needs at least one start and one polish iteration; zero or
+    # negative values are refused before any simulation step
+    for default, bad in (
+        ("  max_iterations: 60", "  max_iterations: 0"),
+        ("  max_iterations: 60", "  max_iterations: -1"),
+        ("  multistart: 4", "  multistart: 0"),
+    ):
+        scenario = tmp_path / "scenario.yaml"
+        write_scenario_yaml(scenario)
+        scenario.write_text(scenario.read_text().replace(default, bad))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1, bad
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_simulate_yaml_parse_error_exit_2(tmp_path):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("duration: [unclosed\n")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from radloc.initializer import (
 from oracles import (
     central_difference,
     cone_distance_reference,
+    feasibility_margin,
     grid_search_cost,
     stationarity_residual,
 )
@@ -148,6 +153,8 @@ def test_problem_validation():
         InitProblem(cones=cones[:2])
     with pytest.raises(MalformedInputError):
         InitProblem(cones=cones, multistart_count=0)
+    with pytest.raises(MalformedInputError):
+        InitProblem(cones=cones, max_iterations=0)
     with pytest.raises(MalformedInputError):
         InitProblem(cones=cones, bounds=(np.zeros(3), np.zeros(3)))
     prob = InitProblem(cones=cones, mode="2d")
@@ -290,6 +297,81 @@ def test_solve_infeasible_raises():
     # z >= 10, z <= 0 and z >= 20 cannot all hold
     with pytest.raises(InfeasibleInitError):
         solve(InitProblem(cones=cones, bounds=(np.full(3, -30.0), np.full(3, 30.0))))
+
+
+def random_halfspace_problem(rng):
+    """Cones with scattered apices and mostly downward, partly flipped axes.
+
+    Half the problems are ground-plane ones and half have a tight box of
+    2-20 m somewhere near the apices instead of the default one, so the
+    half-spaces and the box leave no common point about as often as not.
+    """
+    two_d = rng.random() < 0.5
+    n = int(rng.integers(3, 7))
+    base = rng.uniform(-50.0, 50.0, 3)
+    base[2] = 3.0 + rng.uniform(0.0, 5.0)
+    origins = base + rng.normal(0.0, 8.0, (n, 3))
+    axes = rng.normal(size=(n, 3)) + np.array([0.0, 0.0, -1.0])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    axes[rng.random(n) < 0.3] *= -1.0
+    cones = [Cone(o, a, float(rng.uniform(0.2, 1.4)), Frame.WORLD) for o, a in zip(origins, axes)]
+    bounds = None
+    if rng.random() < 0.5:
+        center, half = base + rng.normal(0.0, 10.0, 3), rng.uniform(1.0, 10.0)
+        bounds = (center - half, center + half)
+        if two_d:
+            bounds[0][2], bounds[1][2] = min(bounds[0][2], -1.0), max(bounds[1][2], 1.0)
+    return InitProblem(cones=cones, mode=Mode.TWO_D if two_d else Mode.THREE_D, bounds=bounds)
+
+
+def test_solve_feasibility_verdict_matches_lp_oracle():
+    rng = np.random.default_rng(15)
+    verdicts = {True: 0, False: 0}
+    for i in range(240):
+        prob = random_halfspace_problem(rng)
+        margin = feasibility_margin(prob)
+        # a problem whose verdict turns on a micrometre is ill-posed here
+        assert abs(margin) > 1e-6, (i, margin)
+        feasible = margin > 0.0
+        verdicts[feasible] += 1
+        if not feasible:
+            with pytest.raises(InfeasibleInitError):
+                solve(prob)
+            continue
+        sol = solve(prob)
+        lo, hi = prob.bounds
+        assert np.all(sol.p >= lo) and np.all(sol.p <= hi), i
+        for c in prob.cones:
+            assert float(np.dot(c.axis, sol.p - c.origin)) >= -1e-6, i
+        if prob.mode is Mode.TWO_D:
+            assert sol.p[2] == 0.0
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_solve_optimum_on_box_face_is_stationary():
+    rng = np.random.default_rng(16)
+    p_star = np.array([4.0, -2.0, 1.0])
+    cones = exact_instance(p_star, rng)
+    # the source lies 2 m beyond the box's +x face
+    lo, hi = p_star - 10.0, p_star + 10.0
+    hi[0] = p_star[0] - 2.0
+    prob = InitProblem(cones=cones, bounds=(lo, hi))
+    sol = solve(prob)
+    assert sol.p[0] == pytest.approx(hi[0], abs=1e-9)
+    assert np.all(sol.p[1:] > lo[1:]) and np.all(sol.p[1:] < hi[1:])
+    _, grad = cost_and_gradient(sol.p, cones)
+    # the cost falls towards the source, so the face holds the point back
+    assert grad[0] < -1e-3
+    assert stationarity_residual(sol.p, prob) <= 1e-6
+
+
+def test_runtime_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, radloc, radloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_reports_iterations():
