@@ -145,6 +145,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "duration_s": summary.duration,
             "pairs": result.pair_count,
             "rejected_pairs": summary.rejected_pairs,
+            "invalid_scattering": summary.invalid_scattering,
+            "degenerate_geometry": summary.degenerate_geometry,
             "ambiguous_tracks": summary.ambiguous,
             "cones_written": len(world),
             "outside_pose_range": skipped,

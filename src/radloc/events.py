@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .constants import (
     BACKGROUND_THRESHOLD_KEV,
     CHARGE_GATHERING_SPEED_UM_PER_NS,
@@ -53,19 +51,15 @@ class PixelTrack:
     """A connected cluster of hits left by one particle interaction."""
 
     hits: tuple[PixelHit, ...]
+    # set once from the hits, since sorting and pairing read them many times
+    toa: float = field(init=False)  # representative time: earliest charge arrival, ns
+    energy: float = field(init=False)  # keV
 
     def __post_init__(self) -> None:
         if not self.hits:
             raise MalformedInputError("a track needs at least one hit")
-
-    @property
-    def toa(self) -> float:
-        """Representative arrival time: earliest charge arrival in the cluster."""
-        return min(h.toa for h in self.hits)
-
-    @property
-    def energy(self) -> float:
-        return sum(h.energy for h in self.hits)
+        object.__setattr__(self, "toa", min(h.toa for h in self.hits))
+        object.__setattr__(self, "energy", sum(h.energy for h in self.hits))
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,13 @@ def cluster_hits(hits: list[PixelHit], max_toa_gap: float = CLUSTER_TOA_GAP_NS) 
     if not hits:
         return []
 
-    order = sorted(range(len(hits)), key=lambda i: hits[i].toa)
+    toas = [h.toa for h in hits]
+    # pixel (col, row) -> (col + 1) * stride + row + 1, so that each of the
+    # eight neighbours of a sensor pixel has its own slot in last_seen
+    stride = SENSOR_PIXELS + 2
+    keys = [(h.col + 1) * stride + h.row + 1 for h in hits]
+    neighbors = [dc * stride + dr for dc in (-1, 0, 1) for dr in (-1, 0, 1)]
+    order = sorted(range(len(hits)), key=toas.__getitem__)
     parent = list(range(len(hits)))
 
     def find(i: int) -> int:
@@ -127,15 +127,14 @@ def cluster_hits(hits: list[PixelHit], max_toa_gap: float = CLUSTER_TOA_GAP_NS) 
         if ri != rj:
             parent[rj] = ri
 
-    last_seen: dict[tuple[int, int], int] = {}
+    last_seen = [-1] * (stride * stride)  # latest hit on each pixel so far
     for idx in order:
-        h = hits[idx]
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                j = last_seen.get((h.col + dc, h.row + dr))
-                if j is not None and h.toa - hits[j].toa <= max_toa_gap:
-                    union(idx, j)
-        last_seen[(h.col, h.row)] = idx
+        key, toa = keys[idx], toas[idx]
+        for offset in neighbors:
+            j = last_seen[key + offset]
+            if j >= 0 and toa - toas[j] <= max_toa_gap:
+                union(idx, j)
+        last_seen[key] = idx
 
     groups: dict[int, list[PixelHit]] = {}
     for idx in order:
@@ -152,17 +151,17 @@ def track_centroid(
 
     Pixel (col, row) spans [col*pitch, (col+1)*pitch), so its center sits
     at (col + 0.5)*pitch. Weighting by deposited energy is the default;
-    pass energy_weighted=False for the plain geometric mean.
+    pass energy_weighted=False for the plain geometric mean. The sums run
+    in hit order, as numpy sums fewer than eight terms.
     """
-    if not track.hits:
-        raise MalformedInputError("empty track")
-    cols = np.array([h.col + 0.5 for h in track.hits])
-    rows = np.array([h.row + 0.5 for h in track.hits])
-    energies = np.array([h.energy for h in track.hits])
-    weights = energies if energy_weighted else np.ones_like(energies)
-    x = float(np.average(cols, weights=weights)) * PIXEL_PITCH_MM
-    y = float(np.average(rows, weights=weights)) * PIXEL_PITCH_MM
-    return x, y, float(energies.sum()), track.toa
+    sx = sy = sw = energy = 0.0
+    for h in track.hits:
+        w = h.energy if energy_weighted else 1.0
+        sx += (h.col + 0.5) * w
+        sy += (h.row + 0.5) * w
+        sw += w
+        energy += h.energy
+    return sx / sw * PIXEL_PITCH_MM, sy / sw * PIXEL_PITCH_MM, energy, track.toa
 
 
 def pair_coincident(
@@ -296,15 +295,14 @@ def build_cone(pair: ComptonPair) -> Cone:
     split is kinematically impossible.
     """
     theta = scattering_angle(pair.electron_energy, pair.photon_energy)
-    dz = delta_z(pair.electron_toa, pair.photon_toa)
-    electron = np.array([pair.electron_xy[0], pair.electron_xy[1], dz]) * 1e-3
-    photon = np.array([pair.photon_xy[0], pair.photon_xy[1], 0.0]) * 1e-3
-    sep = electron - photon
-    norm = float(np.linalg.norm(sep))
+    (ex, ey), (px, py) = pair.electron_xy, pair.photon_xy
+    electron = (ex * 1e-3, ey * 1e-3, delta_z(pair.electron_toa, pair.photon_toa) * 1e-3)
+    sx, sy, sz = electron[0] - px * 1e-3, electron[1] - py * 1e-3, electron[2]
+    norm = math.sqrt(sx * sx + sy * sy + sz * sz)
     if norm < 1e-9:
         raise DegenerateGeometryError("coincident pair events; cone axis undefined")
     timestamp = min(pair.electron_toa, pair.photon_toa) * 1e-9
-    return Cone(electron, sep / norm, theta, Frame.CAMERA, timestamp)
+    return Cone(electron, (sx / norm, sy / norm, sz / norm), theta, Frame.CAMERA, timestamp)
 
 
 @dataclass
@@ -314,7 +312,10 @@ class ClassificationSummary:
     counts: dict[EventClass, int] = field(
         default_factory=lambda: {c: 0 for c in EventClass}
     )
-    rejected_pairs: int = 0  # kinematically impossible energy splits
+    rejected_pairs: int = 0  # Compton pairs that gave no cone
+    # dropped cone candidates by reason, one per role reading tried
+    invalid_scattering: int = 0
+    degenerate_geometry: int = 0
     ambiguous: int = 0
     duration: float = 0.0  # seconds
 
@@ -356,8 +357,9 @@ def process_pairs(
 
     Pairs are classified on their summed energy; only Compton candidates
     yield cones. Pairs whose energy split fails the scattering-angle
-    validity test stay classified but are dropped from cone output and
-    tallied under rejected_pairs.
+    validity test, or whose two events coincide, stay classified but are
+    dropped from cone output and tallied under rejected_pairs; each
+    dropped candidate also counts under its reason.
     """
     summary = ClassificationSummary(ambiguous=ambiguous)
     cones: list[Cone] = []
@@ -375,7 +377,11 @@ def process_pairs(
             try:
                 cones.append(build_cone(cand))
                 ok += 1
-            except (InvalidScatteringError, DegenerateGeometryError) as exc:
+            except InvalidScatteringError as exc:
+                summary.invalid_scattering += 1
+                log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
+            except DegenerateGeometryError as exc:
+                summary.degenerate_geometry += 1
                 log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
         if ok == 0:
             summary.rejected_pairs += 1

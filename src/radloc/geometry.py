@@ -1,7 +1,9 @@
 """Core 3D geometry: vectors, rotations, poses, and the cone primitive.
 
 Conventions: column-free numpy arrays of shape (3,), quaternions are
-unit-norm and w-first (w, x, y, z), all rotations are active.
+unit-norm and w-first (w, x, y, z), all rotations are active. The
+quaternion helpers run on Python floats, where numpy's per-call cost
+would dominate, and return tuples (a rotation matrix as its rows).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,23 +63,21 @@ def perpendicular_unit(v: np.ndarray) -> np.ndarray:
 # --- Quaternions (w-first) ---
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
+def quat_normalize(q) -> tuple[float, float, float, float]:
+    w, x, y, z = np.asarray(q, dtype=float).reshape(4).tolist()
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-15:
         raise MalformedInputError("zero quaternion")
-    return q / n
+    return w / n, x / n, y / n, z / n
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
+def quat_to_matrix(q) -> tuple[tuple[float, float, float], ...]:
+    """Rows of the rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
 
 
@@ -86,21 +87,21 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.concatenate(([math.cos(half)], math.sin(half) * k))
 
 
-def quat_slerp(q0: np.ndarray, q1: np.ndarray, t: float) -> np.ndarray:
+def quat_slerp(q0, q1, t: float) -> tuple[float, float, float, float]:
     """Shortest-arc spherical interpolation between unit quaternions."""
     q0 = quat_normalize(q0)
     q1 = quat_normalize(q1)
-    dot = float(np.dot(q0, q1))
+    dot = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
     if dot < 0.0:
-        q1 = -q1
+        q1 = tuple(-c for c in q1)
         dot = -dot
     if dot > 0.9995:
         # nearly identical: lerp + renormalize avoids sin(theta) ~ 0
-        return quat_normalize(q0 + t * (q1 - q0))
+        return quat_normalize([a + t * (b - a) for a, b in zip(q0, q1)])
     theta = math.acos(min(1.0, dot))
     s0 = math.sin((1.0 - t) * theta) / math.sin(theta)
     s1 = math.sin(t * theta) / math.sin(theta)
-    return s0 * q0 + s1 * q1
+    return tuple(s0 * a + s1 * b for a, b in zip(q0, q1))
 
 
 class Frame(str, Enum):
@@ -126,8 +127,8 @@ class Cone:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3).copy()
-        self.axis = np.asarray(self.axis, dtype=float).reshape(3).copy()
+        self.origin = np.array(self.origin, dtype=float).reshape(3)
+        self.axis = np.array(self.axis, dtype=float).reshape(3)
         # checked on floats: np.isfinite and np.linalg.norm cost several times more
         if not all(map(math.isfinite, self.origin.tolist())):
             raise MalformedInputError(f"cone origin must be finite, got {self.origin.tolist()!r}")
@@ -149,42 +150,38 @@ class Pose:
     orientation: np.ndarray  # unit quaternion, w-first
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
+        self.position = np.array(self.position, dtype=float).reshape(3)
         if not all(map(math.isfinite, self.position.tolist())):
             raise MalformedInputError(f"pose position must be finite, got {self.position.tolist()!r}")
-        q = np.asarray(self.orientation, dtype=float).reshape(4).copy()
-        n = float(np.linalg.norm(q))
+        w, x, y, z = np.asarray(self.orientation, dtype=float).reshape(4).tolist()
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if not abs(n - 1.0) <= 1e-6:
             raise MalformedInputError(f"orientation quaternion not unit norm: {n!r}")
-        self.orientation = q / n
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
+        self.orientation = np.array([w / n, x / n, y / n, z / n])
 
 
 def interpolate_pose(stream: list[Pose], t: float) -> Pose:
-    """Pose at time t from a time-ordered stream.
+    """Pose at time t from a strictly time-ordered stream, in O(log P).
 
-    Position is interpolated linearly, orientation by slerp between the
-    bracketing samples; an exact timestamp match returns that sample.
-    Raises PoseExtrapolationError outside [first, last].
+    A binary search finds the bracketing samples, so the stream must be
+    strictly increasing in time, as io.read_poses_csv enforces. Position
+    is interpolated linearly, orientation by slerp; an exact timestamp
+    match returns a copy of that sample. Raises PoseExtrapolationError
+    outside [first, last].
     """
     if not stream:
         raise MalformedInputError("empty pose stream")
-    times = [p.timestamp for p in stream]
-    if t < times[0] or t > times[-1]:
-        raise PoseExtrapolationError(
-            f"t = {t} outside pose stream range [{times[0]}, {times[-1]}]"
-        )
-    i = bisect_left(times, t)
-    if i < len(times) and times[i] == t:
-        p = stream[i]
-        return Pose(p.timestamp, p.position.copy(), p.orientation.copy())
-    lo, hi = stream[i - 1], stream[i]
+    first, last = stream[0].timestamp, stream[-1].timestamp
+    if t < first or t > last:
+        raise PoseExtrapolationError(f"t = {t} outside pose stream range [{first}, {last}]")
+    i = bisect_left(stream, t, key=attrgetter("timestamp"))
+    hi = stream[i]
+    if hi.timestamp == t:
+        return Pose(t, hi.position, hi.orientation)
+    lo = stream[i - 1]
     u = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
-    pos = (1.0 - u) * lo.position + u * hi.position
-    q = quat_slerp(lo.orientation, hi.orientation, u)
-    return Pose(t, pos, q)
+    pos = [(1.0 - u) * a + u * b for a, b in zip(lo.position.tolist(), hi.position.tolist())]
+    return Pose(t, pos, quat_slerp(lo.orientation, hi.orientation, u))
 
 
 def transform_cone(cone: Cone, pose: Pose) -> Cone:
@@ -196,11 +193,13 @@ def transform_cone(cone: Cone, pose: Pose) -> Cone:
     """
     if cone.frame is not Frame.CAMERA:
         raise MalformedInputError("transform_cone expects a camera-frame cone")
-    R_wb = pose.rotation()
-    origin_w = R_wb @ cone.origin + pose.position
-    axis_w = R_wb @ cone.axis
-    axis_w = axis_w / float(np.linalg.norm(axis_w))
-    return Cone(origin_w, axis_w, cone.half_angle, Frame.WORLD, pose.timestamp)
+    rows = quat_to_matrix(pose.orientation)
+    o0, o1, o2 = cone.origin.tolist()
+    a0, a1, a2 = cone.axis.tolist()
+    origin = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, pose.position.tolist())]
+    x, y, z = (r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in rows)
+    n = math.sqrt(x * x + y * y + z * z)
+    return Cone(origin, (x / n, y / n, z / n), cone.half_angle, Frame.WORLD, pose.timestamp)
 
 
 __all__ = [

@@ -105,10 +105,12 @@ def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]
             keys=sorted(set(header).symmetric_difference(got)),
         )
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    reader = csv.reader(lines[1:])
+    for lineno, cells in enumerate(reader, start=2):
+        if reader.line_num + 1 != lineno:  # a quote left open ran into the next line
+            raise ParseError("unterminated quoted field", path=str(path), line=lineno)
+        if not lines[lineno - 1].strip():
             continue
-        cells = next(csv.reader([line]))
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(cells)}", path=str(path), line=lineno
@@ -118,13 +120,15 @@ def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]
 
 
 def _floats(cells: list[str], path: str, lineno: int) -> list[float]:
-    out = []
-    for cell in cells:
-        try:
-            out.append(float(cell))
-        except ValueError as exc:
-            raise ParseError(f"not a number: {cell!r}", path=path, line=lineno) from exc
-    return out
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        for cell in cells:  # name the first cell that is not a number
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ParseError(f"not a number: {cell!r}", path=path, line=lineno) from exc
+        raise
 
 
 def _check_timestamp(t: float, path: str, lineno: int) -> None:
@@ -156,15 +160,16 @@ def sniff_events_format(path: str | Path) -> str:
 
 def read_hits_csv(path: str | Path) -> list[PixelHit]:
     hits = []
+    name = str(path)  # once, not per row
     for lineno, cells in _read_rows(path, HITS_HEADER):
-        toa, col, row, energy = _floats(cells, str(path), lineno)
-        _check_timestamp(toa, str(path), lineno)
+        toa, col, row, energy = _floats(cells, name, lineno)
+        _check_timestamp(toa, name, lineno)
         if not (col.is_integer() and row.is_integer()):  # int() would truncate
-            raise ParseError(f"pixel ({col:g}, {row:g}) not integral", path=str(path), line=lineno)
+            raise ParseError(f"pixel ({col:g}, {row:g}) not integral", path=name, line=lineno)
         try:
             hits.append(PixelHit(toa, int(col), int(row), energy))
         except MalformedInputError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from exc
+            raise ParseError(str(exc), path=name, line=lineno) from exc
     return hits
 
 

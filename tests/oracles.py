@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from radloc.geometry import perpendicular_unit
+from radloc.constants import BACKGROUND_THRESHOLD_KEV, PIXEL_PITCH_MM
+from radloc.errors import (
+    DegenerateGeometryError,
+    InvalidScatteringError,
+    PoseExtrapolationError,
+)
+from radloc.events import ComptonPair, cluster_hits, delta_z, pair_coincident, scattering_angle
+from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
 from radloc.initializer import Mode, cost_and_gradient
 
 
@@ -234,3 +242,126 @@ def exhaustive_min_norm(vectors) -> float:
     for a, b in itertools.combinations(vectors, 2):
         out = min(out, float(np.linalg.norm(a - b)))
     return out
+
+
+# --- hits to world cones, in the numpy formulation the library ran before
+# it moved to Python floats. numpy reduces fewer than eight terms in
+# sequence and more in eight interleaved partial sums, and its norm and
+# matrix-vector products go through BLAS, which may fuse multiply-adds. ---
+
+
+def track_centroid_reference(track, energy_weighted: bool = True):
+    """(x mm, y mm, energy keV, toa ns) of a track with np.average."""
+    cols = np.array([h.col + 0.5 for h in track.hits])
+    rows = np.array([h.row + 0.5 for h in track.hits])
+    energies = np.array([h.energy for h in track.hits])
+    weights = energies if energy_weighted else np.ones_like(energies)
+    x = float(np.average(cols, weights=weights)) * PIXEL_PITCH_MM
+    y = float(np.average(rows, weights=weights)) * PIXEL_PITCH_MM
+    return x, y, float(energies.sum()), min(h.toa for h in track.hits)
+
+
+def build_cone_reference(pair) -> Cone:
+    """Camera-frame cone of a Compton pair, its axis normalized by np.linalg.norm."""
+    theta = scattering_angle(pair.electron_energy, pair.photon_energy)
+    dz = delta_z(pair.electron_toa, pair.photon_toa)
+    electron = np.array([pair.electron_xy[0], pair.electron_xy[1], dz]) * 1e-3
+    photon = np.array([pair.photon_xy[0], pair.photon_xy[1], 0.0]) * 1e-3
+    sep = electron - photon
+    norm = float(np.linalg.norm(sep))
+    if norm < 1e-9:
+        raise DegenerateGeometryError("coincident pair events; cone axis undefined")
+    timestamp = min(pair.electron_toa, pair.photon_toa) * 1e-9
+    return Cone(electron, sep / norm, theta, Frame.CAMERA, timestamp)
+
+
+def _quat_normalize_reference(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    return q / float(np.linalg.norm(q))
+
+
+def quat_to_matrix_reference(q) -> np.ndarray:
+    w, x, y, z = _quat_normalize_reference(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def quat_slerp_reference(q0, q1, t: float) -> np.ndarray:
+    q0 = _quat_normalize_reference(q0)
+    q1 = _quat_normalize_reference(q1)
+    dot = float(np.dot(q0, q1))
+    if dot < 0.0:
+        q1 = -q1
+        dot = -dot
+    if dot > 0.9995:
+        return _quat_normalize_reference(q0 + t * (q1 - q0))
+    theta = math.acos(min(1.0, dot))
+    s0 = math.sin((1.0 - t) * theta) / math.sin(theta)
+    s1 = math.sin(t * theta) / math.sin(theta)
+    return s0 * q0 + s1 * q1
+
+
+def interpolate_pose_reference(stream, t: float) -> Pose:
+    """Pose at t by a linear scan for the timestamps, lerp and numpy slerp."""
+    times = [p.timestamp for p in stream]
+    if t < times[0] or t > times[-1]:
+        raise PoseExtrapolationError(f"t = {t} outside [{times[0]}, {times[-1]}]")
+    i = bisect_left(times, t)
+    if times[i] == t:
+        p = stream[i]
+        pose = Pose(p.timestamp, p.position, p.orientation)
+        q = p.orientation
+    else:
+        lo, hi = stream[i - 1], stream[i]
+        u = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
+        q = quat_slerp_reference(lo.orientation, hi.orientation, u)
+        pose = Pose(t, (1.0 - u) * lo.position + u * hi.position, q)
+    pose.orientation = _quat_normalize_reference(q)  # as Pose normalized with numpy
+    return pose
+
+
+def transform_cone_reference(cone, pose) -> Cone:
+    """World-frame cone: R @ origin + position, R @ axis renormalized."""
+    R = quat_to_matrix_reference(pose.orientation)
+    axis = R @ cone.axis
+    return Cone(
+        R @ cone.origin + pose.position,
+        axis / float(np.linalg.norm(axis)),
+        cone.half_angle,
+        Frame.WORLD,
+        pose.timestamp,
+    )
+
+
+def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_KEV) -> list:
+    """What `radloc reconstruct` writes for a hit stream at default settings.
+
+    Clustering and pairing are the library's own (they are discrete and
+    checked against best_disjoint_pairing); every float step after them
+    is one of the references above.
+    """
+    cones = []
+    for first, second in pair_coincident(cluster_hits(hits)):
+        photon, electron = (first, second) if first.toa <= second.toa else (second, first)
+        px, py, pe, pt = track_centroid_reference(photon)
+        ex, ey, ee, et = track_centroid_reference(electron)
+        if pe + ee > threshold:
+            continue
+        try:
+            cones.append(build_cone_reference(ComptonPair((ex, ey), (px, py), ee, pe, et, pt)))
+        except (InvalidScatteringError, DegenerateGeometryError):
+            continue
+    cones.sort(key=lambda c: c.timestamp)
+    world = []
+    for cone in cones:
+        try:
+            pose = interpolate_pose_reference(poses, cone.timestamp)
+        except PoseExtrapolationError:
+            continue
+        world.append(transform_cone_reference(cone, pose))
+    return world

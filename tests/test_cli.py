@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +14,23 @@ from radloc.io import (
     HITS_HEADER,
     POSES_HEADER,
     read_estimates_csv,
+    read_hits_csv,
+    read_poses_csv,
     write_cones_csv,
     write_estimates_csv,
 )
 
+from oracles import world_cones_reference
 from test_events import synthetic_stream
 from test_initializer import cone_through
 
 SOURCE = np.array([5.0, -3.0, 0.0])
+# 107 hits over 2.35 s against a 21-pose 10 Hz stream that rolls and turns:
+# ten Compton pairs of 1-4-pixel tracks (one of them in a triple
+# coincidence, one after the last pose), two impossible energy splits, a
+# 16-pixel ring around a pixel at the same time (coinciding centroids),
+# four photoelectric tracks, and background above the threshold
+FIXTURE = Path(__file__).parent / "data"
 
 
 def write_hits_csv(path, hits):
@@ -100,6 +110,36 @@ def test_reconstruct_hits_happy_path(tmp_path, capsys):
     assert summary["cones_written"] == 4
     stdout = capsys.readouterr().out
     assert "photoelectric" in stdout
+
+
+def reconstruct_fixture(out):
+    argv = ["reconstruct", "--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv")]
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_reconstruct_fixture_matches_oracle_pipeline(tmp_path):
+    reconstruct_fixture(tmp_path)
+    lines = (tmp_path / "cones.csv").read_text().splitlines()
+    assert lines[0] == ",".join(CONES_HEADER)
+    rows = [line.split(",") for line in lines[1:]]
+    want = world_cones_reference(read_hits_csv(FIXTURE / "hits.csv"), read_poses_csv(FIXTURE / "poses.csv"))
+    assert len(rows) == len(want) == 9
+    for row, cone in zip(rows, want):
+        # times and angles come out of the same float steps; positions and
+        # axes agree to rounding, and the file keeps 12 significant digits
+        assert (row[0], row[7], row[8]) == (f"{cone.timestamp:.12g}", f"{cone.half_angle:.12g}", "W")
+        got = np.array([float(v) for v in row[1:7]])
+        assert np.max(np.abs(got[:3] - cone.origin)) <= 1e-11 * np.linalg.norm(cone.origin)
+        assert np.max(np.abs(got[3:] - cone.axis)) <= 1e-11
+
+
+def test_reconstruct_drop_reasons_sum_to_rejected_pairs(tmp_path):
+    summary = reconstruct_fixture(tmp_path)
+    assert (summary["invalid_scattering"], summary["degenerate_geometry"]) == (2, 1)
+    assert summary["invalid_scattering"] + summary["degenerate_geometry"] == summary["rejected_pairs"]
+    assert summary["counts"] == {"photoelectric": 5, "compton": 13, "background": 2}
+    assert (summary["pairs"], summary["cones_written"], summary["outside_pose_range"]) == (14, 9, 1)
 
 
 def test_reconstruct_pairs_input(tmp_path):

@@ -25,6 +25,7 @@ from radloc.events import (
     make_pair,
     pair_coincident,
     process_hits,
+    process_pairs,
     scattered_photon_energy,
     scattering_angle,
     swap_roles,
@@ -32,7 +33,7 @@ from radloc.events import (
 )
 from radloc.geometry import Frame
 
-from oracles import best_disjoint_pairing
+from oracles import best_disjoint_pairing, build_cone_reference, track_centroid_reference
 
 
 def hit(toa, col=0, row=0, energy=100.0):
@@ -193,6 +194,52 @@ def test_centroid_toa_is_earliest():
     assert track_centroid(t)[3] == 3.0
 
 
+def random_track(rng, n):
+    col, row = rng.integers(4, 252, size=2)
+    return PixelTrack(tuple(
+        PixelHit(float(rng.uniform(0.0, 1e6)), int(col + rng.integers(-4, 5)),
+                 int(row + rng.integers(-4, 5)), float(rng.uniform(0.5, 300.0)))
+        for _ in range(n)
+    ))
+
+
+def test_centroid_matches_numpy_reference():
+    # below eight terms numpy sums in sequence, as track_centroid does, so
+    # the results agree bit for bit; from eight on numpy keeps eight
+    # interleaved partial sums, and the two orders each stay within about
+    # n/2 ulp of the exact sum of n positive terms
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for k in range(2000):
+        n = 1 + k % 7 if k < 1000 else int(rng.integers(8, 41))
+        t = random_track(rng, n)
+        for weighted in (True, False):
+            got, want = track_centroid(t, weighted), track_centroid_reference(t, weighted)
+            if n < 8:
+                assert got == want, (n, weighted)
+                continue
+            assert got[3] == want[3]
+            for g, w in zip(got[:3], want[:3]):
+                worst = max(worst, abs(g - w) / math.ulp(w))
+                assert abs(g - w) <= n * math.ulp(w), (n, weighted, g, w)
+    assert worst > 0.0  # the reference's pairwise order did come into play
+
+
+def test_track_toa_and_energy_are_min_and_sum_of_hits():
+    rng = np.random.default_rng(37)
+    hits = [
+        PixelHit(float(rng.uniform(0.0, 5e4)), int(rng.integers(0, 256)), int(rng.integers(0, 256)),
+                 float(rng.uniform(1.0, 300.0)))
+        for _ in range(3000)
+    ]
+    tracks = cluster_hits(hits)
+    assert sum(len(t.hits) for t in tracks) == len(hits)
+    assert any(len(t.hits) > 1 for t in tracks)
+    for t in tracks:
+        assert t.toa == min(h.toa for h in t.hits)
+        assert t.energy == sum(h.energy for h in t.hits)
+
+
 # --- pairing ---
 
 
@@ -317,6 +364,27 @@ def test_build_cone_invalid_kinematics():
         build_cone(pair)
 
 
+def test_build_cone_matches_numpy_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        ee, ep = rng.uniform(20.0, 400.0, size=2)
+        toa = rng.uniform(0.0, 1e9)
+        pair = ComptonPair(
+            tuple(rng.uniform(0.0, 14.08, size=2)), tuple(rng.uniform(0.0, 14.08, size=2)),
+            ee, ep, toa + rng.uniform(-86.0, 86.0), toa,
+        )
+        try:
+            want = build_cone_reference(pair)
+        except InvalidScatteringError:
+            with pytest.raises(InvalidScatteringError):
+                build_cone(pair)
+            continue
+        got = build_cone(pair)
+        assert np.array_equal(got.origin, want.origin)
+        assert (got.half_angle, got.timestamp) == (want.half_angle, want.timestamp)
+        assert np.max(np.abs(got.axis - want.axis)) <= 1e-15
+
+
 # --- stream statistics ---
 
 
@@ -363,6 +431,20 @@ def test_process_hits_rejected_pair_tally():
     assert res.summary.counts[EventClass.COMPTON_CANDIDATE] == 1
     assert res.summary.rejected_pairs == 1
     assert res.cones == []
+
+
+def test_process_pairs_counts_drops_by_reason():
+    pairs = [
+        ComptonPair((1.0, 2.0), (1.0, 1.0), 500.0, 100.0, 20.0, 0.0),  # invalid split
+        ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 5.0, 5.0),  # coinciding events
+        ComptonPair((1.0, 2.0), (1.0, 1.0), 315.70, 394.22, 20.31, 0.0),  # a cone
+    ]
+    summary = process_pairs(pairs).summary
+    assert (summary.invalid_scattering, summary.degenerate_geometry, summary.rejected_pairs) == (1, 1, 2)
+    # with both role readings each candidate counts: the coinciding pair
+    # fails twice, and the swapped split of the first is valid
+    summary = process_pairs(pairs, swap_hypotheses=True).summary
+    assert (summary.invalid_scattering, summary.degenerate_geometry, summary.rejected_pairs) == (1, 2, 1)
 
 
 def test_process_hits_swap_hypotheses_doubles_cones():

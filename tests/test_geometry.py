@@ -19,7 +19,7 @@ from radloc.geometry import (
     unit,
 )
 
-from oracles import rotation_matrix
+from oracles import interpolate_pose_reference, rotation_matrix, transform_cone_reference
 
 
 def test_unit_normalizes():
@@ -146,6 +146,59 @@ def test_interpolate_pose_rejects_extrapolation():
         interpolate_pose([], 0.0)
 
 
+def random_pose_stream(rng, n, spin=None):
+    """Random orientations, or with spin a steady turn of spin rad per sample
+    (small turns take slerp's lerp branch)."""
+    times = np.cumsum(rng.uniform(0.01, 0.2, size=n)).tolist()
+    axis = unit(rng.normal(size=3))
+    return [
+        Pose(t, rng.normal(size=3) * 20.0,
+             quat_from_axis_angle(axis, spin * k) if spin is not None
+             else quat_from_axis_angle(unit(rng.normal(size=3)), rng.uniform(-math.pi, math.pi)))
+        for k, t in enumerate(times)
+    ]
+
+
+def test_interpolate_pose_at_and_just_inside_the_ends():
+    rng = np.random.default_rng(43)
+    stream = random_pose_stream(rng, 50)
+    first, last = stream[0], stream[-1]
+    for sample in (first, last):
+        got = interpolate_pose(stream, sample.timestamp)
+        assert got is not sample and got.timestamp == sample.timestamp
+        assert np.array_equal(got.position, sample.position)
+        assert np.max(np.abs(got.orientation - sample.orientation)) <= 1e-15
+    inside = (math.nextafter(first.timestamp, math.inf), math.nextafter(last.timestamp, -math.inf))
+    for t, sample in zip(inside, (first, last)):
+        got, want = interpolate_pose(stream, t), interpolate_pose_reference(stream, t)
+        assert got.timestamp == t
+        assert np.max(np.abs(got.position - sample.position)) <= 1e-12 * np.linalg.norm(sample.position)
+        assert np.max(np.abs(got.position - want.position)) <= 1e-12 * np.linalg.norm(want.position)
+        assert np.max(np.abs(got.orientation - want.orientation)) <= 1e-15
+    for t in (math.nextafter(first.timestamp, -math.inf), math.nextafter(last.timestamp, math.inf)):
+        with pytest.raises(PoseExtrapolationError):
+            interpolate_pose(stream, t)
+
+
+def test_world_cones_match_numpy_reference():
+    # world cones agree with the numpy formulation to rounding: BLAS may
+    # fuse the multiply-adds of its norms and matrix products, Python does not
+    rng = np.random.default_rng(47)
+    for spin in (None, 0.01, 0.5) * 7:
+        stream = random_pose_stream(rng, int(rng.integers(2, 200)), spin)
+        # sample times: interior, and each pose's own timestamp
+        t0, t1 = stream[0].timestamp, stream[-1].timestamp
+        times = [*rng.uniform(t0, t1, size=50).tolist(), *(p.timestamp for p in stream[::7])]
+        for t in times:
+            cone = Cone(rng.normal(size=3) * 0.01, unit(rng.normal(size=3)), rng.uniform(0.1, 3.0),
+                        Frame.CAMERA, t)
+            got = transform_cone(cone, interpolate_pose(stream, t))
+            want = transform_cone_reference(cone, interpolate_pose_reference(stream, t))
+            assert (got.timestamp, got.half_angle, got.frame) == (want.timestamp, want.half_angle, want.frame)
+            assert np.max(np.abs(got.origin - want.origin)) <= 1e-12 * np.linalg.norm(want.origin)
+            assert np.max(np.abs(got.axis - want.axis)) <= 1e-15
+
+
 def test_transform_cone_identity_pose():
     cone = Cone(np.array([0.01, 0.0, 0.002]), np.array([0.0, 0, 1.0]), 0.6, Frame.CAMERA, 5.0)
     pose = Pose(7.0, np.array([10.0, -3.0, 5.0]), np.array([1.0, 0, 0, 0]))
@@ -192,5 +245,5 @@ def test_transform_cone_preserves_surface_membership():
         gen = rotate_about_axis(axis, np.cross(axis, w0), theta)
         p_cam = cone.origin + 3.0 * gen
         out = transform_cone(cone, pose)
-        p_world = pose.rotation() @ p_cam + pose.position
+        p_world = quat_to_matrix(pose.orientation) @ p_cam + pose.position
         assert distance_to_cone(p_world, out) < 1e-9

@@ -214,6 +214,23 @@ def test_hits_reader_validation(tmp_path):
     assert (hit.col, hit.row) == (10, 12)
 
 
+def test_hits_reader_line_numbers_past_blank_lines(tmp_path):
+    path = tmp_path / "h.csv"
+    write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", "", "   ", '"100.0",11,12,"20.5"'])
+    hits = read_hits_csv(path)
+    assert [(h.toa, h.col, h.energy) for h in hits] == [(99.0, 10, 340.5), (100.0, 11, 20.5)]
+    # the short row is line 5: header, a hit, two blank lines
+    write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", "", "   ", "100.0,10,12", "101.0,10,12,1.0"])
+    with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
+        read_hits_csv(path)
+    assert err.value.line == 5
+    # a quote left open would take in the next line; it is refused at its own
+    write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", '100.0,"10,12,1.0', "101.0,10,12,1.0"])
+    with pytest.raises(ParseError) as err:
+        read_hits_csv(path)
+    assert err.value.line == 3
+
+
 def test_pairs_reader_validation(tmp_path):
     path = tmp_path / "p.csv"
     write_lines(path, PAIRS_HEADER, ["1.0,2.0,315.70,120.31,3.0,4.0,394.22,100.0"])
