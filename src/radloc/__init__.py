@@ -58,7 +58,6 @@ from .simulator import (
     metrics,
     run_scenario,
     sample_cones,
-    trajectory_waypoints,
 )
 
 __version__ = "0.1.0"

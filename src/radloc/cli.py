@@ -173,8 +173,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for cone in cones:
         state, action = session.ingest(cone)
         tracking = state.status is Status.TRACKING
-        x = state.x if tracking else [nan] * 3
-        om = state.omega if tracking else np.full((3, 3), nan)
+        x = state.x if tracking else (nan, nan, nan)
+        om = state.omega if tracking else ((nan, nan, nan),) * 3
         rows.append(
             {
                 "t_s": cone.timestamp,

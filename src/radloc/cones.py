@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Cone, perpendicular_unit
+from .geometry import Cone, Vec3, perpendicular_unit
 
 
 class ProjectionCase(Enum):
@@ -37,18 +37,17 @@ class ProjectionResult:
     point onto the surface.
     """
 
-    point: np.ndarray
+    point: Vec3
     case: ProjectionCase
     alpha: float
     beta: float
     distance: float
 
 
-def _split(point: np.ndarray, cone: Cone) -> tuple[float, float, float, float, float, float]:
-    """Apex offset length, axial coordinate, off-axis offset and its length, on floats."""
-    px, py, pz = np.asarray(point, dtype=float).tolist()
-    ox, oy, oz = cone.origin.tolist()
-    ax, ay, az = cone.axis.tolist()
+def _split(px: float, py: float, pz: float, cone: Cone) -> tuple[float, float, float, float, float, float]:
+    """Apex offset length, axial coordinate, off-axis offset and its length."""
+    ox, oy, oz = cone.origin
+    ax, ay, az = cone.axis
     ux, uy, uz = px - ox, py - oy, pz - oz
     axial = ax * ux + ay * uy + az * uz
     wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
@@ -190,7 +189,7 @@ class ConeBatch:
         return np.array([perpendicular_unit(a) for a in self.axes]).reshape(-1, 3)
 
 
-def distance_to_cone(point: np.ndarray, cone: Cone) -> float:
+def distance_to_cone(point, cone: Cone) -> float:
     """Shortest distance from a point to the cone, as used by the solver.
 
     Points behind the apex plane (axis . (p - o) < 0) are charged the full
@@ -200,7 +199,7 @@ def distance_to_cone(point: np.ndarray, cone: Cone) -> float:
     return float(ConeBatch.of([cone]).distance(point)[0])
 
 
-def project_to_cone(x: np.ndarray, cone: Cone) -> ProjectionResult:
+def project_to_cone(x, cone: Cone) -> ProjectionResult:
     """Orthogonally project a point onto the cone surface.
 
     Surface case (alpha < pi/2): x' = o + |x - o| * cos(beta) * v, with v
@@ -211,55 +210,54 @@ def project_to_cone(x: np.ndarray, cone: Cone) -> ProjectionResult:
     ON_AXIS. A cone opened past a right angle can put the generator foot
     behind the apex (cos(beta) <= 0); the apex is then nearest.
     """
-    x = np.asarray(x, dtype=float)
-    ell, axial, wx, wy, wz, perp_norm = _split(x, cone)
+    px, py, pz = map(float, x)
+    ell, axial, wx, wy, wz, perp_norm = _split(px, py, pz, cone)
     if ell < 1e-15:
         # apex is itself a surface point; azimuth meaningless
-        return ProjectionResult(cone.origin.copy(), ProjectionCase.ON_AXIS, 0.0, -cone.half_angle, 0.0)
+        return ProjectionResult(cone.origin, ProjectionCase.ON_AXIS, 0.0, -cone.half_angle, 0.0)
 
     alpha = math.atan2(perp_norm, axial)
     beta = alpha - cone.half_angle
 
     if alpha >= 0.5 * math.pi:
-        return ProjectionResult(cone.origin.copy(), ProjectionCase.APEX, alpha, beta, ell)
+        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta, ell)
 
     case = ProjectionCase.SURFACE
     if perp_norm < 1e-12 * ell:
-        wx, wy, wz = perpendicular_unit(cone.axis).tolist()
+        wx, wy, wz = perpendicular_unit(cone.axis)
         case = ProjectionCase.ON_AXIS
     else:
         wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
 
     along = ell * math.cos(beta)
     if along <= 0.0:
-        return ProjectionResult(cone.origin.copy(), ProjectionCase.APEX, alpha, beta, ell)
+        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta, ell)
 
     c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
-    (ox, oy, oz), (ax, ay, az) = cone.origin.tolist(), cone.axis.tolist()
+    (ox, oy, oz), (ax, ay, az) = cone.origin, cone.axis
     qx = ox + along * (c * ax + s * wx)
     qy = oy + along * (c * ay + s * wy)
     qz = oz + along * (c * az + s * wz)
-    px, py, pz = x.tolist()
     gap = math.hypot(px - qx, py - qy, pz - qz)
-    return ProjectionResult(np.array([qx, qy, qz]), case, alpha, beta, gap)
+    return ProjectionResult((qx, qy, qz), case, alpha, beta, gap)
 
 
-def surface_normal(point: np.ndarray, cone: Cone) -> np.ndarray:
+def surface_normal(point, cone: Cone) -> Vec3:
     """Outward unit normal of the cone surface at a point on (or near) it.
 
     Defined wherever the point has a resolvable azimuth about the axis.
     Used by the filter when a zero-length innovation still carries
     directional information.
     """
-    ell, _, wx, wy, wz, perp_norm = _split(point, cone)
+    ell, _, wx, wy, wz, perp_norm = _split(*map(float, point), cone)
     if ell < 1e-15:
         raise ValueError("normal undefined at the apex")
     if perp_norm < 1e-12 * ell:
         raise ValueError("normal undefined on the axis")
     wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
     c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
-    ax, ay, az = cone.axis.tolist()
-    return np.array([c * wx - s * ax, c * wy - s * ay, c * wz - s * az])
+    ax, ay, az = cone.axis
+    return c * wx - s * ax, c * wy - s * ay, c * wz - s * az
 
 
 __all__ = [

@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .cones import ProjectionCase, project_to_cone, surface_normal
 from .errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
-from .geometry import Cone, Frame
+from .geometry import Cone, Frame, Vec3
 from .initializer import BOUNDS_MARGIN, InitProblem, InitSolution, Mode, default_bounds, solve
 
 log = logging.getLogger(__name__)
-
-_IDENTITY = np.eye(3)
-_IDENTITY.flags.writeable = False
 
 
 class Status(Enum):
@@ -120,23 +115,25 @@ class SessionStats:
 class FilterState:
     """Source hypothesis x (m) with covariance omega (m^2), and its lifecycle.
 
-    Every state is checked on construction, the filter's own included:
-    x and omega are finite, omega is symmetric to 1e-12 and positive
-    definite (every LDL^T pivot > 0). A failure raises MalformedInputError.
+    x is a tuple of three floats and omega the tuple of its three rows,
+    whatever sequences they were given as. Every state is checked on
+    construction, the filter's own included: x and omega are finite,
+    omega is symmetric to 1e-12 and positive definite (every LDL^T pivot
+    > 0). A failure raises MalformedInputError.
     """
 
-    x: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega: np.ndarray = field(default_factory=lambda: np.eye(3))
+    x: Vec3 = (0.0, 0.0, 0.0)
+    omega: tuple[Vec3, Vec3, Vec3] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     mode: Mode = Mode.THREE_D
     consecutive_outliers: int = 0
     status: Status = Status.COLLECTING
 
     def __post_init__(self) -> None:
-        # checked on floats: eigvalsh and numpy comparisons cost several times more
-        self.x = np.array(self.x, dtype=float).reshape(3)
-        self.omega = np.array(self.omega, dtype=float).reshape(3, 3)
-        o00, o01, o02, o10, o11, o12, o20, o21, o22 = flat = self.omega.ravel().tolist()
-        if not all(map(math.isfinite, self.x.tolist() + flat)):
+        x0, x1, x2 = map(float, self.x)
+        (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = (map(float, row) for row in self.omega)
+        self.x = (x0, x1, x2)
+        self.omega = (o00, o01, o02), (o10, o11, o12), (o20, o21, o22)
+        if not all(map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))):
             raise MalformedInputError("state must be finite")
         if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
             raise MalformedInputError("covariance must be symmetric")
@@ -172,7 +169,9 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     """Identity-motion prediction: position kept, covariance inflated by q."""
     if state.status is not Status.TRACKING:
         raise FilterLifecycleError("predict requires an initialized (tracking) state")
-    omega = state.omega + config.q * _IDENTITY
+    q = config.q
+    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
+    omega = (o00 + q, o01, o02), (o10, o11 + q, o12), (o20, o21, o22 + q)
     return FilterState(state.x, omega, state.mode, state.consecutive_outliers, state.status)
 
 
@@ -196,16 +195,15 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     if cone.frame is not Frame.WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
-    # on floats: each numpy call on a 3x3 array costs more than its arithmetic
     res = project_to_cone(state.x, cone)
-    (x0, x1, x2), (p0, p1, p2) = state.x.tolist(), res.point.tolist()
+    (x0, x1, x2), (p0, p1, p2) = state.x, res.point
     v0, v1, v2 = p0 - x0, p1 - x1, p2 - x2
     n = math.hypot(v0, v1, v2)
     if n > 1e-12 * max(1.0, math.hypot(x0, x1, x2)):
         d0, d1, d2 = v0 / n, v1 / n, v2 / n
     elif res.case is ProjectionCase.SURFACE:
         try:
-            d0, d1, d2 = surface_normal(res.point, cone).tolist()
+            d0, d1, d2 = surface_normal(res.point, cone)
         except ValueError:
             return replace(state, consecutive_outliers=0)
     else:
@@ -217,7 +215,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
     a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
     c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
-    omega = state.omega.tolist()
+    omega = state.omega
     (o00, o01, o02), (_, o11, o12), (_, _, o22) = omega
     factor = _ldl(  # of S = omega + far P + r along
         o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
@@ -245,8 +243,8 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     ]
     if state.mode is Mode.TWO_D:
         x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
-    omega_new = [[w00, w01, w02], [w01, w11, w12], [w02, w12, w22]]
-    return FilterState(np.array(x_new), np.array(omega_new), state.mode, 0, Status.TRACKING)
+    omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
+    return FilterState(x_new, omega_new, state.mode, 0, Status.TRACKING)
 
 
 def _mul(a, b_t) -> list[list[float]]:
@@ -316,7 +314,7 @@ class SourceEstimator:
         kept: list[Cone] = []
         min_sep = self.config.min_origin_separation
         for cone in self.buffer:
-            if all(float(np.linalg.norm(cone.origin - k.origin)) > min_sep for k in kept):
+            if all(math.dist(cone.origin, k.origin) > min_sep for k in kept):
                 kept.append(cone)
                 if len(kept) == self.config.init_cone_count:
                     return kept
@@ -354,16 +352,12 @@ class SourceEstimator:
                 "inconsistent initialization (cost %.3g) at t=%.3f", solution.cost, timestamp
             )
             return False
-        self.state = FilterState(
-            solution.p,
-            self.config.init_variance * np.eye(3),
-            self.mode,
-            0,
-            Status.TRACKING,
-        )
+        v = self.config.init_variance
+        omega = (v, 0.0, 0.0), (0.0, v, 0.0), (0.0, 0.0, v)
+        self.state = FilterState(solution.p, omega, self.mode, 0, Status.TRACKING)
         self.buffer = []
         self.init_time = timestamp
-        log.info("initialized at t=%.3f, p=%s", timestamp, np.round(solution.p, 3))
+        log.info("initialized at t=%.3f, p=(%.3f, %.3f, %.3f)", timestamp, *self.state.x)
         return True
 
 

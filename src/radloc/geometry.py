@@ -1,9 +1,12 @@
 """Core 3D geometry: vectors, rotations, poses, and the cone primitive.
 
-Conventions: column-free numpy arrays of shape (3,), quaternions are
-unit-norm and w-first (w, x, y, z), all rotations are active. The
-quaternion helpers run on Python floats, where numpy's per-call cost
-would dominate, and return tuples (a rotation matrix as its rows).
+Conventions: a 3-vector is a tuple of three Python floats, and so is
+every vector a record here holds; quaternions are unit-norm and w-first
+(w, x, y, z), all rotations are active, and a rotation matrix is the
+tuple of its rows. The helpers accept any sequence of numbers (a numpy
+array too) and return tuples: on one vector at a time, numpy's per-call
+cost would outweigh the arithmetic. Use np.asarray for array arithmetic
+on a record's fields.
 """
 
 from __future__ import annotations
@@ -14,64 +17,72 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
-import numpy as np
-
 from .errors import MalformedInputError, PoseExtrapolationError
 
 _UNIT_TOL = 1e-9
 
+Vec3 = tuple[float, float, float]
+Quat = tuple[float, float, float, float]
 
-def unit(v: np.ndarray) -> np.ndarray:
+
+def vec3(v) -> Vec3:
+    """v as a tuple of three floats; another length raises ValueError."""
+    x, y, z = map(float, v)
+    return x, y, z
+
+
+def unit(v) -> Vec3:
     """Normalize a vector; raises on (near-)zero input."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    x, y, z = map(float, v)
+    n = math.hypot(x, y, z)
     if n < 1e-15:
         raise MalformedInputError("cannot normalize a zero-length vector")
-    return v / n
+    return x / n, y / n, z / n
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors, written out on floats: np.cross's bits, far cheaper."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def cross(a, b) -> Vec3:
+    """Cross product of two 3-vectors."""
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
+def rotate_about_axis(v, axis, angle: float) -> Vec3:
     """Rodrigues rotation of v about a unit axis by angle (right-hand rule)."""
-    v = np.asarray(v, dtype=float)
+    v = tuple(map(float, v))
     k = unit(axis)
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + cross(k, v) * s + k * float(np.dot(k, v)) * (1.0 - c)
+    dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+    return tuple(vi * c + wi * s + ki * dot * (1.0 - c) for vi, wi, ki in zip(v, cross(k, v), k))
 
 
-def perpendicular_unit(v: np.ndarray) -> np.ndarray:
+def perpendicular_unit(v) -> Vec3:
     """A deterministic unit vector perpendicular to v.
 
     Projects the world x-axis onto the plane normal to v, falling back to
     the world y-axis when v is (anti)parallel to x.
     """
     v = unit(v)
-    for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        w = basis - v * float(np.dot(basis, v))
-        n = float(np.linalg.norm(w))
+    for i, basis in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
+        w = [b - vj * v[i] for b, vj in zip(basis, v)]  # basis . v is v[i]
+        n = math.hypot(*w)
         if n > 1e-6:
-            return w / n
+            return w[0] / n, w[1] / n, w[2] / n
     raise MalformedInputError("could not construct a perpendicular vector")
 
 
 # --- Quaternions (w-first) ---
 
 
-def quat_normalize(q) -> tuple[float, float, float, float]:
-    w, x, y, z = np.asarray(q, dtype=float).reshape(4).tolist()
+def quat_normalize(q) -> Quat:
+    w, x, y, z = map(float, q)
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-15:
         raise MalformedInputError("zero quaternion")
     return w / n, x / n, y / n, z / n
 
 
-def quat_to_matrix(q) -> tuple[tuple[float, float, float], ...]:
+def quat_to_matrix(q) -> tuple[Vec3, Vec3, Vec3]:
     """Rows of the rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = quat_normalize(q)
     return (
@@ -81,13 +92,14 @@ def quat_to_matrix(q) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    k = unit(axis)
+def quat_from_axis_angle(axis, angle: float) -> Quat:
+    k0, k1, k2 = unit(axis)
     half = 0.5 * angle
-    return np.concatenate(([math.cos(half)], math.sin(half) * k))
+    s = math.sin(half)
+    return math.cos(half), s * k0, s * k1, s * k2
 
 
-def quat_slerp(q0, q1, t: float) -> tuple[float, float, float, float]:
+def quat_slerp(q0, q1, t: float) -> Quat:
     """Shortest-arc spherical interpolation between unit quaternions."""
     q0 = quat_normalize(q0)
     q1 = quat_normalize(q1)
@@ -117,23 +129,24 @@ class Cone:
 
     The surface is the single nap {origin + t * v : t >= 0, angle(v, axis)
     = half_angle}. Origin finite, in meters, axis a unit vector, half_angle
-    in radians within (0, pi).
+    in radians within (0, pi). Origin and axis are stored as tuples of
+    floats, whatever sequence they were given as.
     """
 
-    origin: np.ndarray
-    axis: np.ndarray
+    origin: Vec3
+    axis: Vec3
     half_angle: float
     frame: Frame = Frame.CAMERA
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        self.origin = np.array(self.origin, dtype=float).reshape(3)
-        self.axis = np.array(self.axis, dtype=float).reshape(3)
-        # checked on floats: np.isfinite and np.linalg.norm cost several times more
-        if not all(map(math.isfinite, self.origin.tolist())):
-            raise MalformedInputError(f"cone origin must be finite, got {self.origin.tolist()!r}")
+        ox, oy, oz = map(float, self.origin)
+        ax, ay, az = map(float, self.axis)
+        self.origin, self.axis = (ox, oy, oz), (ax, ay, az)
+        if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(oz)):
+            raise MalformedInputError(f"cone origin must be finite, got {self.origin!r}")
         # "not <=" so that a NaN norm fails too
-        n = math.hypot(*self.axis.tolist())
+        n = math.hypot(ax, ay, az)
         if not abs(n - 1.0) <= _UNIT_TOL:
             raise MalformedInputError(f"cone axis must be unit length, got |axis| = {n!r}")
         if not (0.0 < self.half_angle < math.pi):
@@ -146,18 +159,19 @@ class Pose:
     """Timestamped rigid pose of the vehicle body in the world frame."""
 
     timestamp: float
-    position: np.ndarray
-    orientation: np.ndarray  # unit quaternion, w-first
+    position: Vec3
+    orientation: Quat  # unit quaternion, w-first
 
     def __post_init__(self) -> None:
-        self.position = np.array(self.position, dtype=float).reshape(3)
-        if not all(map(math.isfinite, self.position.tolist())):
-            raise MalformedInputError(f"pose position must be finite, got {self.position.tolist()!r}")
-        w, x, y, z = np.asarray(self.orientation, dtype=float).reshape(4).tolist()
+        px, py, pz = map(float, self.position)
+        self.position = (px, py, pz)
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            raise MalformedInputError(f"pose position must be finite, got {self.position!r}")
+        w, x, y, z = map(float, self.orientation)
         n = math.sqrt(w * w + x * x + y * y + z * z)
         if not abs(n - 1.0) <= 1e-6:
             raise MalformedInputError(f"orientation quaternion not unit norm: {n!r}")
-        self.orientation = np.array([w / n, x / n, y / n, z / n])
+        self.orientation = (w / n, x / n, y / n, z / n)
 
 
 def interpolate_pose(stream: list[Pose], t: float) -> Pose:
@@ -166,7 +180,7 @@ def interpolate_pose(stream: list[Pose], t: float) -> Pose:
     A binary search finds the bracketing samples, so the stream must be
     strictly increasing in time, as io.read_poses_csv enforces. Position
     is interpolated linearly, orientation by slerp; an exact timestamp
-    match returns a copy of that sample. Raises PoseExtrapolationError
+    match returns that sample's values. Raises PoseExtrapolationError
     outside [first, last].
     """
     if not stream:
@@ -180,7 +194,7 @@ def interpolate_pose(stream: list[Pose], t: float) -> Pose:
         return Pose(t, hi.position, hi.orientation)
     lo = stream[i - 1]
     u = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
-    pos = [(1.0 - u) * a + u * b for a, b in zip(lo.position.tolist(), hi.position.tolist())]
+    pos = [(1.0 - u) * a + u * b for a, b in zip(lo.position, hi.position)]
     return Pose(t, pos, quat_slerp(lo.orientation, hi.orientation, u))
 
 
@@ -194,9 +208,9 @@ def transform_cone(cone: Cone, pose: Pose) -> Cone:
     if cone.frame is not Frame.CAMERA:
         raise MalformedInputError("transform_cone expects a camera-frame cone")
     rows = quat_to_matrix(pose.orientation)
-    o0, o1, o2 = cone.origin.tolist()
-    a0, a1, a2 = cone.axis.tolist()
-    origin = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, pose.position.tolist())]
+    o0, o1, o2 = cone.origin
+    a0, a1, a2 = cone.axis
+    origin = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, pose.position)]
     x, y, z = (r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in rows)
     n = math.sqrt(x * x + y * y + z * z)
     return Cone(origin, (x / n, y / n, z / n), cone.half_angle, Frame.WORLD, pose.timestamp)
@@ -216,4 +230,5 @@ __all__ = [
     "rotate_about_axis",
     "transform_cone",
     "unit",
+    "vec3",
 ]

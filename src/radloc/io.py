@@ -28,7 +28,7 @@ import yaml
 from .errors import MalformedInputError, OrderingError, ParseError, SchemaError
 from .estimator import NoiseConfig
 from .events import ComptonPair, PixelHit
-from .geometry import Cone, Frame, Pose
+from .geometry import Cone, Frame, Pose, Vec3, vec3
 from .initializer import Mode
 from .simulator import DetectorModel, Program, Scenario, SimulationReport
 
@@ -75,9 +75,7 @@ TRUTH_HEADER = ["t_s", "x", "y", "z"]
 
 
 def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return format(float(value), ".12g")
+    return format(value, ".12g")
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -196,7 +194,7 @@ def read_poses_csv(path: str | Path) -> list[Pose]:
             raise OrderingError(f"{path}:{lineno}: pose timestamps must strictly increase")
         last_t = t
         try:
-            poses.append(Pose(t, np.array([px, py, pz]), np.array([qw, qx, qy, qz])))
+            poses.append(Pose(t, (px, py, pz), (qw, qx, qy, qz)))
         except MalformedInputError as exc:
             raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return poses
@@ -215,12 +213,11 @@ def read_cones_csv(path: str | Path) -> list[Cone]:
         if last_t is not None and t < last_t:
             raise OrderingError(f"{path}:{lineno}: cone timestamps must be nondecreasing")
         last_t = t
-        axis = np.array([dx, dy, dz])
-        norm = float(np.linalg.norm(axis))
+        norm = math.hypot(dx, dy, dz)
         if norm < 1e-12:
             raise ParseError("zero cone axis", path=str(path), line=lineno)
         try:
-            cones.append(Cone(np.array([ox, oy, oz]), axis / norm, theta, Frame(frame), t))
+            cones.append(Cone((ox, oy, oz), (dx / norm, dy / norm, dz / norm), theta, Frame(frame), t))
         except MalformedInputError as exc:
             raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return cones
@@ -363,8 +360,10 @@ _SECTIONS = [name for name in _SCHEMA if name]
 _HINTS = {cls: get_type_hints(cls) for cls in (Scenario, DetectorModel, NoiseConfig)}
 
 
-def _vec3(value) -> np.ndarray:
-    return np.asarray(value, dtype=float).reshape(3)
+def _vec3(value) -> Vec3:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be [x, y, z], got {value!r}")
+    return vec3(value)
 
 
 def _area(value) -> tuple[float, float]:
@@ -392,8 +391,8 @@ _COERCE = {
     float: float,
     int: _int,
     bool: _bool,
-    np.ndarray: _vec3,
-    np.ndarray | None: lambda value: None if value is None else _vec3(value),
+    Vec3: _vec3,
+    Vec3 | None: lambda value: None if value is None else _vec3(value),
     tuple[float, float]: _area,
     Program: lambda value: Program(str(value)),
     Mode: lambda value: Mode(str(value)),

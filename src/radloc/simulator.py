@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Status
-from .geometry import Cone, Frame, Pose, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis
+from .geometry import (
+    Cone, Frame, Pose, Vec3, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis, unit, vec3
+)
 from .initializer import Mode
 
 log = logging.getLogger(__name__)
@@ -28,7 +30,7 @@ log = logging.getLogger(__name__)
 # reference 1.7 cones/s operating point
 CONE_RATE_CONSTANT = 1.7 * 10.0 ** 2 / 3.0e9
 
-_E3 = np.array([0.0, 0.0, 1.0])
+_E3 = (0.0, 0.0, 1.0)
 
 
 class Program(Enum):
@@ -67,8 +69,8 @@ class DetectorModel:
 class Scenario:
     """Full simulation configuration; deterministic given the seed."""
 
-    source_initial: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    source_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    source_initial: Vec3 = (0.0, 0.0, 0.0)
+    source_velocity: Vec3 = (0.0, 0.0, 0.0)
     activity: float = 3.0e9  # Bq
     area: tuple[float, float] = (100.0, 100.0)  # meters, centered on origin
     uav_speed: float = 1.0
@@ -79,18 +81,18 @@ class Scenario:
     seed: int = 0
     timestep: float = 0.5
     program: Program = Program.SEARCH
-    uav_start: np.ndarray | None = None
+    uav_start: Vec3 | None = None
     mode: Mode = Mode.THREE_D
     estimator: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self) -> None:
-        self.source_initial = np.asarray(self.source_initial, dtype=float).reshape(3)
-        self.source_velocity = np.asarray(self.source_velocity, dtype=float).reshape(3)
+        self.source_initial = vec3(self.source_initial)
+        self.source_velocity = vec3(self.source_velocity)
         if self.uav_start is not None:
-            self.uav_start = np.asarray(self.uav_start, dtype=float).reshape(3)
+            self.uav_start = vec3(self.uav_start)
         points = [p for p in (self.source_initial, self.source_velocity, self.uav_start) if p is not None]
         scalars = [self.activity, self.uav_speed, self.orbit_radius, self.flight_altitude, self.duration]
-        if not all(map(math.isfinite, np.concatenate(points).tolist() + scalars + [self.timestep, *self.area])):
+        if not all(map(math.isfinite, [c for p in points for c in p] + scalars + [self.timestep, *self.area])):
             raise MalformedInputError("scenario values must be finite")
         if not (self.activity > 0 and self.orbit_radius > 0 and self.timestep > 0 and min(self.area) > 0):
             raise MalformedInputError("activity, orbit radius, timestep and area sides must be positive")
@@ -99,22 +101,22 @@ class Scenario:
         self.program = Program(self.program)
         self.mode = Mode(self.mode)
 
-    def source_at(self, t: float) -> np.ndarray:
-        return self.source_initial + t * self.source_velocity
+    def source_at(self, t: float) -> Vec3:
+        return tuple(p + t * v for p, v in zip(self.source_initial, self.source_velocity))
 
 
 @dataclass
 class StrategyState:
     phase: Phase = Phase.SWEEP_AREA
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    center: Vec3 = (0.0, 0.0, 0.0)
     azimuth: float = 0.0
 
 
 @dataclass
 class StepRecord:
     t: float
-    truth: np.ndarray
-    estimate: np.ndarray | None
+    truth: Vec3
+    estimate: Vec3 | None
     error: float  # nan while no hypothesis exists
     phase: str
     status: str
@@ -134,64 +136,30 @@ class SimulationReport:
     init_time: float | None = None  # first lock
 
 
-def _circle_pose(t: float, center: np.ndarray, radius: float, azimuth: float, altitude: float) -> Pose:
-    """Pose on a horizontal circle, yaw facing the center."""
-    position = np.array(
-        [center[0] + radius * math.cos(azimuth), center[1] + radius * math.sin(azimuth), altitude]
-    )
-    yaw = math.atan2(center[1] - position[1], center[0] - position[0])
-    return Pose(t, position, quat_from_axis_angle(_E3, yaw))
-
-
 def _chord_step(speed: float, timestep: float, radius: float) -> float:
     """Azimuth increment whose chord length equals speed * timestep."""
     return 2.0 * math.asin(min(1.0, speed * timestep / (2.0 * radius)))
 
 
-def trajectory_waypoints(
-    center: np.ndarray,
-    radius: float,
-    speed: float,
-    timestep: float,
-    count: int,
-    altitude: float | None = None,
-    start_azimuth: float = 0.0,
-) -> list[Pose]:
-    """Pose stream on a circle at constant speed, yaw toward the center.
-
-    Consecutive positions are exactly speed*timestep apart (chord
-    stepping), so the angular rate is speed/radius up to O(timestep^2).
-    """
-    if radius <= 0:
-        raise MalformedInputError("radius must be positive")
-    center = np.asarray(center, dtype=float).reshape(3)
-    z = center[2] if altitude is None else altitude
-    dphi = _chord_step(speed, timestep, radius)
-    return [
-        _circle_pose(k * timestep, center, radius, start_azimuth + k * dphi, z)
-        for k in range(count)
-    ]
+def _random_unit(rng: np.random.Generator) -> Vec3:
+    while True:
+        x, y, z = rng.normal(size=3).tolist()
+        n = math.hypot(x, y, z)
+        if n >= 1e-12:
+            return x / n, y / n, z / n
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = float(np.linalg.norm(v))
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = float(np.linalg.norm(v))
-    return v / n
-
-
-def _perpendicular_unit_random(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _perpendicular_unit_random(v: Vec3, rng: np.random.Generator) -> Vec3:
     """Uniformly random unit vector perpendicular to v."""
     w0 = perpendicular_unit(v)
     w1 = cross(v, w0)
     psi = float(rng.uniform(0.0, 2.0 * math.pi))
-    return math.cos(psi) * w0 + math.sin(psi) * w1
+    c, s = math.cos(psi), math.sin(psi)
+    return tuple(c * a + s * b for a, b in zip(w0, w1))
 
 
 def sample_cones(
-    source: np.ndarray,
+    source: Vec3,
     pose: Pose,
     model: DetectorModel,
     activity: float,
@@ -200,12 +168,13 @@ def sample_cones(
 ) -> tuple[list[Cone], list[Cone]]:
     """Source-driven and background cones for one timestep, in that order."""
     apex = pose.position
-    offset = np.asarray(source, dtype=float) - apex
-    dist2 = float(offset @ offset)
+    o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
+    dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
         raise MalformedInputError("source coincides with the detector")
     lam = model.cone_rate_constant * activity / dist2
-    true_dir = offset / math.sqrt(dist2)
+    d = math.sqrt(dist2)
+    true_dir = o0 / d, o1 / d, o2 / d
 
     source_cones: list[Cone] = []
     for _ in range(int(rng.poisson(lam * dt))):
@@ -216,28 +185,26 @@ def sample_cones(
             axis = rotate_about_axis(axis, _perpendicular_unit_random(axis, rng), tilt)
         half_angle = theta
         if model.angular_sigma > 0.0:
-            half_angle = float(
-                np.clip(theta + rng.normal(0.0, model.angular_sigma), 1e-3, math.pi - 1e-3)
-            )
-        axis = axis / float(np.linalg.norm(axis))
-        source_cones.append(Cone(apex.copy(), axis, half_angle, Frame.WORLD, pose.timestamp))
+            half_angle = min(max(theta + rng.normal(0.0, model.angular_sigma), 1e-3), math.pi - 1e-3)
+        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, pose.timestamp))
 
     background: list[Cone] = []
     for _ in range(int(rng.poisson(model.background_rate * dt))):
         axis = _random_unit(rng)
         theta = float(rng.uniform(model.min_theta, model.max_theta))
-        background.append(Cone(apex.copy(), axis, theta, Frame.WORLD, pose.timestamp))
+        background.append(Cone(apex, axis, theta, Frame.WORLD, pose.timestamp))
     return source_cones, background
 
 
-def _default_start(scenario: Scenario) -> np.ndarray:
+def _default_start(scenario: Scenario) -> Vec3:
     alt = scenario.flight_altitude
+    x, y, z = scenario.source_initial
     if scenario.program is Program.STATIONARY:
-        return scenario.source_initial + np.array([10.0, 0.0, 0.0]) + np.array([0.0, 0.0, alt])
+        return x + 10.0, y, z + alt
     if scenario.program is Program.RADIAL:
-        return scenario.source_initial + np.array([30.0, 0.0, 0.0]) + np.array([0.0, 0.0, alt])
+        return x + 30.0, y, z + alt
     sweep_radius = min(scenario.area) / 2.0
-    return np.array([sweep_radius, 0.0, alt])
+    return sweep_radius, 0.0, alt
 
 
 def run_scenario(scenario: Scenario) -> SimulationReport:
@@ -252,13 +219,10 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     report = SimulationReport(scenario.seed, scenario.duration, stats=session.stats)
 
     alt = scenario.flight_altitude
-    sweep_center = np.array([0.0, 0.0, alt])
-    sweep_radius = min(scenario.area) / 2.0
-    strategy = StrategyState(center=sweep_center.copy())
+    sweep_center = (0.0, 0.0, alt)
+    strategy = StrategyState(center=sweep_center)
 
-    position = (
-        scenario.uav_start.copy() if scenario.uav_start is not None else _default_start(scenario)
-    )
+    position = scenario.uav_start if scenario.uav_start is not None else _default_start(scenario)
     if scenario.program is Program.SEARCH:
         strategy.azimuth = math.atan2(
             position[1] - sweep_center[1], position[0] - sweep_center[0]
@@ -270,7 +234,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         truth = scenario.source_at(t)
         focus = strategy.center if scenario.program is Program.SEARCH else scenario.source_initial
         yaw = math.atan2(focus[1] - position[1], focus[0] - position[0])
-        pose = Pose(t, position.copy(), quat_from_axis_angle(_E3, yaw))
+        pose = Pose(t, position, quat_from_axis_angle(_E3, yaw))
 
         src, bg = sample_cones(truth, pose, scenario.detector, scenario.activity, scenario.timestep, rng)
         report.cones_source += len(src)
@@ -281,8 +245,8 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
             state, action = session.ingest(cone)
             last_action = action.value
             if action is Action.CORRECTED:
-                err = float(np.linalg.norm(state.x - truth))
-                err_xy = float(np.linalg.norm((state.x - truth)[:2]))
+                err = math.dist(state.x, truth)
+                err_xy = math.dist(state.x[:2], truth[:2])
                 report.corrections.append((t, session.stats.accepted, err, err_xy))
             elif action is Action.RESET:
                 log.info("reset at t=%.1f", t)
@@ -295,14 +259,14 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         # the orbit around the hypothesis, a reset the sweep again
         if scenario.program is Program.SEARCH and tracking == (strategy.phase is Phase.SWEEP_AREA):
             strategy.phase = Phase.ORBIT_HYPOTHESIS if tracking else Phase.SWEEP_AREA
-            strategy.center = session.state.x.copy() if tracking else sweep_center.copy()
+            strategy.center = session.state.x if tracking else sweep_center
             strategy.azimuth = math.atan2(
                 position[1] - strategy.center[1], position[0] - strategy.center[0]
             )
             report.transitions.append((t, strategy.phase.value))
 
-        estimate = session.state.x.copy() if tracking else None
-        error = float(np.linalg.norm(estimate - truth)) if estimate is not None else float("nan")
+        estimate = session.state.x if tracking else None
+        error = math.dist(estimate, truth) if estimate is not None else float("nan")
         report.steps.append(
             StepRecord(
                 t,
@@ -324,8 +288,8 @@ def _advance(
     scenario: Scenario,
     strategy: StrategyState,
     session: SourceEstimator,
-    position: np.ndarray,
-) -> np.ndarray:
+    position: Vec3,
+) -> Vec3:
     """Next vehicle position under the active program."""
     dt = scenario.timestep
     speed = scenario.uav_speed
@@ -333,30 +297,27 @@ def _advance(
     if scenario.program is Program.STATIONARY or speed == 0.0:
         return position
     if scenario.program is Program.RADIAL:
-        target = scenario.source_initial.copy()
-        target[2] = alt
-        offset = target - position
-        dist = float(np.linalg.norm(offset))
+        target = (*scenario.source_initial[:2], alt)
+        offset = [a - b for a, b in zip(target, position)]
+        dist = math.hypot(*offset)
         standoff = 1.5  # keep a residual range so the rate stays finite
         if dist <= standoff:
             return position
         step = min(speed * dt, dist - standoff)
-        return position + offset / dist * step
+        return tuple(p + o / dist * step for p, o in zip(position, offset))
 
     if strategy.phase is Phase.ORBIT_HYPOTHESIS:
         # follow the live hypothesis so a moving source stays encircled
         if session.state.status is Status.TRACKING:
-            strategy.center = session.state.x.copy()
+            strategy.center = session.state.x
         radius = scenario.orbit_radius
     else:
         radius = min(scenario.area) / 2.0
     strategy.azimuth += _chord_step(speed, dt, radius)
-    return np.array(
-        [
-            strategy.center[0] + radius * math.cos(strategy.azimuth),
-            strategy.center[1] + radius * math.sin(strategy.azimuth),
-            alt,
-        ]
+    return (
+        strategy.center[0] + radius * math.cos(strategy.azimuth),
+        strategy.center[1] + radius * math.sin(strategy.azimuth),
+        alt,
     )
 
 
@@ -365,7 +326,7 @@ def metrics(report: SimulationReport) -> dict:
     tracked = [s for s in report.steps if s.estimate is not None]
     post_lock_errors = np.array([s.error for s in tracked]) if tracked else np.array([])
     planar = (
-        np.array([float(np.linalg.norm((s.estimate - s.truth)[:2])) for s in tracked])
+        np.array([math.dist(s.estimate[:2], s.truth[:2]) for s in tracked])
         if tracked
         else np.array([])
     )
@@ -404,5 +365,4 @@ __all__ = [
     "metrics",
     "run_scenario",
     "sample_cones",
-    "trajectory_waypoints",
 ]

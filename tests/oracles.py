@@ -19,6 +19,7 @@ from radloc.constants import BACKGROUND_THRESHOLD_KEV, PIXEL_PITCH_MM
 from radloc.errors import (
     DegenerateGeometryError,
     InvalidScatteringError,
+    MalformedInputError,
     PoseExtrapolationError,
 )
 from radloc.events import ComptonPair, cluster_hits, delta_z, pair_coincident, scattering_angle
@@ -320,7 +321,7 @@ def interpolate_pose_reference(stream, t: float) -> Pose:
         lo, hi = stream[i - 1], stream[i]
         u = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
         q = quat_slerp_reference(lo.orientation, hi.orientation, u)
-        pose = Pose(t, (1.0 - u) * lo.position + u * hi.position, q)
+        pose = Pose(t, (1.0 - u) * np.asarray(lo.position) + u * np.asarray(hi.position), q)
     pose.orientation = _quat_normalize_reference(q)  # as Pose normalized with numpy
     return pose
 
@@ -365,3 +366,25 @@ def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_K
             continue
         world.append(transform_cone_reference(cone, pose))
     return world
+
+
+def trajectory_waypoints(center, radius: float, speed: float, timestep: float, count: int,
+                         altitude: float | None = None, start_azimuth: float = 0.0) -> list[Pose]:
+    """Pose stream on a horizontal circle at constant speed, yaw toward the center.
+
+    Consecutive positions are exactly speed*timestep apart (chord
+    stepping), so the angular rate is speed/radius up to O(timestep^2).
+    """
+    if radius <= 0:
+        raise MalformedInputError("radius must be positive")
+    center = np.asarray(center, dtype=float).reshape(3)
+    z = center[2] if altitude is None else altitude
+    dphi = 2.0 * math.asin(min(1.0, speed * timestep / (2.0 * radius)))
+    poses = []
+    for k in range(count):
+        phi = start_azimuth + k * dphi
+        position = center + radius * np.array([math.cos(phi), math.sin(phi), 0.0])
+        position[2] = z
+        yaw = math.atan2(center[1] - position[1], center[0] - position[0])
+        poses.append(Pose(k * timestep, position, (math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))))
+    return poses

@@ -98,7 +98,7 @@ def test_projection_properties_bulk():
         axis = unit(rng.normal(size=3))
         half_angle = rng.uniform(0.1, math.pi / 2 - 0.05)
         cone = Cone(origin, axis, half_angle, Frame.WORLD)
-        x = origin + unit(rng.normal(size=3)) * rng.uniform(0.0, 30.0)
+        x = origin + np.asarray(unit(rng.normal(size=3))) * rng.uniform(0.0, 30.0)
         res = project_to_cone(x, cone)
         # minimality is contracted for the front half-space; behind it
         # the apex is returned by design and is not the nearest point
@@ -106,7 +106,7 @@ def test_projection_properties_bulk():
             continue
         checked += 1
         again = project_to_cone(res.point, cone)
-        worst_idem = max(worst_idem, float(np.linalg.norm(again.point - res.point)))
+        worst_idem = max(worst_idem, math.dist(again.point, res.point))
         worst_surf = max(worst_surf, distance_to_cone(res.point, cone))
         # the projection must beat a dense surface sampling
         rmax = 3.0 * (float(np.linalg.norm(x - origin)) + 1.0)
@@ -126,11 +126,11 @@ def test_projection_properties_bulk():
         axis = unit(rng.normal(size=3))
         half_angle = rng.uniform(0.1, math.pi / 2 - 0.05)
         cone = Cone(origin, axis, half_angle, Frame.WORLD)
-        perp = unit(np.cross(axis, unit(rng.normal(size=3))))
+        perp = np.asarray(unit(np.cross(axis, unit(rng.normal(size=3)))))
         ell = rng.uniform(0.5, 30.0)
         alpha = rng.uniform(0.02, math.pi / 2 - 0.02)
         t_ax, rho = ell * math.cos(alpha), ell * math.sin(alpha)
-        x = origin + t_ax * axis + rho * perp
+        x = origin + t_ax * np.asarray(axis) + rho * perp
         worst_planar = max(
             worst_planar,
             abs(distance_to_cone(x, cone) - planar_cone_distance(rho, t_ax, half_angle)),
@@ -165,7 +165,7 @@ def test_jacobian_matches_finite_differences():
         axis = unit(rng.normal(size=3))
         half_angle = rng.uniform(0.1, math.pi / 2 - 0.05)
         cone = Cone(origin, axis, half_angle, Frame.WORLD)
-        p = origin + unit(rng.normal(size=3)) * rng.uniform(0.5, 20.0)
+        p = origin + np.asarray(unit(rng.normal(size=3))) * rng.uniform(0.5, 20.0)
         # skip subgradient points: on the surface, on the axis, at the apex
         u = p - origin
         axial = float(u @ axis)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from radloc import cli, estimator
 from radloc.cli import main
 from radloc.estimator import NoiseConfig, SourceEstimator
 from radloc.initializer import InitSolution, Mode
-from radloc.geometry import Cone, Frame
+from radloc.geometry import Cone, Frame, unit
 from radloc.io import (
     CONES_HEADER,
     HITS_HEADER,
@@ -215,6 +216,27 @@ def test_estimate_happy_path(tmp_path, capsys):
     assert summary["status"] == "tracking"
     assert np.linalg.norm(np.array(summary["final_estimate"]) - SOURCE) < 0.01
     assert "status=tracking" in capsys.readouterr().out
+
+
+def test_estimate_action_counts_match_summary(tmp_path):
+    # exact cones lock and correct; then four cones whose apex is far off and
+    # faces away are gated, the fourth in a row resetting the hypothesis; the
+    # exact cones again refill the buffer
+    cones_path = tmp_path / "cones.csv"
+    good = exact_cones_file(cones_path)
+    far = np.array([500.0, 500.0, 5.0])
+    bad = [Cone(far, unit(far - SOURCE), 0.4, Frame.WORLD, 4.0 + 0.1 * k) for k in range(4)]
+    again = [Cone(c.origin, c.axis, c.half_angle, Frame.WORLD, 5.0 + c.timestamp) for c in good]
+    write_cones_csv(cones_path, good + bad + again)
+    out = tmp_path / "out"
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(out)]) == 0
+    actions = Counter(row["action"] for row in read_estimates_csv(out / "estimates.csv"))
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(actions) == {"buffered", "corrected", "rejected", "reset"}, actions
+    assert sum(actions.values()) == summary["cones"] == len(good + bad + again)
+    assert actions["corrected"] == summary["accepted"]
+    assert actions["rejected"] + actions["reset"] == summary["rejected"]
+    assert actions["reset"] == summary["resets"] == 1
 
 
 def test_estimate_tuning_defaults_come_from_noise_config(tmp_path, monkeypatch):

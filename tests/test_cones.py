@@ -72,7 +72,7 @@ def test_distance_planar_oracle_axial_cases():
         w = unit(np.cross(cone.axis, unit(rng.normal(size=3))))
         t = rng.uniform(0.0, 5.0)  # in front of the apex plane
         rho = rng.uniform(0.0, 5.0)
-        p = cone.origin + t * cone.axis + rho * w
+        p = np.asarray(cone.origin) + t * np.asarray(cone.axis) + rho * np.asarray(w)
         want = planar_cone_distance(rho, t, cone.half_angle)
         assert distance_to_cone(p, cone) == pytest.approx(want, abs=1e-9)
 
@@ -150,7 +150,7 @@ def test_projection_idempotent():
         x = cone.origin + rng.normal(size=3) * 4.0
         res = project_to_cone(x, cone)
         res2 = project_to_cone(res.point, cone)
-        assert np.linalg.norm(res2.point - res.point) < 1e-9
+        assert np.linalg.norm(np.subtract(res2.point, res.point)) < 1e-9
 
 
 def test_projection_lands_on_surface():
@@ -211,8 +211,8 @@ def test_projection_orthogonality():
         if res.case is not ProjectionCase.SURFACE or res.distance < 1e-6:
             continue
         r = x - res.point
-        gen = unit(res.point - cone.origin)
-        azim = unit(np.cross(cone.axis, res.point - cone.origin))
+        gen = unit(np.subtract(res.point, cone.origin))
+        azim = unit(np.cross(cone.axis, np.subtract(res.point, cone.origin)))
         assert abs(np.dot(r, gen)) < 1e-9 * np.linalg.norm(r)
         assert abs(np.dot(r, azim)) < 1e-9 * np.linalg.norm(r)
         checked += 1
@@ -230,7 +230,7 @@ def test_projection_rotation_equivariance():
         x_rot = cone.origin + R @ (x - cone.origin)
         res = project_to_cone(x, cone)
         res_rot = project_to_cone(x_rot, rotated)
-        want = cone.origin + R @ (res.point - cone.origin)
+        want = cone.origin + R @ np.subtract(res.point, cone.origin)
         if res.case is ProjectionCase.SURFACE:
             assert np.linalg.norm(res_rot.point - want) < 1e-9
         assert res_rot.distance == pytest.approx(res.distance, abs=1e-9)
@@ -252,7 +252,7 @@ def test_surface_normal_orthogonal_to_tangents():
         assert abs(np.dot(n, gen)) < 1e-12
         assert abs(np.dot(n, azim)) < 1e-12
         # outward: stepping along the normal leaves the cone
-        assert ConeBatch.of([cone]).signed_deviation(p + 1e-6 * n)[0] > 0
+        assert ConeBatch.of([cone]).signed_deviation(p + 1e-6 * np.asarray(n))[0] > 0
 
 
 def test_surface_normal_undefined_cases():

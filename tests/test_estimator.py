@@ -34,7 +34,7 @@ def tracking_state(x, omega=None, mode=Mode.THREE_D):
 
 def apex_cone(origin, toward):
     """Cone whose apex is the projection for points on the far side."""
-    axis = unit(np.asarray(toward, dtype=float) - np.asarray(origin, dtype=float))
+    axis = np.asarray(unit(np.asarray(toward, dtype=float) - np.asarray(origin, dtype=float)))
     return Cone(origin, -axis, 0.5, Frame.WORLD)
 
 
@@ -77,6 +77,19 @@ def test_noise_config_validation():
     ):
         with pytest.raises(MalformedInputError):
             NoiseConfig(**bad)
+
+
+def test_filter_state_stores_tuples_of_floats():
+    state = tracking_state(np.array([1.0, 2.0, 3.0]), omega=2.0 * np.eye(3))
+    cone = Cone(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -1.0]), 0.5, Frame.WORLD)
+    for s in (state, predict(state, NoiseConfig()), correct(state, cone, NoiseConfig())):
+        assert type(s.x) is tuple and len(s.x) == 3 and all(type(c) is float for c in s.x)
+        assert type(s.omega) is tuple and len(s.omega) == 3
+        for row in s.omega:
+            assert type(row) is tuple and len(row) == 3 and all(type(c) is float for c in row)
+    # symmetric with a positive diagonal, but indefinite: the second pivot is negative
+    with pytest.raises(MalformedInputError):
+        FilterState(omega=((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def test_filter_state_validation():
@@ -183,7 +196,7 @@ def test_correct_uninformative_limit():
     state = tracking_state([2.0, 0.0, 0.0])
     cone = apex_cone([1.0, 0.0, 0.0], toward=[2.0, 0.0, 0.0])
     out = correct(state, cone, NoiseConfig(r=1e8, far_variance=1e9, q=0.0))
-    assert np.linalg.norm(out.x - state.x) < 1e-7
+    assert np.linalg.norm(np.subtract(out.x, state.x)) < 1e-7
 
 
 def test_correct_zero_innovation_shrinks_along_normal():
@@ -195,8 +208,8 @@ def test_correct_zero_innovation_shrinks_along_normal():
     assert np.allclose(out.x, x, atol=1e-12)
     assert out.consecutive_outliers == 0
     # variance drops along the surface normal, stays put along the generator
-    normal = unit(np.array([1.0, 0.0, -1.0]))
-    gen = unit(np.array([1.0, 0.0, 1.0]))
+    normal = np.asarray(unit(np.array([1.0, 0.0, -1.0])))
+    gen = np.asarray(unit(np.array([1.0, 0.0, 1.0])))
     assert normal @ out.omega @ normal < 4.0
     assert gen @ out.omega @ gen == pytest.approx(4.0, rel=1e-6)
 
@@ -238,12 +251,13 @@ def test_correct_mode2d_pins_ground_plane():
             p_star, p_star + np.array([8 * math.cos(i), 8 * math.sin(i), 5.0]),
             0.4 + 0.3 * (i % 3), rng.normal(size=3),
         )
-        prior_zz = state.omega[2, 2]
+        prior_zz = state.omega[2][2]
         state = correct(state, cone, cfg)
+        omega = np.asarray(state.omega)
         assert state.x[2] == 0.0
-        assert np.all(state.omega[2, :2] == 0.0)
-        assert np.all(state.omega[:2, 2] == 0.0)
-        assert state.omega[2, 2] == prior_zz
+        assert np.all(omega[2, :2] == 0.0)
+        assert np.all(omega[:2, 2] == 0.0)
+        assert omega[2, 2] == prior_zz
     assert np.linalg.norm(state.x[:2] - p_star[:2]) < 0.5
 
 
@@ -255,11 +269,11 @@ def test_correct_second_application_moves_less():
         state = tracking_state(p_star + rng.normal(size=3), omega=4.0 * np.eye(3))
         cfg = NoiseConfig(r=1.0, q=0.0)
         s1 = correct(state, cone, cfg)
-        first = np.linalg.norm(s1.x - state.x)
+        first = np.linalg.norm(np.subtract(s1.x, state.x))
         if first < 1e-9:
             continue
         s2 = correct(s1, cone, cfg)
-        second = np.linalg.norm(s2.x - s1.x)
+        second = np.linalg.norm(np.subtract(s2.x, s1.x))
         assert second < first
 
 
@@ -268,7 +282,7 @@ def test_gain_orthogonality_bound():
     cfg = NoiseConfig(r=1.0, far_variance=1e9, q=0.0)
     rng = np.random.default_rng(9)
     for _ in range(20):
-        u = unit(rng.normal(size=3))
+        u = np.asarray(unit(rng.normal(size=3)))
         x = np.zeros(3)
         cone = apex_cone(5.0 * u, toward=[0.0, 0.0, 0.0])
         state = tracking_state(x)
@@ -324,7 +338,7 @@ def reference_cases(rng, count):
         p_star = rng.normal(size=3) * 10.0
         if mode is Mode.TWO_D:
             p_star[2] = 0.0
-        origin = p_star + unit(rng.normal(size=3)) * rng.uniform(5.0, 30.0)
+        origin = p_star + np.asarray(unit(rng.normal(size=3))) * rng.uniform(5.0, 30.0)
         cone = cone_through(p_star, origin, rng.uniform(0.2, 1.3), rng.normal(size=3))
         x = p_star.copy()
         if kind == "near":
@@ -356,7 +370,7 @@ def test_correct_matches_reference_kalman_update():
     seen = Counter()
     for state, cone, cfg in reference_cases(rng, 2400):
         res = project_to_cone(state.x, cone)
-        nu = res.point - state.x
+        nu = np.subtract(res.point, state.x)
         on_surface = np.linalg.norm(nu) <= 1e-12 * max(1.0, np.linalg.norm(state.x))
         direction = nu
         if on_surface:
@@ -382,7 +396,7 @@ def test_correct_matches_reference_kalman_update():
         assert np.linalg.norm(out.x - x_ref) <= 10.0 * cfg.far_variance * eps / lam * step + 1e-12
         assert np.max(np.abs(out.omega - omega_ref)) <= 1e-6 * np.max(np.abs(omega_ref))
         if state.mode is Mode.TWO_D:
-            assert out.x[2] == 0.0 and out.omega[2, 2] == state.omega[2, 2]
+            assert out.x[2] == 0.0 and out.omega[2][2] == state.omega[2][2]
     assert min(seen["accepted"], seen["gated"], seen["surface"]) >= 300, seen
 
 
@@ -404,15 +418,16 @@ def test_covariance_spd_over_random_sequences():
                 rng.normal(size=3),
             )
             state = correct(state, cone, cfg)
-            assert np.max(np.abs(state.omega - state.omega.T)) < 1e-10
-            assert np.min(np.linalg.eigvalsh(state.omega)) > 0.0
+            omega = np.asarray(state.omega)
+            assert np.max(np.abs(omega - omega.T)) < 1e-10
+            assert np.min(np.linalg.eigvalsh(omega)) > 0.0
 
 
 def axis_normal_cone(p_star, i, theta, ell, t_dir):
     """Cone through p_star whose outward surface normal there is exactly e_i."""
     e = np.zeros(3)
     e[i] = 1.0
-    t = unit(np.asarray(t_dir, dtype=float) - (t_dir @ e) * e)
+    t = np.asarray(unit(np.asarray(t_dir, dtype=float) - (t_dir @ e) * e))
     w = math.cos(theta) * e + math.sin(theta) * t
     a = -math.sin(theta) * e + math.cos(theta) * t
     origin = p_star - ell * (math.cos(theta) * a + math.sin(theta) * w)
@@ -427,7 +442,7 @@ def test_convergence_is_monotone_on_exact_cones():
         rng = np.random.default_rng(seed)
         p_star = rng.normal(size=3) * 3.0
         state = tracking_state(
-            p_star + 0.05 * unit(rng.normal(size=3)), omega=100.0 * np.eye(3)
+            p_star + 0.05 * np.asarray(unit(rng.normal(size=3))), omega=100.0 * np.eye(3)
         )
         errors = [np.linalg.norm(state.x - p_star)]
         for k in range(50):
@@ -448,10 +463,10 @@ def test_convergence_from_metre_scale_offset():
         rng = np.random.default_rng(seed)
         p_star = rng.normal(size=3) * 3.0
         state = tracking_state(
-            p_star + 1.0 * unit(rng.normal(size=3)), omega=100.0 * np.eye(3)
+            p_star + 1.0 * np.asarray(unit(rng.normal(size=3))), omega=100.0 * np.eye(3)
         )
         for _ in range(50):
-            origin = p_star + 12.0 * unit(rng.normal(size=3))
+            origin = p_star + 12.0 * np.asarray(unit(rng.normal(size=3)))
             cone = cone_through(p_star, origin, rng.uniform(0.3, 1.2), rng.normal(size=3))
             state = correct(state, cone, cfg)
         assert np.linalg.norm(state.x - p_star) < 0.01

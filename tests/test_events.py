@@ -382,7 +382,7 @@ def test_build_cone_matches_numpy_reference():
         got = build_cone(pair)
         assert np.array_equal(got.origin, want.origin)
         assert (got.half_angle, got.timestamp) == (want.half_angle, want.timestamp)
-        assert np.max(np.abs(got.axis - want.axis)) <= 1e-15
+        assert np.max(np.abs(np.subtract(got.axis, want.axis))) <= 1e-15
 
 
 # --- stream statistics ---

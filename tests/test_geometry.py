@@ -86,7 +86,7 @@ def test_quat_slerp_endpoints_and_shortest_arc():
     qm = quat_slerp(q0, q1, 0.5)
     assert np.allclose(quat_to_matrix(qm), rotation_matrix(np.array([0.0, 0, 1]), math.pi / 4), atol=1e-12)
     # q and -q are the same rotation; slerp must not take the long way
-    qh = quat_slerp(q0, -q1, 0.5)
+    qh = quat_slerp(q0, -np.asarray(q1), 0.5)
     assert np.allclose(quat_to_matrix(qh), quat_to_matrix(qm), atol=1e-12)
 
 
@@ -107,6 +107,16 @@ def test_cone_validation():
             Cone(np.zeros(3), np.array([0.0, 0, 1.0]), bad)
     c = Cone(np.zeros(3), np.array([0.0, 0, 1.0]), 0.5, frame="W")
     assert c.frame is Frame.WORLD
+
+
+def test_records_store_tuples_of_floats():
+    # numpy input is stored as plain floats, so record fields never carry arrays
+    cone = Cone(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.6, 0.8]), 0.5, Frame.CAMERA, 1.0)
+    pose = Pose(1.0, np.array([4.0, 5.0, 6.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+    world = transform_cone(cone, interpolate_pose([pose, Pose(2.0, pose.position, pose.orientation)], 1.5))
+    for v in (cone.origin, cone.axis, pose.position, pose.orientation, world.origin, world.axis):
+        assert type(v) is tuple and all(type(c) is float for c in v)
+    assert (len(cone.origin), len(cone.axis), len(pose.position), len(pose.orientation)) == (3, 3, 3, 4)
 
 
 def test_pose_quaternion_normalized():
@@ -167,14 +177,15 @@ def test_interpolate_pose_at_and_just_inside_the_ends():
         got = interpolate_pose(stream, sample.timestamp)
         assert got is not sample and got.timestamp == sample.timestamp
         assert np.array_equal(got.position, sample.position)
-        assert np.max(np.abs(got.orientation - sample.orientation)) <= 1e-15
+        assert np.max(np.abs(np.subtract(got.orientation, sample.orientation))) <= 1e-15
     inside = (math.nextafter(first.timestamp, math.inf), math.nextafter(last.timestamp, -math.inf))
     for t, sample in zip(inside, (first, last)):
         got, want = interpolate_pose(stream, t), interpolate_pose_reference(stream, t)
         assert got.timestamp == t
-        assert np.max(np.abs(got.position - sample.position)) <= 1e-12 * np.linalg.norm(sample.position)
-        assert np.max(np.abs(got.position - want.position)) <= 1e-12 * np.linalg.norm(want.position)
-        assert np.max(np.abs(got.orientation - want.orientation)) <= 1e-15
+        position = np.asarray(got.position)
+        assert np.max(np.abs(position - sample.position)) <= 1e-12 * np.linalg.norm(sample.position)
+        assert np.max(np.abs(position - want.position)) <= 1e-12 * np.linalg.norm(want.position)
+        assert np.max(np.abs(np.subtract(got.orientation, want.orientation))) <= 1e-15
     for t in (math.nextafter(first.timestamp, -math.inf), math.nextafter(last.timestamp, math.inf)):
         with pytest.raises(PoseExtrapolationError):
             interpolate_pose(stream, t)
@@ -195,8 +206,8 @@ def test_world_cones_match_numpy_reference():
             got = transform_cone(cone, interpolate_pose(stream, t))
             want = transform_cone_reference(cone, interpolate_pose_reference(stream, t))
             assert (got.timestamp, got.half_angle, got.frame) == (want.timestamp, want.half_angle, want.frame)
-            assert np.max(np.abs(got.origin - want.origin)) <= 1e-12 * np.linalg.norm(want.origin)
-            assert np.max(np.abs(got.axis - want.axis)) <= 1e-15
+            assert np.max(np.abs(np.subtract(got.origin, want.origin))) <= 1e-12 * np.linalg.norm(want.origin)
+            assert np.max(np.abs(np.subtract(got.axis, want.axis))) <= 1e-15
 
 
 def test_transform_cone_identity_pose():
@@ -243,7 +254,7 @@ def test_transform_cone_preserves_surface_membership():
         )
         w0 = perpendicular_unit(axis)
         gen = rotate_about_axis(axis, np.cross(axis, w0), theta)
-        p_cam = cone.origin + 3.0 * gen
+        p_cam = np.asarray(cone.origin) + 3.0 * np.asarray(gen)
         out = transform_cone(cone, pose)
-        p_world = quat_to_matrix(pose.orientation) @ p_cam + pose.position
+        p_world = np.asarray(quat_to_matrix(pose.orientation)) @ p_cam + pose.position
         assert distance_to_cone(p_world, out) < 1e-9

@@ -39,7 +39,7 @@ def cone_through(p_star, origin, theta, tilt_dir, frame=Frame.WORLD, timestamp=0
     scattering angle theta.
     """
     d = np.asarray(p_star, dtype=float) - np.asarray(origin, dtype=float)
-    axis0 = unit(d)
+    axis0 = np.asarray(unit(d))
     perp = unit(np.asarray(tilt_dir) - axis0 * float(np.dot(tilt_dir, axis0)))
     axis = rotate_about_axis(axis0, perp, theta)
     return Cone(origin, axis, theta, frame, timestamp)
@@ -119,7 +119,7 @@ def test_jacobian_unit_normal_on_surface():
         )
         p_star = rng.normal(size=3) * 5.0 + cone.origin
         res = project_to_cone(p_star, cone)
-        if res.case.value != "surface" or np.linalg.norm(res.point - cone.origin) < 0.5:
+        if res.case.value != "surface" or math.dist(res.point, cone.origin) < 0.5:
             continue
         on_surface = res.point
         row = jacobian(on_surface, [cone])[0]
