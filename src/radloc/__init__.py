@@ -45,7 +45,6 @@ from .events import (
     pair_coincident,
     process_hits,
     process_pairs,
-    scattered_photon_energy,
     scattering_angle,
     track_centroid,
 )

@@ -243,18 +243,6 @@ def scattering_angle(electron_energy: float, photon_energy: float) -> float:
     return math.acos(b)
 
 
-def scattered_photon_energy(incident_energy: float, theta: float) -> float:
-    """Energy of the scattered photon for a given incident energy and angle.
-
-    E' = E / (1 + (E / m_e c^2)(1 - cos theta)); keV in, keV out.
-    """
-    if not incident_energy > 0.0:
-        raise MalformedInputError("incident energy must be positive")
-    return incident_energy / (
-        1.0 + (incident_energy / ELECTRON_REST_ENERGY_KEV) * (1.0 - math.cos(theta))
-    )
-
-
 def make_pair(
     first: PixelTrack,
     second: PixelTrack,
@@ -464,7 +452,6 @@ __all__ = [
     "pair_coincident",
     "process_hits",
     "process_pairs",
-    "scattered_photon_energy",
     "scattering_angle",
     "swap_roles",
     "track_centroid",

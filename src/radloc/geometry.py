@@ -83,8 +83,8 @@ def quat_normalize(q) -> Quat:
 
 
 def quat_to_matrix(q) -> tuple[Vec3, Vec3, Vec3]:
-    """Rows of the rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = quat_normalize(q)
+    """Rows of the rotation matrix of a unit quaternion (w, x, y, z), used as given."""
+    w, x, y, z = q
     return (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
@@ -100,9 +100,7 @@ def quat_from_axis_angle(axis, angle: float) -> Quat:
 
 
 def quat_slerp(q0, q1, t: float) -> Quat:
-    """Shortest-arc spherical interpolation between unit quaternions."""
-    q0 = quat_normalize(q0)
-    q1 = quat_normalize(q1)
+    """Shortest-arc spherical interpolation between two unit quaternions, used as given."""
     dot = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
     if dot < 0.0:
         q1 = tuple(-c for c in q1)

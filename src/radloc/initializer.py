@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -131,59 +129,58 @@ class Descent(NamedTuple):
     nfev: int
 
 
-@lru_cache(maxsize=32)
-def _row_sets(rows: int, dims: int) -> list[np.ndarray]:
-    """Every set of 1 to dims constraint row indices, as (n, size) chunks.
-
-    Chunks bound _qp_step's working arrays when a problem has many
-    cones: the number of sets grows with the cube of the row count.
-    """
-    chunks = []
-    for size in range(1, dims + 1):
-        sets = np.array(list(combinations(range(rows), size)), dtype=np.intp).reshape(-1, size)
-        chunks.extend(np.array_split(sets, -(-len(sets) // 2048)))
-    return chunks
-
-
 def _qp_step(
     normal: np.ndarray, grad: np.ndarray, rows: np.ndarray, need: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of 1/2 s.H.s + g.s subject to rows . s >= need, per start.
 
-    normal is (K, d, d) positive definite, grad (K, d), need (K, m), and
-    d <= 3. The minimizer is the equality-constrained minimizer on some
-    set of at most d independent active rows, and no feasible point
-    costs less than it, so every such set is tried and the cheapest
-    feasible candidate kept. Returns the steps and, per start, whether
-    any candidate was feasible.
+    normal is (K, d, d) positive definite, grad (K, d), need (K, m), d <= 3.
+    Goldfarb and Idnani's dual active-set method, one start at a time: from
+    the free minimizer -H^-1 g, each pass adds the most violated row, at a
+    cost linear in the row count, stepping so that the active rows stay met
+    and dropping any whose multiplier reaches 0 first. A violated row that
+    depends on the active rows, with no multiplier left to bound the step,
+    proves that no step meets every row. Returns the steps and, per start,
+    whether a step was found.
     """
-    k, dims = grad.shape
-    inv = np.linalg.inv(normal)
-    free = -np.einsum("kij,kj->ki", inv, grad)
-    spread = np.einsum("kij,mj->kim", inv, rows)  # H^-1 rows^T
-    gram = np.einsum("mi,kin->kmn", rows, spread)
-    gap = need - free @ rows.T  # how far the free minimizer misses each row
-
-    best = free
-    best_cost = np.where(np.all(gap <= _SLACK, axis=1), 0.0, np.inf)
-    for sets in _row_sets(len(rows), dims):
-        size = sets.shape[1]
-        sub = gram[:, sets[:, :, None], sets[:, None, :]]
-        # the rows of a set must be independent; a dependent set has no
-        # unique minimizer and is skipped
-        regular = np.linalg.det(sub) > 1e-12 * np.prod(np.diagonal(sub, axis1=-2, axis2=-1), axis=-1)
-        sub = np.where(regular[..., None, None], sub, np.eye(size))
-        gap_s = gap[:, sets]
-        mult = np.linalg.solve(sub, gap_s[..., None])[..., 0]
-        cand = free[:, None, :] + np.einsum("kdns,kns->knd", spread[:, :, sets], mult)
-        ok = regular & np.all(cand @ rows.T >= need[:, None, :] - _SLACK, axis=-1)
-        obj = np.where(ok, 0.5 * np.einsum("kns,kns->kn", mult, gap_s), np.inf)
-        pick = np.argmin(obj, axis=1)
-        obj_min = obj[np.arange(k), pick]
-        cheaper = obj_min < best_cost
-        best = np.where(cheaper[:, None], cand[np.arange(k), pick], best)
-        best_cost = np.where(cheaper, obj_min, best_cost)
-    return best, np.isfinite(best_cost)
+    steps = np.empty_like(grad)
+    solvable = np.ones(len(grad), dtype=bool)
+    for i, (inv, g, lack) in enumerate(zip(np.linalg.inv(normal), grad, need)):
+        s = -inv @ g
+        active: list[int] = []
+        mult = np.empty(0)  # the active rows' multipliers
+        while solvable[i]:
+            gap = lack - rows @ s
+            p = int(np.argmax(gap))
+            if gap[p] <= _SLACK:
+                break
+            mult = np.append(mult, 0.0)  # the last is row p's
+            while True:
+                act, n = rows[active], rows[p]
+                spread = inv @ n
+                # per unit of row p's multiplier: active multipliers' change r, step z
+                r = np.linalg.solve(act @ inv @ act.T, act @ spread)
+                z = spread - inv @ (act.T @ r)
+                ratio = np.where(r > 0.0, mult[:-1], np.inf) / np.where(r > 0.0, r, 1.0)
+                dual = ratio.min(initial=np.inf)
+                curve = z @ n
+                independent = len(active) < len(g) and curve > 1e-12 * (n @ spread)
+                full = (lack[p] - n @ s) / curve if independent else np.inf
+                t = min(dual, full)
+                if t == np.inf:
+                    solvable[i] = False
+                    break
+                if independent:
+                    s = s + t * z
+                mult = np.maximum(mult - t * np.append(r, -1.0), 0.0)
+                if full <= dual:
+                    active.append(p)
+                    break
+                k = int(np.argmin(ratio))
+                del active[k]
+                mult = np.delete(mult, k)
+        steps[i] = s
+    return steps, solvable
 
 
 def _descend(
@@ -204,12 +201,13 @@ def _descend(
     alone crawls where residuals stay large at the minimum.
 
     A start takes the damped step when that stays feasible, otherwise
-    (and always from an infeasible start) the exact minimizer of the
-    step's quadratic model under the linear constraints. A feasible
+    (and always from an infeasible start) the dual active-set step: the
+    exact minimizer of the step's quadratic model under the linear
+    constraints, each of its passes linear in the row count. A feasible
     start keeps a step only when it lowers the summed squared distance.
     A start stops once a step changes its cost by no more than _FTOL,
     once its step is negligible, or after max_steps steps; it is dropped
-    when no feasible step exists.
+    when the dual active-set step proves that no feasible step exists.
     """
     x = np.array(x, dtype=float)
     k, dims = x.shape
@@ -300,12 +298,14 @@ def solve(problem: InitProblem) -> InitSolution:
     centroid downhill in _REFINE_STEPS damped Newton steps inside the
     box, and take the refined centroid followed by the refined draws of
     lowest cost. The polish (minimize) continues the same batched steps
-    from every start under the box and the half-space constraints, until
-    each converges or has taken max_iterations steps; ties between
-    equal-cost results resolve to the earliest start. The ground-plane
-    mode eliminates z instead of constraining it. Raises when the
-    half-spaces and the box have no common point; a degenerate
-    (direction-only) solution is reported, not raised.
+    from every start under the box and the half-space constraints, with
+    a dual active-set step (each pass linear in the cone count) wherever
+    the damped step would leave them, until each converges or has taken
+    max_iterations steps; ties between equal-cost results resolve to the
+    earliest start. The ground-plane mode eliminates z instead of
+    constraining it. Raises when the dual active-set step proves for
+    every start that the half-spaces and the box have no common point;
+    a degenerate (direction-only) solution is reported, not raised.
     """
     cones = problem.cones
     batch = ConeBatch.of(cones)

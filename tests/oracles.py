@@ -8,6 +8,7 @@ is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -15,7 +16,7 @@ from bisect import bisect_left
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from radloc.constants import BACKGROUND_THRESHOLD_KEV, PIXEL_PITCH_MM
+from radloc.constants import BACKGROUND_THRESHOLD_KEV, ELECTRON_REST_ENERGY_KEV, PIXEL_PITCH_MM
 from radloc.errors import (
     DegenerateGeometryError,
     InvalidScatteringError,
@@ -24,7 +25,7 @@ from radloc.errors import (
 )
 from radloc.events import ComptonPair, cluster_hits, delta_z, pair_coincident, scattering_angle
 from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
-from radloc.initializer import Mode, cost_and_gradient
+from radloc.initializer import _SLACK, Mode, cost_and_gradient
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -206,6 +207,71 @@ def feasibility_margin(problem) -> float:
     )
     assert res.status == 0, res.message
     return float(-res.fun)
+
+
+# --- the initializer's constrained step by enumeration of active sets, as
+# the library solved it before its dual active-set loop ---
+
+
+@functools.lru_cache(maxsize=32)
+def _row_sets(rows: int, dims: int) -> list[np.ndarray]:
+    """Every set of 1 to dims constraint row indices, as (n, size) chunks.
+
+    Chunks bound qp_step_reference's working arrays when a problem has many
+    cones: the number of sets grows with the cube of the row count.
+    """
+    chunks = []
+    for size in range(1, dims + 1):
+        sets = np.array(list(itertools.combinations(range(rows), size)), dtype=np.intp).reshape(-1, size)
+        chunks.extend(np.array_split(sets, -(-len(sets) // 2048)))
+    return chunks
+
+
+def qp_step_reference(
+    normal: np.ndarray, grad: np.ndarray, rows: np.ndarray, need: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizer of 1/2 s.H.s + g.s subject to rows . s >= need, per start.
+
+    normal is (K, d, d) positive definite, grad (K, d), need (K, m), and
+    d <= 3. The minimizer is the equality-constrained minimizer on some
+    set of at most d independent active rows, and no feasible point
+    costs less than it, so every such set is tried and the cheapest
+    feasible candidate kept. Returns the steps and, per start, whether
+    any candidate was feasible.
+    """
+    k, dims = grad.shape
+    inv = np.linalg.inv(normal)
+    free = -np.einsum("kij,kj->ki", inv, grad)
+    spread = np.einsum("kij,mj->kim", inv, rows)  # H^-1 rows^T
+    gram = np.einsum("mi,kin->kmn", rows, spread)
+    gap = need - free @ rows.T  # how far the free minimizer misses each row
+
+    best = free
+    best_cost = np.where(np.all(gap <= _SLACK, axis=1), 0.0, np.inf)
+    for sets in _row_sets(len(rows), dims):
+        size = sets.shape[1]
+        sub = gram[:, sets[:, :, None], sets[:, None, :]]
+        # the rows of a set must be independent; a dependent set has no
+        # unique minimizer and is skipped
+        regular = np.linalg.det(sub) > 1e-12 * np.prod(np.diagonal(sub, axis1=-2, axis2=-1), axis=-1)
+        sub = np.where(regular[..., None, None], sub, np.eye(size))
+        gap_s = gap[:, sets]
+        mult = np.linalg.solve(sub, gap_s[..., None])[..., 0]
+        cand = free[:, None, :] + np.einsum("kdns,kns->knd", spread[:, :, sets], mult)
+        ok = regular & np.all(cand @ rows.T >= need[:, None, :] - _SLACK, axis=-1)
+        obj = np.where(ok, 0.5 * np.einsum("kns,kns->kn", mult, gap_s), np.inf)
+        pick = np.argmin(obj, axis=1)
+        obj_min = obj[np.arange(k), pick]
+        cheaper = obj_min < best_cost
+        best = np.where(cheaper[:, None], cand[np.arange(k), pick], best)
+        best_cost = np.where(cheaper, obj_min, best_cost)
+    return best, np.isfinite(best_cost)
+
+
+def scattered_photon_energy(incident_energy: float, theta: float) -> float:
+    """Forward Compton formula: the scattered photon's energy (keV) for an
+    incident energy (keV) and a scattering angle, E / (1 + (E / m_e c^2)(1 - cos theta))."""
+    return incident_energy / (1.0 + (incident_energy / ELECTRON_REST_ENERGY_KEV) * (1.0 - math.cos(theta)))
 
 
 def best_disjoint_pairing(toas, window: float):

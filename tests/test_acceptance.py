@@ -20,7 +20,6 @@ from radloc.events import (
     EventClass,
     delta_z,
     process_hits,
-    scattered_photon_energy,
     scattering_angle,
 )
 from radloc.geometry import Cone, Frame, unit
@@ -38,6 +37,7 @@ from oracles import (
     central_difference,
     grid_search_cost,
     planar_cone_distance,
+    scattered_photon_energy,
     surface_points,
 )
 from test_events import synthetic_stream

@@ -13,6 +13,7 @@ from radloc.geometry import Cone, Frame, rotate_about_axis, unit
 from radloc.initializer import (
     InitProblem,
     Mode,
+    _qp_step,
     cost_and_gradient,
     default_bounds,
     jacobian,
@@ -25,6 +26,7 @@ from oracles import (
     cone_distance_reference,
     feasibility_margin,
     grid_search_cost,
+    qp_step_reference,
     stationarity_residual,
 )
 
@@ -245,6 +247,15 @@ def test_solve_feasibility_and_certificate():
         assert stationarity_residual(sol.p, prob) <= 1e-6
 
 
+def test_solve_recovers_exact_60_cone_instance():
+    rng = np.random.default_rng(17)
+    p_star = np.array([6.0, -4.0, 1.5])
+    sol = solve(InitProblem(cones=exact_instance(p_star, rng, n=60)))
+    assert np.linalg.norm(sol.p - p_star) < 1e-3
+    assert sol.cost < 1e-8
+    assert not sol.degenerate
+
+
 def test_solve_deterministic():
     rng = np.random.default_rng(11)
     cones = exact_instance(np.array([4.0, 4.0, 1.0]), rng)
@@ -363,6 +374,53 @@ def test_solve_optimum_on_box_face_is_stationary():
     # the cost falls towards the source, so the face holds the point back
     assert grad[0] < -1e-3
     assert stationarity_residual(sol.p, prob) <= 1e-6
+
+
+def random_constrained_step(rng, dims):
+    """A constrained step as _descend poses it, from 1-8 starts.
+
+    1-20 unit half-space rows plus the box's 2 * dims rows; in a quarter
+    of the instances half the rows copy others (duplicates, or opposites
+    that leave a slab or nothing), in another quarter of the 3D ones every
+    normal lies in one plane. The rows' common set holds a centre point; the starts
+    scatter around it, most of them outside it.
+    """
+    m = int(rng.integers(1, 21))
+    a = rng.normal(size=(m, dims))
+    kind, half = rng.integers(4), m // 2
+    if kind == 1 and dims == 3:
+        w = np.asarray(unit(rng.normal(size=3)))
+        a -= np.outer(a @ w, w)
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    centre = rng.uniform(-5.0, 5.0, dims)
+    b = a @ centre - rng.uniform(0.0, 3.0, m)
+    copies = rng.integers(0, m, half)
+    if kind == 2:
+        a[:half], b[:half] = a[copies], b[copies] + rng.uniform(-1.0, 1.0, half)
+    elif kind == 3:
+        a[:half], b[:half] = -a[copies], -b[copies] + rng.uniform(-1.0, 1.0, half)
+    eye = np.eye(dims)
+    rows = np.vstack([a, eye, -eye])
+    bound = np.concatenate([b, centre - rng.uniform(1.0, 10.0, dims), -centre - rng.uniform(1.0, 10.0, dims)])
+    k = int(rng.integers(1, 9))
+    q = rng.normal(size=(k, dims, dims))
+    normal = q @ np.swapaxes(q, 1, 2) + 10.0 ** rng.uniform(-3.0, 1.0, (k, 1, 1)) * eye
+    starts = centre + rng.normal(0.0, 4.0, (k, dims))
+    return normal, rng.normal(0.0, 10.0, (k, dims)), rows, bound - starts @ rows.T
+
+
+def test_qp_step_matches_active_set_enumeration():
+    rng = np.random.default_rng(18)
+    verdicts = {True: 0, False: 0}
+    for i in range(600):
+        step = random_constrained_step(rng, 2 + i % 2)
+        s, ok = _qp_step(*step)
+        s_ref, ok_ref = qp_step_reference(*step)
+        assert np.array_equal(ok, ok_ref), i
+        assert np.all(np.abs(s - s_ref)[ok] <= 1e-9 * (1.0 + np.abs(s_ref[ok]))), i
+        for v in ok:
+            verdicts[bool(v)] += 1
+    assert min(verdicts.values()) >= 500, verdicts
 
 
 def test_runtime_import_does_not_load_scipy():
