@@ -15,6 +15,7 @@ from .errors import (
     DegenerateGeometryError,
     FilterLifecycleError,
     InfeasibleInitError,
+    InvalidHitError,
     InvalidScatteringError,
     MalformedInputError,
     OrderingError,
@@ -36,7 +37,7 @@ from .estimator import (
 from .events import (
     ComptonPair,
     EventClass,
-    PixelHit,
+    HitBatch,
     PixelTrack,
     build_cone,
     classify_track,

@@ -14,6 +14,14 @@ class MalformedInputError(RadlocError):
     """Structurally invalid domain input (empty track, bad quaternion, ...)."""
 
 
+class InvalidHitError(MalformedInputError):
+    """A hit of a batch breaks the hit contract; carries its index in the batch."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 class ParseError(RadlocError):
     """An input file line could not be parsed."""
 

@@ -1,10 +1,13 @@
 """Event pipeline: pixel hits -> tracks -> coincident pairs -> Compton cones.
 
-Takes a flat stream of timestamped detector pixel hits, clusters them
-into particle tracks, pairs tracks that arrive within the coincidence
+Takes a flat stream of timestamped detector pixel hits, held as one
+checked HitBatch of columns, clusters them into particle tracks with
+array operations, pairs tracks that arrive within the coincidence
 window, recovers depth separation and scattering angle from times and
 energies, and emits camera-frame measurement cones plus classification
-statistics.
+statistics. Clustering builds no record per hit: each track holds
+list slices of the time-sorted columns, and the per-track and per-pair
+steps run on Python floats.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .constants import (
     BACKGROUND_THRESHOLD_KEV,
@@ -23,43 +28,94 @@ from .constants import (
     PIXEL_PITCH_MM,
     SENSOR_PIXELS,
 )
-from .errors import DegenerateGeometryError, InvalidScatteringError, MalformedInputError
+from .errors import (
+    DegenerateGeometryError,
+    InvalidHitError,
+    InvalidScatteringError,
+    MalformedInputError,
+)
 from .geometry import Cone, Frame
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PixelHit:
-    """One activated pixel: position on the matrix, deposited energy, arrival time."""
+def _integral_on_sensor(values: np.ndarray) -> np.ndarray:
+    # NaN and inf fail both comparisons, 0.5 the floor
+    return (values >= 0.0) & (values < SENSOR_PIXELS) & (np.floor(values) == values)
 
-    toa: float  # ns
-    col: int
-    row: int
-    energy: float  # keV
+
+def _hit_fault(toa: float, col: float, row: float, energy: float) -> str:
+    """Why one hit breaks the contract, naming the first check it fails."""
+    if not math.isfinite(toa):
+        return f"timestamp must be finite, got {toa!r}"
+    if not (col.is_integer() and row.is_integer()):
+        return f"pixel ({col:g}, {row:g}) not integral"
+    # "not > 0" rather than "<= 0", so that NaN fails too
+    if not energy > 0.0:
+        return f"hit energy must be positive, got {energy!r}"
+    return f"pixel ({int(col)}, {int(row)}) outside the sensor matrix"
+
+
+@dataclass(frozen=True, eq=False)
+class HitBatch:
+    """A stream of activated pixels as four read-only columns, in stream order.
+
+    toa is the arrival time in ns, (col, row) the pixel on the sensor
+    matrix and energy the deposit in keV. Every toa is finite, every
+    pixel integral and on the matrix, and every energy positive; the
+    columns are checked together, and a batch with a bad hit is refused
+    with an InvalidHitError that names the first one.
+    """
+
+    toa: np.ndarray  # float64
+    col: np.ndarray  # int64
+    row: np.ndarray  # int64
+    energy: np.ndarray  # float64
 
     def __post_init__(self) -> None:
-        # "not > 0" rather than "<= 0", so that NaN fails too
-        if not self.energy > 0.0:
-            raise MalformedInputError(f"hit energy must be positive, got {self.energy!r}")
-        if not (0 <= self.col < SENSOR_PIXELS and 0 <= self.row < SENSOR_PIXELS):
-            raise MalformedInputError(f"pixel ({self.col}, {self.row}) outside the sensor matrix")
+        toa, col, row, energy = (
+            np.array(v, dtype=np.float64) for v in (self.toa, self.col, self.row, self.energy)
+        )
+        if toa.ndim != 1 or not toa.shape == col.shape == row.shape == energy.shape:
+            raise MalformedInputError("hit columns must be 1-D and of one length")
+        ok = np.isfinite(toa) & _integral_on_sensor(col) & _integral_on_sensor(row) & (energy > 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            fault = _hit_fault(*(float(v[i]) for v in (toa, col, row, energy)))
+            raise InvalidHitError(i, fault)
+        columns = {"toa": toa, "col": col.astype(np.int64), "row": row.astype(np.int64), "energy": energy}
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.toa)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class PixelTrack:
-    """A connected cluster of hits left by one particle interaction."""
+    """A connected cluster of hits left by one particle interaction.
 
-    hits: tuple[PixelHit, ...]
+    Four columns of equal length, one entry per hit; clustering fills
+    them in time order. toa and energy are derived once, on
+    construction, so the columns are not to be changed afterwards.
+    Not frozen: a frozen dataclass takes four times as long to build,
+    and clustering builds one per track.
+    """
+
+    toas: list[float]  # ns
+    cols: list[int]
+    rows: list[int]
+    energies: list[float]  # keV
     # set once from the hits, since sorting and pairing read them many times
     toa: float = field(init=False)  # representative time: earliest charge arrival, ns
     energy: float = field(init=False)  # keV
 
     def __post_init__(self) -> None:
-        if not self.hits:
+        if not self.toas:
             raise MalformedInputError("a track needs at least one hit")
-        object.__setattr__(self, "toa", min(h.toa for h in self.hits))
-        object.__setattr__(self, "energy", sum(h.energy for h in self.hits))
+        self.toa = min(self.toas)
+        self.energy = sum(self.energies)
 
 
 @dataclass(frozen=True)
@@ -94,54 +150,93 @@ class EventClass(Enum):
     BACKGROUND = "background"
 
 
-def cluster_hits(hits: list[PixelHit], max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list[PixelTrack]:
+def _check_positive(name: str, value: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 < value < math.inf:
+        raise MalformedInputError(f"{name} must be positive and finite, got {value!r}")
+
+
+# pixel (col, row) -> (col + 1) * stride + row + 1, so that each of the
+# eight neighbours of a sensor pixel has its own key
+_STRIDE = SENSOR_PIXELS + 2
+_NEIGHBOR_OFFSETS = np.array([dc * _STRIDE + dr for dc in (-1, 0, 1) for dr in (-1, 0, 1)])
+
+
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of n vertices and the edges (a[k], b[k]).
+
+    Each vertex gets the smallest vertex of its component. Rounds of
+    hooking every root onto the smallest root across its edges, then
+    pointer jumping until each label is a root, stop when every edge
+    joins one label.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list[PixelTrack]:
     """Partition hits into tracks by 8-neighbor adjacency chained in time.
 
-    Two hits land in one track iff they are connected through a chain of
-    hits where each consecutive link is 8-adjacent (or on the same pixel)
-    and within max_toa_gap ns. Single pass over the time-sorted stream
-    with a per-pixel last-seen map, so large streams stay linear.
+    In time order (ties kept in stream order), each hit links to the
+    latest earlier hit on each of its own and its eight neighbouring
+    pixels when that hit is at most max_toa_gap ns older. A track is a
+    connected set of links, so two hits share one iff a chain of such
+    links joins them. The latest earlier hit on a pixel comes from a
+    binary search over the hits sorted by (pixel, time position), nine
+    per hit, so the work is O(n log n) however many hits share a time
+    window.
+
+    Tracks come in order of their earliest hit, each with its hits in
+    time order.
     """
-    if max_toa_gap <= 0.0:
-        raise MalformedInputError("max_toa_gap must be positive")
-    if not hits:
+    _check_positive("max_toa_gap", max_toa_gap)
+    n = len(hits)
+    if n == 0:
         return []
 
-    toas = [h.toa for h in hits]
-    # pixel (col, row) -> (col + 1) * stride + row + 1, so that each of the
-    # eight neighbours of a sensor pixel has its own slot in last_seen
-    stride = SENSOR_PIXELS + 2
-    keys = [(h.col + 1) * stride + h.row + 1 for h in hits]
-    neighbors = [dc * stride + dr for dc in (-1, 0, 1) for dr in (-1, 0, 1)]
-    order = sorted(range(len(hits)), key=toas.__getitem__)
-    parent = list(range(len(hits)))
+    order = np.argsort(hits.toa, kind="stable")
+    toa = hits.toa[order]
+    # hit at time position p on pixel k -> code k * n + p; sorted, with a
+    # -1 in front so that every search lands on an entry
+    key = (hits.col[order] + 1) * _STRIDE + hits.row[order] + 1
+    code = np.sort(key * n + np.arange(n))
+    by_pixel = np.concatenate(([-1], code))
+    position = code % n
+    first, toa_by_pixel = code - position, toa[position]  # first code of each hit's pixel
+    later, earlier = [], []
+    for offset in _NEIGHBOR_OFFSETS * n:
+        # the needles (the neighbour pixel's code at the same time position)
+        # rise with code, which keeps the search fast
+        below = by_pixel[np.searchsorted(by_pixel, code + offset) - 1]  # latest earlier code
+        found = below % n
+        linked = (below >= first + offset) & (toa_by_pixel - toa[found] <= max_toa_gap)
+        later.append(position[linked])
+        earlier.append(found[linked])
+    label = _min_labels(n, np.concatenate(later), np.concatenate(earlier))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    last_seen = [-1] * (stride * stride)  # latest hit on each pixel so far
-    for idx in order:
-        key, toa = keys[idx], toas[idx]
-        for offset in neighbors:
-            j = last_seen[key + offset]
-            if j >= 0 and toa - toas[j] <= max_toa_gap:
-                union(idx, j)
-        last_seen[key] = idx
-
-    groups: dict[int, list[PixelHit]] = {}
-    for idx in order:
-        groups.setdefault(find(idx), []).append(hits[idx])
-    tracks = [PixelTrack(tuple(g)) for g in groups.values()]
-    tracks.sort(key=lambda t: t.toa)
-    return tracks
+    # the smallest time position labels each track, so sorting by label
+    # orders the tracks by their earliest hit and keeps time order inside
+    grouped = np.argsort(label, kind="stable")
+    starts = [0, *(np.flatnonzero(np.diff(label[grouped])) + 1).tolist(), n]
+    stream = order[grouped]
+    toas, cols, rows, energies = (
+        column[stream].tolist() for column in (hits.toa, hits.col, hits.row, hits.energy)
+    )
+    return [
+        PixelTrack(toas[i:j], cols[i:j], rows[i:j], energies[i:j])
+        for i, j in zip(starts, starts[1:])
+    ]
 
 
 def track_centroid(
@@ -155,12 +250,12 @@ def track_centroid(
     in hit order, as numpy sums fewer than eight terms.
     """
     sx = sy = sw = energy = 0.0
-    for h in track.hits:
-        w = h.energy if energy_weighted else 1.0
-        sx += (h.col + 0.5) * w
-        sy += (h.row + 0.5) * w
+    for col, row, e in zip(track.cols, track.rows, track.energies):
+        w = e if energy_weighted else 1.0
+        sx += (col + 0.5) * w
+        sy += (row + 0.5) * w
         sw += w
-        energy += h.energy
+        energy += e
     return sx / sw * PIXEL_PITCH_MM, sy / sw * PIXEL_PITCH_MM, energy, track.toa
 
 
@@ -178,6 +273,7 @@ def pair_coincident(
     of 3+ tracks that are mutually within one window is discarded as an
     irreducible multi-coincidence instead of being paired greedily.
     """
+    _check_positive("window", window)
     ordered = sorted(tracks, key=lambda t: t.toa)
     pairs: list[tuple[PixelTrack, PixelTrack]] = []
     i = 0
@@ -206,6 +302,7 @@ def classify_track(
     and counts as background; below it, paired events are Compton
     candidates and lone tracks photoelectric absorptions.
     """
+    _check_positive("threshold", threshold)
     if not total_energy > 0.0:
         raise MalformedInputError("total_energy must be positive")
     if total_energy > threshold:
@@ -349,6 +446,9 @@ def process_pairs(
     dropped from cone output and tallied under rejected_pairs; each
     dropped candidate also counts under its reason.
     """
+    _check_positive("threshold", threshold)
+    if duration is not None and not 0.0 <= duration < math.inf:
+        raise MalformedInputError(f"duration must be nonnegative and finite, got {duration!r}")
     summary = ClassificationSummary(ambiguous=ambiguous)
     cones: list[Cone] = []
     times: list[float] = []
@@ -389,7 +489,7 @@ def process_pairs(
 
 
 def process_hits(
-    hits: list[PixelHit],
+    hits: HitBatch,
     max_toa_gap: float = CLUSTER_TOA_GAP_NS,
     window: float = COINCIDENCE_WINDOW_NS,
     threshold: float = BACKGROUND_THRESHOLD_KEV,
@@ -405,8 +505,8 @@ def process_hits(
     unpaired = [t for t in tracks if id(t) not in paired_ids]
     ambiguous = _ambiguous_count(tracks, window) if drop_ambiguous else 0
     pairs = [make_pair(a, b, energy_weighted) for a, b in pairs_raw]
-    if duration is None and hits:
-        duration = (max(h.toa for h in hits) - min(h.toa for h in hits)) * 1e-9
+    if duration is None and len(hits):
+        duration = float(hits.toa.max() - hits.toa.min()) * 1e-9
     return process_pairs(
         pairs,
         threshold=threshold,
@@ -441,8 +541,8 @@ __all__ = [
     "ClassificationSummary",
     "ComptonPair",
     "EventClass",
+    "HitBatch",
     "PipelineResult",
-    "PixelHit",
     "PixelTrack",
     "build_cone",
     "classify_track",

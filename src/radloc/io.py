@@ -3,8 +3,10 @@
 All CSV files carry a mandatory header line. Readers raise ParseError
 with the offending line number, SchemaError for wrong headers or config
 keys, and OrderingError when a time-ordered stream runs backwards. A
-record's values are checked by its own type (PixelHit, ComptonPair,
-Pose, Cone); the readers report its refusal as a ParseError at the line.
+record's values are checked by its own type (ComptonPair, Pose, Cone);
+the readers report its refusal as a ParseError at the line. Hit files
+are read whole into one HitBatch: a bulk numeric parse, then one check
+of all rows, and a bad row is mapped back to its line.
 Writers go through an atomic temp-file rename so interrupted runs never
 leave truncated output behind.
 """
@@ -25,9 +27,9 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .errors import MalformedInputError, OrderingError, ParseError, SchemaError
+from .errors import InvalidHitError, MalformedInputError, OrderingError, ParseError, SchemaError
 from .estimator import NoiseConfig
-from .events import ComptonPair, PixelHit
+from .events import ComptonPair, HitBatch
 from .geometry import Cone, Frame, Pose, Vec3, vec3
 from .initializer import Mode
 from .simulator import DetectorModel, Program, Scenario, SimulationReport
@@ -87,8 +89,8 @@ def atomic_write(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers, header validated."""
+def _read_lines(path: str | Path, header: list[str]) -> list[str]:
+    """The lines of a CSV file, its header line validated."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -102,19 +104,27 @@ def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]
             f"{path}: bad header; expected {','.join(header)}",
             keys=sorted(set(header).symmetric_difference(got)),
         )
+    return lines
+
+
+def _split_rows(path: str, lines: list[str], width: int) -> list[tuple[int, list[str]]]:
+    """Cells of each nonblank line after the header, with its 1-based line number."""
     rows: list[tuple[int, list[str]]] = []
     reader = csv.reader(lines[1:])
     for lineno, cells in enumerate(reader, start=2):
         if reader.line_num + 1 != lineno:  # a quote left open ran into the next line
-            raise ParseError("unterminated quoted field", path=str(path), line=lineno)
+            raise ParseError("unterminated quoted field", path=path, line=lineno)
         if not lines[lineno - 1].strip():
             continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(cells)}", path=str(path), line=lineno
-            )
+        if len(cells) != width:
+            raise ParseError(f"expected {width} fields, got {len(cells)}", path=path, line=lineno)
         rows.append((lineno, cells))
     return rows
+
+
+def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """CSV rows with their 1-based line numbers, header validated."""
+    return _split_rows(str(path), _read_lines(path, header), len(header))
 
 
 def _floats(cells: list[str], path: str, lineno: int) -> list[float]:
@@ -156,19 +166,43 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def read_hits_csv(path: str | Path) -> list[PixelHit]:
-    hits = []
-    name = str(path)  # once, not per row
-    for lineno, cells in _read_rows(path, HITS_HEADER):
-        toa, col, row, energy = _floats(cells, name, lineno)
-        _check_timestamp(toa, name, lineno)
-        if not (col.is_integer() and row.is_integer()):  # int() would truncate
-            raise ParseError(f"pixel ({col:g}, {row:g}) not integral", path=name, line=lineno)
-        try:
-            hits.append(PixelHit(toa, int(col), int(row), energy))
-        except MalformedInputError as exc:
-            raise ParseError(str(exc), path=name, line=lineno) from exc
-    return hits
+def _plain_floats(lines: list[str], width: int) -> np.ndarray | None:
+    """Rows of `width` plain numbers parsed in one call, or None.
+
+    None when the bulk parse refuses the lines: a quoted cell, a bad or
+    short row, a line of spaces, or a spelling such as 1_000 that
+    float() reads but the bulk parser does not. Lines that are all empty
+    also give None, as the parser warns about them.
+    """
+    if not any(lines):
+        return None
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
+def read_hits_csv(path: str | Path) -> HitBatch:
+    """The hit stream of a file as one checked column batch.
+
+    The body goes through one bulk parse. What that refuses goes through
+    the per-row reader, which reads what float() reads and reports a bad
+    row at its line. The batch then checks every hit at once, and a bad
+    hit is reported at its own line.
+    """
+    name = str(path)
+    lines = _read_lines(path, HITS_HEADER)
+    data = _plain_floats(lines[1:], len(HITS_HEADER))
+    if data is None:
+        rows = _split_rows(name, lines, len(HITS_HEADER))
+        data = np.array([_floats(cells, name, n) for n, cells in rows]).reshape(-1, len(HITS_HEADER))
+    try:
+        return HitBatch(*data.T)
+    except InvalidHitError as exc:
+        # both parses keep one row per nonblank line, so the rows give the line
+        lineno = _split_rows(name, lines, len(HITS_HEADER))[exc.index][0]
+        raise ParseError(str(exc), path=name, line=lineno) from exc
 
 
 def read_pairs_csv(path: str | Path) -> list[ComptonPair]:

@@ -16,14 +16,23 @@ from bisect import bisect_left
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from radloc.constants import BACKGROUND_THRESHOLD_KEV, ELECTRON_REST_ENERGY_KEV, PIXEL_PITCH_MM
+from radloc import io as rio
+from radloc.constants import (
+    BACKGROUND_THRESHOLD_KEV,
+    CLUSTER_TOA_GAP_NS,
+    COINCIDENCE_WINDOW_NS,
+    ELECTRON_REST_ENERGY_KEV,
+    PIXEL_PITCH_MM,
+    SENSOR_PIXELS,
+)
 from radloc.errors import (
     DegenerateGeometryError,
     InvalidScatteringError,
     MalformedInputError,
+    ParseError,
     PoseExtrapolationError,
 )
-from radloc.events import ComptonPair, cluster_hits, delta_z, pair_coincident, scattering_angle
+from radloc.events import ComptonPair, HitBatch, PixelTrack, delta_z, scattering_angle
 from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 
@@ -319,13 +328,13 @@ def exhaustive_min_norm(vectors) -> float:
 
 def track_centroid_reference(track, energy_weighted: bool = True):
     """(x mm, y mm, energy keV, toa ns) of a track with np.average."""
-    cols = np.array([h.col + 0.5 for h in track.hits])
-    rows = np.array([h.row + 0.5 for h in track.hits])
-    energies = np.array([h.energy for h in track.hits])
+    cols = np.array(track.cols) + 0.5
+    rows = np.array(track.rows) + 0.5
+    energies = np.array(track.energies)
     weights = energies if energy_weighted else np.ones_like(energies)
     x = float(np.average(cols, weights=weights)) * PIXEL_PITCH_MM
     y = float(np.average(rows, weights=weights)) * PIXEL_PITCH_MM
-    return x, y, float(energies.sum()), min(h.toa for h in track.hits)
+    return x, y, float(energies.sum()), min(track.toas)
 
 
 def build_cone_reference(pair) -> Cone:
@@ -408,12 +417,11 @@ def transform_cone_reference(cone, pose) -> Cone:
 def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_KEV) -> list:
     """What `radloc reconstruct` writes for a hit stream at default settings.
 
-    Clustering and pairing are the library's own (they are discrete and
-    checked against best_disjoint_pairing); every float step after them
-    is one of the references above.
+    Clustering and pairing are the per-hit and per-track references
+    below; every float step after them is one of the references above.
     """
     cones = []
-    for first, second in pair_coincident(cluster_hits(hits)):
+    for first, second in pair_coincident_reference(cluster_hits_reference(hits)):
         photon, electron = (first, second) if first.toa <= second.toa else (second, first)
         px, py, pe, pt = track_centroid_reference(photon)
         ex, ey, ee, et = track_centroid_reference(electron)
@@ -432,6 +440,81 @@ def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_K
             continue
         world.append(transform_cone_reference(cone, pose))
     return world
+
+
+# --- hits to tracks and pairs, one hit and one track at a time, as the
+# library did before it moved to column batches ---
+
+
+def read_hits_reference(path) -> HitBatch:
+    """A hit file read row by row, each row checked before the next is read."""
+    name = str(path)
+    toa, col, row, energy = [], [], [], []
+    for lineno, cells in rio._read_rows(path, rio.HITS_HEADER):
+        t, c, r, e = rio._floats(cells, name, lineno)
+        if not math.isfinite(t):
+            raise ParseError(f"timestamp must be finite, got {t!r}", path=name, line=lineno)
+        if not (c.is_integer() and r.is_integer()):
+            raise ParseError(f"pixel ({c:g}, {r:g}) not integral", path=name, line=lineno)
+        if not e > 0.0:
+            raise ParseError(f"hit energy must be positive, got {e!r}", path=name, line=lineno)
+        if not (0 <= c < SENSOR_PIXELS and 0 <= r < SENSOR_PIXELS):
+            raise ParseError(f"pixel ({int(c)}, {int(r)}) outside the sensor matrix", path=name, line=lineno)
+        for column, value in zip((toa, col, row, energy), (t, int(c), int(r), e)):
+            column.append(value)
+    return HitBatch(toa, col, row, energy)
+
+
+def cluster_hits_reference(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list:
+    """Tracks by union-find, one hit at a time in time order.
+
+    Each hit is merged with the latest earlier hit seen on each of the
+    nine pixels around it when that hit is at most max_toa_gap older.
+    """
+    toas, cols, rows, energies = (c.tolist() for c in (hits.toa, hits.col, hits.row, hits.energy))
+    n = len(toas)
+    order = sorted(range(n), key=toas.__getitem__)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    last_seen: dict[tuple[int, int], int] = {}  # latest hit on each pixel so far
+    for idx in order:
+        c, r = cols[idx], rows[idx]
+        for dc in (-1, 0, 1):
+            for dr in (-1, 0, 1):
+                j = last_seen.get((c + dc, r + dr))
+                if j is not None and toas[idx] - toas[j] <= max_toa_gap:
+                    ri, rj = find(idx), find(j)
+                    if ri != rj:
+                        parent[rj] = ri
+        last_seen[(c, r)] = idx
+
+    groups: dict[int, list[int]] = {}
+    for idx in order:
+        groups.setdefault(find(idx), []).append(idx)
+    tracks = [
+        PixelTrack([toas[i] for i in g], [cols[i] for i in g], [rows[i] for i in g], [energies[i] for i in g])
+        for g in groups.values()
+    ]
+    tracks.sort(key=lambda t: t.toa)
+    return tracks
+
+
+def pair_coincident_reference(tracks, window: float = COINCIDENCE_WINDOW_NS) -> list:
+    """Earliest-first pairing: a track pairs with the one waiting before it, if in the window."""
+    pairs, waiting = [], None
+    for track in sorted(tracks, key=lambda t: t.toa):
+        if waiting is not None and track.toa - waiting.toa <= window:
+            pairs.append((waiting, track))
+            waiting = None
+        else:
+            waiting = track
+    return pairs
 
 
 def trajectory_waypoints(center, radius: float, speed: float, timestep: float, count: int,

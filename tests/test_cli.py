@@ -36,8 +36,8 @@ FIXTURE = Path(__file__).parent / "data"
 
 def write_hits_csv(path, hits):
     lines = [",".join(HITS_HEADER)]
-    for h in hits:
-        lines.append(f"{h.toa:.12g},{h.col},{h.row},{h.energy:.12g}")
+    for toa, col, row, energy in zip(hits.toa, hits.col, hits.row, hits.energy):
+        lines.append(f"{toa:.12g},{col},{row},{energy:.12g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -143,6 +143,28 @@ def test_reconstruct_drop_reasons_sum_to_rejected_pairs(tmp_path):
     assert (summary["pairs"], summary["cones_written"], summary["outside_pose_range"]) == (14, 9, 1)
 
 
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--toa-gap-ns", ("nan", "-5", "0", "inf")),
+        ("--window-ns", ("nan", "-5", "0", "inf")),
+        ("--threshold-kev", ("nan", "-5", "0", "inf")),
+        ("--duration", ("nan", "-1", "inf")),
+    ],
+)
+def test_reconstruct_refuses_bad_knobs(tmp_path, capsys, flag, values):
+    # NaN used to switch clustering or pairing off, or drop all background,
+    # and a negative duration was written out as it came
+    argv = ["reconstruct", "--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv")]
+    for value in values:
+        out = tmp_path / value
+        assert main([*argv, "--out", str(out), f"{flag}={value}"]) == 1, value
+        assert "must be" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+    # the smallest accepted duration still reads
+    assert main([*argv, "--out", str(tmp_path / "ok"), "--duration", "0"]) == 0
+
+
 def test_reconstruct_pairs_input(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(
@@ -166,7 +188,7 @@ def test_reconstruct_parse_error_exit_2(tmp_path, capsys):
     events = tmp_path / "hits.csv"
     poses = tmp_path / "poses.csv"
     write_poses_csv(poses)
-    # a bad number, then values PixelHit refuses: NaN energy, fractional pixel
+    # a bad number, then values the hit batch refuses: NaN energy, fractional pixel
     for row in ("not_a_number,1,1,300", "100.0,10,12,nan", "100.0,10.7,12,340.5"):
         events.write_text(",".join(HITS_HEADER) + "\n99.0,10,12,340.5\n" + row + "\n")
         code = main(

@@ -5,18 +5,20 @@ import pytest
 
 from radloc.constants import (
     CHARGE_GATHERING_SPEED_UM_PER_NS,
+    CLUSTER_TOA_GAP_NS,
     COINCIDENCE_WINDOW_NS,
     SENSOR_THICKNESS_MM,
 )
 from radloc.errors import (
     DegenerateGeometryError,
+    InvalidHitError,
     InvalidScatteringError,
     MalformedInputError,
 )
 from radloc.events import (
     ComptonPair,
     EventClass,
-    PixelHit,
+    HitBatch,
     PixelTrack,
     build_cone,
     classify_track,
@@ -35,17 +37,31 @@ from radloc.geometry import Frame
 from oracles import (
     best_disjoint_pairing,
     build_cone_reference,
+    cluster_hits_reference,
     scattered_photon_energy,
     track_centroid_reference,
 )
 
 
 def hit(toa, col=0, row=0, energy=100.0):
-    return PixelHit(toa=toa, col=col, row=row, energy=energy)
+    return (toa, col, row, energy)
+
+
+def batch(hits):
+    """A HitBatch of (toa, col, row, energy) hits."""
+    return HitBatch(*(list(column) for column in zip(*hits))) if hits else HitBatch([], [], [], [])
+
+
+def track_of(*hits):
+    return PixelTrack(*(list(column) for column in zip(*hits)))
 
 
 def track(toa, col=0, row=0, energy=100.0):
-    return PixelTrack((hit(toa, col, row, energy),))
+    return track_of(hit(toa, col, row, energy))
+
+
+def track_hits(t):
+    return list(zip(t.toas, t.cols, t.rows, t.energies))
 
 
 # --- kinematics ---
@@ -111,59 +127,112 @@ def test_delta_z_is_odd():
 
 
 def test_hit_validation():
+    # each bad hit is refused at its own index, after a good one
+    for bad in (
+        hit(0.0, energy=0.0),
+        hit(0.0, energy=math.nan),
+        hit(0.0, col=-1),
+        hit(0.0, row=256),
+        hit(0.0, col=2.5),
+        hit(math.nan),
+        hit(math.inf),
+    ):
+        with pytest.raises(InvalidHitError) as err:
+            batch([hit(0.0), bad])
+        assert err.value.index == 1, bad
     with pytest.raises(MalformedInputError):
-        PixelHit(toa=0.0, col=0, row=0, energy=0.0)
-    with pytest.raises(MalformedInputError):
-        PixelHit(toa=0.0, col=-1, row=0, energy=1.0)
-    with pytest.raises(MalformedInputError):
-        PixelHit(toa=0.0, col=0, row=256, energy=1.0)
-    with pytest.raises(MalformedInputError):
-        PixelHit(toa=0.0, col=0, row=0, energy=math.nan)
+        HitBatch([0.0, 1.0], [0], [0], [1.0])
+    hits = batch([hit(1.0, 3.0, 4, 5.0)])
+    assert hits.col.dtype == np.int64 and hits.col.tolist() == [3]
+    with pytest.raises(ValueError):
+        hits.toa[0] = 2.0  # the checked columns are read-only
 
 
 def test_cluster_adjacent_hits_merge():
-    hits = [hit(0.0, 10, 10), hit(1.0, 11, 11), hit(2.0, 12, 11)]
+    hits = batch([hit(0.0, 10, 10), hit(1.0, 11, 11), hit(2.0, 12, 11)])
     tracks = cluster_hits(hits)
     assert len(tracks) == 1
-    assert len(tracks[0].hits) == 3
+    assert len(tracks[0].toas) == 3
 
 
 def test_cluster_separated_hits_split():
-    hits = [hit(0.0, 10, 10), hit(1.0, 50, 50)]
+    hits = batch([hit(0.0, 10, 10), hit(1.0, 50, 50)])
     assert len(cluster_hits(hits)) == 2
 
 
 def test_cluster_time_gap_splits():
-    hits = [hit(0.0, 10, 10), hit(200.0, 10, 10)]
+    hits = batch([hit(0.0, 10, 10), hit(200.0, 10, 10)])
     assert len(cluster_hits(hits, max_toa_gap=100.0)) == 2
     assert len(cluster_hits(hits, max_toa_gap=300.0)) == 1
 
 
 def test_cluster_chained_adjacency():
     # a long diagonal streak stays one track even though the ends are far apart
-    hits = [hit(float(i), 10 + i, 10 + i) for i in range(20)]
+    hits = batch([hit(float(i), 10 + i, 10 + i) for i in range(20)])
     tracks = cluster_hits(hits)
     assert len(tracks) == 1
 
 
 def test_cluster_empty_and_bad_gap():
-    assert cluster_hits([]) == []
-    with pytest.raises(MalformedInputError):
-        cluster_hits([hit(0.0)], max_toa_gap=0.0)
+    assert cluster_hits(batch([])) == []
+    for gap in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(MalformedInputError):
+            cluster_hits(batch([hit(0.0)]), max_toa_gap=gap)
 
 
 def test_cluster_output_sorted_by_toa():
-    hits = [hit(50.0, 40, 40), hit(0.0, 10, 10), hit(300.0, 80, 80)]
+    hits = batch([hit(50.0, 40, 40), hit(0.0, 10, 10), hit(300.0, 80, 80)])
     tracks = cluster_hits(hits)
     toas = [t.toa for t in tracks]
     assert toas == sorted(toas)
+
+
+def assert_clusters_like_reference(hits, gap=CLUSTER_TOA_GAP_NS):
+    got, want = cluster_hits(hits, gap), cluster_hits_reference(hits, gap)
+    assert [track_hits(t) for t in got] == [track_hits(t) for t in want]
+    assert [(t.toa, t.energy) for t in got] == [(t.toa, t.energy) for t in want]
+
+
+def test_cluster_matches_per_hit_reference():
+    # same tracks, same hits in the same order, on streams made to meet
+    # every edge of the linking rule
+    rng = np.random.default_rng(43)
+    for k in range(60):
+        n = int(rng.integers(1, 400))
+        # a small patch and coarse times, so that pixels repeat and toas tie
+        span = int(rng.integers(2, 40))
+        col0, row0 = rng.integers(0, 256 - span, size=2)
+        toas = rng.integers(0, 50, size=n) * float(rng.choice([10.0, 100.0, 250.0]))
+        hits = batch([
+            hit(float(t), int(col0 + c), int(row0 + r), float(e))
+            for t, c, r, e in zip(toas, rng.integers(0, span, n), rng.integers(0, span, n),
+                                  rng.uniform(1.0, 300.0, n))
+        ])
+        # gaps that some links meet exactly, and ones they just miss
+        for gap in (100.0, 250.0, 249.99, 500.0):
+            assert_clusters_like_reference(hits, gap)
+    # corners and edges of the sensor
+    edge = batch([hit(float(i), c, r) for i, (c, r) in enumerate([(0, 0), (1, 1), (255, 255), (254, 255), (0, 255)])])
+    assert_clusters_like_reference(edge)
+    # a burst of hits on one pixel, chained and broken by time
+    burst = batch([hit(t, 7, 7) for t in (0.0, 0.0, 100.0, 200.0, 300.5, 300.5, 400.5)])
+    assert_clusters_like_reference(burst)
+    assert [len(t.toas) for t in cluster_hits(burst)] == [4, 3]
+    # a 2,000-hit diagonal chain that bounces off the sensor's corners, each
+    # hit exactly one gap after the one before it
+    walk = [i % 510 if i % 510 < 256 else 510 - i % 510 for i in range(2000)]
+    chain = [hit(CLUSTER_TOA_GAP_NS * i, p, p) for i, p in enumerate(walk)]
+    assert len(cluster_hits(batch(chain))) == 1
+    assert_clusters_like_reference(batch(chain))
+    # and in reverse stream order, so that time order is not stream order
+    assert_clusters_like_reference(batch(chain[::-1]))
 
 
 # --- centroid ---
 
 
 def test_centroid_single_hit():
-    t = PixelTrack((PixelHit(7.0, 0, 0, 100.0),))
+    t = track(7.0, 0, 0, 100.0)
     x, y, e, toa = track_centroid(t)
     assert (x, y) == pytest.approx((0.0275, 0.0275))
     assert e == 100.0
@@ -171,14 +240,14 @@ def test_centroid_single_hit():
 
 
 def test_centroid_symmetric_pair():
-    t = PixelTrack((hit(0.0, 0, 0, 100.0), hit(1.0, 2, 0, 100.0)))
+    t = track_of(hit(0.0, 0, 0, 100.0), hit(1.0, 2, 0, 100.0))
     x, y, _, _ = track_centroid(t)
     assert x == pytest.approx(1.5 * 0.055)  # midway between pixel centers
     assert y == pytest.approx(0.5 * 0.055)
 
 
 def test_centroid_energy_weighted():
-    t = PixelTrack((hit(0.0, 0, 0, 300.0), hit(1.0, 2, 0, 100.0)))
+    t = track_of(hit(0.0, 0, 0, 300.0), hit(1.0, 2, 0, 100.0))
     x, y, e, _ = track_centroid(t)
     # 3:1 weighting of centers 0.5 and 2.5 -> 1.0 pixel -> 0.055 mm
     assert x == pytest.approx(0.055, abs=1e-12)
@@ -189,15 +258,15 @@ def test_centroid_energy_weighted():
 
 
 def test_centroid_toa_is_earliest():
-    t = PixelTrack((hit(9.0, 0, 0), hit(3.0, 1, 0), hit(5.0, 1, 1)))
+    t = track_of(hit(9.0, 0, 0), hit(3.0, 1, 0), hit(5.0, 1, 1))
     assert track_centroid(t)[3] == 3.0
 
 
 def random_track(rng, n):
     col, row = rng.integers(4, 252, size=2)
-    return PixelTrack(tuple(
-        PixelHit(float(rng.uniform(0.0, 1e6)), int(col + rng.integers(-4, 5)),
-                 int(row + rng.integers(-4, 5)), float(rng.uniform(0.5, 300.0)))
+    return track_of(*(
+        hit(float(rng.uniform(0.0, 1e6)), int(col + rng.integers(-4, 5)),
+            int(row + rng.integers(-4, 5)), float(rng.uniform(0.5, 300.0)))
         for _ in range(n)
     ))
 
@@ -226,17 +295,17 @@ def test_centroid_matches_numpy_reference():
 
 def test_track_toa_and_energy_are_min_and_sum_of_hits():
     rng = np.random.default_rng(37)
-    hits = [
-        PixelHit(float(rng.uniform(0.0, 5e4)), int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                 float(rng.uniform(1.0, 300.0)))
+    hits = batch([
+        hit(float(rng.uniform(0.0, 5e4)), int(rng.integers(0, 256)), int(rng.integers(0, 256)),
+            float(rng.uniform(1.0, 300.0)))
         for _ in range(3000)
-    ]
+    ])
     tracks = cluster_hits(hits)
-    assert sum(len(t.hits) for t in tracks) == len(hits)
-    assert any(len(t.hits) > 1 for t in tracks)
+    assert sum(len(t.toas) for t in tracks) == len(hits)
+    assert any(len(t.toas) > 1 for t in tracks)
     for t in tracks:
-        assert t.toa == min(h.toa for h in t.hits)
-        assert t.energy == sum(h.energy for h in t.hits)
+        assert t.toa == min(t.toas) == t.toas[0]
+        assert t.energy == sum(t.energies)
 
 
 # --- pairing ---
@@ -283,6 +352,20 @@ def test_pairing_drop_ambiguous():
     tracks = [track(0.0), track(10.0, 5, 5), track(20.0, 9, 9)]
     assert len(pair_coincident(tracks, window=86.0)) == 1
     assert pair_coincident(tracks, window=86.0, drop_ambiguous=True) == []
+
+
+def test_knobs_refuse_nan_and_nonpositive():
+    for bad in (math.nan, -5.0, 0.0, math.inf):
+        with pytest.raises(MalformedInputError):
+            pair_coincident([], window=bad)
+        with pytest.raises(MalformedInputError):
+            classify_track(100.0, paired=False, threshold=bad)
+        with pytest.raises(MalformedInputError):
+            process_pairs([], threshold=bad)
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(MalformedInputError):
+            process_pairs([], duration=bad)
+    assert process_pairs([], duration=0.0).summary.duration == 0.0
 
 
 # --- classification ---
@@ -393,16 +476,16 @@ def synthetic_stream(n_photo, n_pairs, n_background, duration_s):
     spacing = duration_s * 1e9 / max(n_photo + n_pairs + n_background, 1)
     t = 0.0
     for k in range(n_photo):
-        hits.append(PixelHit(t, 10 + (k % 200), 10, 662.0))
+        hits.append(hit(t, 10 + (k % 200), 10, 662.0))
         t += spacing
     for k in range(n_pairs):
-        hits.append(PixelHit(t, 10 + (k % 100), 60, 394.22))
-        hits.append(PixelHit(t + 20.0, 10 + (k % 100), 120, 315.70))
+        hits.append(hit(t, 10 + (k % 100), 60, 394.22))
+        hits.append(hit(t + 20.0, 10 + (k % 100), 120, 315.70))
         t += spacing
     for k in range(n_background):
-        hits.append(PixelHit(t, 10 + (k % 200), 180, 850.0))
+        hits.append(hit(t, 10 + (k % 200), 180, 850.0))
         t += spacing
-    return hits
+    return batch(hits)
 
 
 def test_process_hits_class_counts_and_rates():
@@ -422,10 +505,7 @@ def test_process_hits_class_counts_and_rates():
 
 def test_process_hits_rejected_pair_tally():
     # impossible energy split: classified compton but yields no cone
-    hits = [
-        PixelHit(0.0, 10, 10, 100.0),
-        PixelHit(20.0, 60, 60, 500.0),
-    ]
+    hits = batch([hit(0.0, 10, 10, 100.0), hit(20.0, 60, 60, 500.0)])
     res = process_hits(hits, duration=1.0)
     assert res.summary.counts[EventClass.COMPTON_CANDIDATE] == 1
     assert res.summary.rejected_pairs == 1
@@ -447,10 +527,7 @@ def test_process_pairs_counts_drops_by_reason():
 
 
 def test_process_hits_swap_hypotheses_doubles_cones():
-    hits = [
-        PixelHit(0.0, 10, 10, 394.22),
-        PixelHit(20.0, 60, 60, 315.70),
-    ]
+    hits = batch([hit(0.0, 10, 10, 394.22), hit(20.0, 60, 60, 315.70)])
     one = process_hits(hits, duration=1.0)
     both = process_hits(hits, duration=1.0, swap_hypotheses=True)
     assert len(one.cones) == 1
@@ -471,6 +548,6 @@ def test_process_hits_cones_time_sorted():
 
 
 def test_zero_duration_rates_are_zero():
-    res = process_hits([], duration=0.0)
+    res = process_hits(batch([]), duration=0.0)
     assert all(v == 0.0 for v in res.summary.rates().values())
     assert all(v == 0.0 for v in res.summary.shares().values())

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radloc
+from radloc.cli import main
 from radloc.errors import MalformedInputError, OrderingError, ParseError, SchemaError
 from radloc.geometry import Cone, Frame
 from radloc.io import (
@@ -32,6 +34,8 @@ from radloc.io import (
 from radloc.estimator import NoiseConfig
 from radloc.initializer import Mode
 from radloc.simulator import DetectorModel, Scenario, run_scenario
+
+from oracles import read_hits_reference
 
 SCENARIO_DIR = Path(radloc.__file__).parent / "scenarios"
 
@@ -191,8 +195,8 @@ def test_poses_reader_rejects_short_row(tmp_path):
 def test_hits_reader_validation(tmp_path):
     path = tmp_path / "h.csv"
     write_lines(path, HITS_HEADER, ["100.0,10,12,340.5"])
-    (hit,) = read_hits_csv(path)
-    assert hit.col == 10 and hit.energy == 340.5
+    hits = read_hits_csv(path)
+    assert hit_rows(hits) == [(100.0, 10, 12, 340.5)]
 
     write_lines(path, HITS_HEADER, ["100.0,300,12,340.5"])
     with pytest.raises(ParseError):
@@ -210,15 +214,14 @@ def test_hits_reader_validation(tmp_path):
             read_hits_csv(path)
         assert err.value.line == 3, bad
     write_lines(path, HITS_HEADER, ["100.0,10.0,12.0,340.5"])
-    (hit,) = read_hits_csv(path)
-    assert (hit.col, hit.row) == (10, 12)
+    assert hit_rows(read_hits_csv(path)) == [(100.0, 10, 12, 340.5)]
 
 
 def test_hits_reader_line_numbers_past_blank_lines(tmp_path):
     path = tmp_path / "h.csv"
     write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", "", "   ", '"100.0",11,12,"20.5"'])
     hits = read_hits_csv(path)
-    assert [(h.toa, h.col, h.energy) for h in hits] == [(99.0, 10, 340.5), (100.0, 11, 20.5)]
+    assert hit_rows(hits) == [(99.0, 10, 12, 340.5), (100.0, 11, 12, 20.5)]
     # the short row is line 5: header, a hit, two blank lines
     write_lines(path, HITS_HEADER, ["99.0,10,12,340.5", "", "   ", "100.0,10,12", "101.0,10,12,1.0"])
     with pytest.raises(ParseError, match="expected 4 fields, got 3") as err:
@@ -229,6 +232,81 @@ def test_hits_reader_line_numbers_past_blank_lines(tmp_path):
     with pytest.raises(ParseError) as err:
         read_hits_csv(path)
     assert err.value.line == 3
+
+
+# hit-file bodies the reader must refuse at the same line, with the same
+# message, as the per-row reader
+MALFORMED_HIT_BODIES = {
+    "bad number": "99.0,10,12,340.5\nnot_a_number,1,1,300\n",
+    "empty cell": "99.0,10,12,340.5\n100.0,,12,340.5\n",
+    "short row": "99.0,10,12,340.5\n100.0,10,12\n",
+    "long row": "99.0,10,12,340.5\n100.0,10,12,1.0,2\n",
+    "trailing comma": "99.0,10,12,340.5\n100.0,10,12,1.0,\n",
+    "unterminated quote": '99.0,10,12,340.5\n100.0,"10,12,1.0\n101.0,10,12,1.0\n',
+    "short row after blank lines": "99.0,10,12,340.5\n\n   \n100.0,10,12\n",
+    "bad hit after empty lines": "99.0,10,12,340.5\n\n\n100.0,10,12,nan\n",
+    "bad hit after a line of spaces": "99.0,10,12,340.5\n  \n100.0,10,12,0\n",
+    "crlf": "99.0,10,12,340.5\r\n100.0,10.5,12,1.0\r\n",
+    "nan toa": "99.0,10,12,340.5\nnan,10,12,340.5\n",
+    "inf toa": "99.0,10,12,340.5\ninf,10,12,340.5\n",
+    "-inf toa": "99.0,10,12,340.5\n-inf,10,12,340.5\n",
+    "fractional pixel": "99.0,10,12,340.5\n100.0,10.7,12,340.5\n",
+    "fractional row": "99.0,10,12,340.5\n100.0,10,12.5,340.5\n",
+    "nan pixel": "99.0,10,12,340.5\n100.0,nan,12,340.5\n",
+    "pixel past the matrix": "99.0,10,12,340.5\n100.0,256,12,340.5\n",
+    "negative pixel": "99.0,10,12,340.5\n100.0,10,-1,340.5\n",
+    "zero energy": "99.0,10,12,340.5\n100.0,10,12,0.0\n",
+    "nan energy": "99.0,10,12,340.5\n100.0,10,12,nan\n",
+    "negative energy": "99.0,10,12,340.5\n100.0,10,12,-3\n",
+    "two bad hits": "99.0,10,12,340.5\n100.0,10,300,0\n100.0,nan,12,340.5\n",
+}
+
+
+def hit_rows(hits):
+    return list(zip(hits.toa.tolist(), hits.col.tolist(), hits.row.tolist(), hits.energy.tolist()))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HIT_BODIES))
+def test_hits_reader_refuses_like_per_row_reader(tmp_path, case, capsys):
+    path = tmp_path / "hits.csv"
+    path.write_bytes((",".join(HITS_HEADER) + "\n" + MALFORMED_HIT_BODIES[case]).encode())
+    with pytest.raises(ParseError) as want:
+        read_hits_reference(path)
+    with pytest.raises(ParseError) as got:
+        read_hits_csv(path)
+    assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+    poses = tmp_path / "poses.csv"
+    write_lines(poses, POSES_HEADER, ["0,0,0,5,1,0,0,0", "20,0,0,5,1,0,0,0"])
+    argv = ["reconstruct", "--events", str(path), "--poses", str(poses), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"{path}:{want.value.line}:" in capsys.readouterr().err
+
+
+def test_hits_reader_reads_like_per_row_reader(tmp_path):
+    path = tmp_path / "hits.csv"
+    fixture = (Path(__file__).parent / "data" / "hits.csv").read_text().splitlines()[1:]
+    bodies = [
+        fixture,
+        # spellings float() reads and the bulk parse does not
+        ["1_000,10,12,340.5", " 99.5 ,\t10,12, 1e2", '"100.0",11,12,"20.5"', "\u0661\u0660,1,1,1"],
+        ["1e-320,0,255,5e-324", "-0.0,255,0,1.7976931348623157e308", "100,1e1,12.0,3"],
+        ["99.0,10,12,340.5", "", "", "100.0,10,12,1.0", ""],
+    ]
+    for body in bodies:
+        write_lines(path, HITS_HEADER, body)
+        got = read_hits_csv(path)
+        assert hit_rows(got) == hit_rows(read_hits_reference(path)), body
+        assert got.col.dtype == got.row.dtype == np.int64
+
+
+def test_hits_reader_header_only_is_empty_without_warning(tmp_path):
+    path = tmp_path / "hits.csv"
+    for body in ([], ["", ""], ["  "]):
+        write_lines(path, HITS_HEADER, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = read_hits_csv(path)
+        assert len(hits) == 0 and hits.toa.shape == (0,)
 
 
 def test_pairs_reader_validation(tmp_path):
