@@ -67,16 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run the estimator over recorded cones")
     est.add_argument("--cones", required=True)
     est.add_argument("--out", required=True)
-    # tuning flags left out are not set, so the SourceEstimator and
-    # NoiseConfig defaults apply
+    # each tuning flag's dest is a NoiseConfig field; a flag left out is
+    # not set, so the field's default applies
     unset = argparse.SUPPRESS
     est.add_argument("--mode", choices=[m.value for m in Mode], default=unset)
-    est.add_argument("--r", dest="r", type=float, default=unset)
-    est.add_argument("--q", dest="q", type=float, default=unset)
-    est.add_argument("--gate", dest="outlier_gate", type=float, default=unset)
-    est.add_argument("--init-count", dest="init_cone_count", type=int, default=unset)
+    est.add_argument("--r", type=float, default=unset)
+    est.add_argument("--q", type=float, default=unset)
+    est.add_argument("--gate", type=float, default=unset)
+    est.add_argument("--init-count", type=int, default=unset)
     est.add_argument("--far", dest="far_variance", type=float, default=unset)
-    est.add_argument("--multistart", dest="init_multistart", type=int, default=unset)
+    est.add_argument("--multistart", type=int, default=unset)
 
     sim = sub.add_parser("simulate", help="run a scenario closed loop")
     sim.add_argument("--scenario", required=True)
@@ -166,8 +166,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         )
     given = vars(args)
     tuning = {f.name: given[f.name] for f in dataclasses.fields(NoiseConfig) if f.name in given}
-    mode = {"mode": given["mode"]} if "mode" in given else {}
-    session = SourceEstimator(NoiseConfig(**tuning), **mode)
+    session = SourceEstimator(NoiseConfig(**tuning))
     rows = []
     nan = float("nan")
     for cone in cones:

@@ -20,7 +20,7 @@ from enum import Enum
 from .cones import ProjectionCase, project_to_cone, surface_normal
 from .errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
 from .geometry import Cone, Frame, Vec3
-from .initializer import BOUNDS_MARGIN, InitProblem, InitSolution, Mode, default_bounds, solve
+from .initializer import InitProblem, InitSolution, Mode, solve
 
 log = logging.getLogger(__name__)
 
@@ -39,60 +39,61 @@ class Action(Enum):
     RESET = "reset"
 
 
+# Fixed session rules, explained in NoiseConfig's docstring
+MIN_ORIGIN_SEPARATION = 0.5  # m
+RESET_RUN_LENGTH = 3
+FALLBACK_FACTOR = 3
+INIT_COST_GATE = 3.0
+
+
 @dataclass
 class NoiseConfig:
-    """Filter and initialization tuning knobs; the one place their defaults live.
+    """Filter and initialization tuning knobs; the one place their names and defaults live.
 
-    r is the measurement variance (m^2) along the correction direction,
-    far_variance the variance across it, in the two directions the cone
-    says nothing about. q is per-prediction process noise (m^2) that lets
-    the stationary-target model follow a slowly moving source. A cone
-    whose squared Mahalanobis innovation exceeds outlier_gate is rejected;
-    one more rejection than reset_run_length in a row resets the
-    hypothesis, and with reseed_rejected the rejected run seeds the new
-    buffer.
+    Each field has one name: the Python keyword, the key in a scenario's
+    estimator section and the dest of its estimate flag, if it has one.
+    mode is the estimation space: free 3D, or the ground plane, where
+    every correction re-pins z to 0. r is the measurement variance (m^2)
+    along the correction direction, far_variance the variance across it,
+    in the two directions the cone says nothing about. q is
+    per-prediction process noise (m^2) that lets the stationary-target
+    model follow a slowly moving source. A cone whose squared
+    Mahalanobis innovation exceeds gate is rejected; RESET_RUN_LENGTH + 1
+    (4) rejections in a row reset the hypothesis, and the rejected run
+    seeds the new buffer.
 
-    Initialization solves on init_cone_count cones whose origins lie
-    pairwise more than min_origin_separation m apart, and starts the
-    filter with variance init_variance (m^2) on each axis. If the buffer
-    reaches fallback_factor * init_cone_count cones with no such subset,
-    the freshest init_cone_count cones are solved anyway, so degenerate
-    geometry is reported. The solve searches the apices' box inflated by
-    init_bounds_margin m, from init_multistart starts of at most
-    init_max_iterations iterations each; it is degenerate (direction
-    only) when the normal matrix's condition number exceeds
-    degeneracy_threshold, and inconsistent when its cost exceeds
-    init_cost_gate * init_cone_count * r.
+    Initialization solves on init_count cones whose origins lie pairwise
+    more than MIN_ORIGIN_SEPARATION (0.5 m) apart, and starts the filter
+    with variance init_variance (m^2) on each axis. If the buffer reaches
+    FALLBACK_FACTOR (3) * init_count cones with no such subset, the
+    freshest init_count cones are solved anyway, so degenerate geometry
+    is reported. The solve searches the apices' box inflated by
+    initializer.BOUNDS_MARGIN (200 m), from multistart starts of at most
+    max_iterations iterations each; it is degenerate (direction only)
+    when the normal matrix's condition number exceeds
+    initializer.DEGENERACY_THRESHOLD (1e6), and inconsistent when its
+    cost exceeds INIT_COST_GATE (3.0) * init_count * r.
     """
 
+    mode: Mode = Mode.THREE_D
     r: float = 1.0
     far_variance: float = 1e9
     q: float = 0.01
-    outlier_gate: float = 9.0
-    init_cone_count: int = 5
-    min_origin_separation: float = 0.5
+    gate: float = 9.0
+    init_count: int = 5
     init_variance: float = 100.0
-    reseed_rejected: bool = True
-    reset_run_length: int = 3
-    init_multistart: int = InitProblem.multistart_count
-    init_bounds_margin: float = BOUNDS_MARGIN
-    fallback_factor: int = 3
-    degeneracy_threshold: float = InitProblem.degeneracy_threshold
-    init_max_iterations: int = InitProblem.max_iterations
-    init_cost_gate: float = 3.0
+    multistart: int = InitProblem.multistart
+    max_iterations: int = InitProblem.max_iterations
 
     def __post_init__(self) -> None:
         # each check reads "not (valid)", so a NaN fails it
         if not (0.0 < self.r < self.far_variance < math.inf and 0.0 < self.init_variance < math.inf):
             raise MalformedInputError("need 0 < r < far_variance < inf and 0 < init_variance < inf")
-        if not all(0.0 <= v < math.inf for v in (self.q, self.min_origin_separation, self.init_bounds_margin)):
-            raise MalformedInputError("q, min_origin_separation and init_bounds_margin must be finite and >= 0")
-        if not (self.outlier_gate > 0.0 and self.init_cost_gate > 0.0 and self.degeneracy_threshold >= 1.0):
-            raise MalformedInputError("need outlier_gate > 0, init_cost_gate > 0 and degeneracy_threshold >= 1")
-        if not (self.init_cone_count >= 3 and self.fallback_factor >= 1 and self.reset_run_length >= 0):
-            raise MalformedInputError("need init_cone_count >= 3, fallback_factor >= 1, reset_run_length >= 0")
-        if not (self.init_multistart >= 1 and self.init_max_iterations >= 1):
-            raise MalformedInputError("need init_multistart >= 1 and init_max_iterations >= 1")
+        if not (0.0 <= self.q < math.inf and self.gate > 0.0):
+            raise MalformedInputError("need 0 <= q < inf and gate > 0")
+        if not (self.init_count >= 3 and self.multistart >= 1 and self.max_iterations >= 1):
+            raise MalformedInputError("need init_count >= 3, multistart >= 1 and max_iterations >= 1")
+        self.mode = Mode(self.mode)
 
 
 @dataclass
@@ -124,7 +125,6 @@ class FilterState:
 
     x: Vec3 = (0.0, 0.0, 0.0)
     omega: tuple[Vec3, Vec3, Vec3] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    mode: Mode = Mode.THREE_D
     consecutive_outliers: int = 0
     status: Status = Status.COLLECTING
 
@@ -139,7 +139,6 @@ class FilterState:
             raise MalformedInputError("covariance must be symmetric")
         if _ldl(o00, o01, o02, o11, o12, o22) is None:
             raise MalformedInputError("covariance must be positive definite")
-        self.mode = Mode(self.mode)
 
 
 def _ldl(s00: float, s01: float, s02: float, s11: float, s12: float, s22: float):
@@ -172,7 +171,7 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     q = config.q
     (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
     omega = (o00 + q, o01, o02), (o10, o11 + q, o12), (o20, o21, o22 + q)
-    return FilterState(state.x, omega, state.mode, state.consecutive_outliers, state.status)
+    return FilterState(state.x, omega, state.consecutive_outliers, state.status)
 
 
 def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
@@ -183,7 +182,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     + r n n^T gives both d2 = nu^T S^-1 nu and the gain. A hypothesis
     already on the surface takes the surface normal as n; at the apex or
     on the axis there is no usable direction and nothing to update. A cone
-    whose d2 exceeds outlier_gate is gated: an innovation exactly at the
+    whose d2 exceeds the gate is gated: an innovation exactly at the
     gate is accepted. Accepted measurements (including zero-innovation
     ones, which update only the covariance along the surface normal) reset
     the outlier run; gated ones increment it and leave the state untouched
@@ -224,7 +223,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     if factor is None:
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
     y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
-    if v0 * y0 + v1 * y1 + v2 * y2 > config.outlier_gate:
+    if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
         return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
 
     # x moves by K nu = omega S^-1 nu. K = omega S^-1 is solved row by row
@@ -241,10 +240,10 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     (w00, w01, w02), (w11, w12), (w22,) = [
         [j[i][k] + r * kn[i] * kn[k] + far * f[i][k] for k in range(i, 3)] for i in range(3)
     ]
-    if state.mode is Mode.TWO_D:
+    if config.mode is Mode.TWO_D:
         x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
     omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
-    return FilterState(x_new, omega_new, state.mode, 0, Status.TRACKING)
+    return FilterState(x_new, omega_new, 0, Status.TRACKING)
 
 
 def _mul(a, b_t) -> list[list[float]]:
@@ -257,16 +256,15 @@ class SourceEstimator:
 
     Feed world-frame cones in timestamp order through ingest(); the
     session reports what it did with each one. Initialization waits for
-    init_cone_count cones whose origins are pairwise separated; if the
+    init_count cones whose origins are pairwise separated; if the
     platform never moves enough, a fallback solve on the most recent
     cones runs anyway so degenerate geometry gets reported instead of
     stalling silently.
     """
 
-    def __init__(self, config: NoiseConfig | None = None, mode: Mode = Mode.THREE_D):
+    def __init__(self, config: NoiseConfig | None = None):
         self.config = config if config is not None else NoiseConfig()
-        self.mode = Mode(mode)
-        self.state = FilterState(mode=self.mode)
+        self.state = FilterState()
         self.buffer: list[Cone] = []
         self._rejected_run: list[Cone] = []
         self.last_solution: InitSolution | None = None
@@ -279,10 +277,10 @@ class SourceEstimator:
         if self.state.status is Status.COLLECTING:
             self.buffer.append(cone)
             trigger = self._separated_subset()
-            if trigger is None and len(self.buffer) >= self.config.fallback_factor * self.config.init_cone_count:
+            if trigger is None and len(self.buffer) >= FALLBACK_FACTOR * self.config.init_count:
                 # stuck buffer: solve on the freshest cones so degenerate
                 # geometry (hovering, radial approach) surfaces in the report
-                trigger = self.buffer[-self.config.init_cone_count :]
+                trigger = self.buffer[-self.config.init_count :]
             if trigger is not None:
                 self._try_initialize(trigger, cone.timestamp)
             return self.state, Action.BUFFERED
@@ -293,7 +291,7 @@ class SourceEstimator:
         if self.state.consecutive_outliers > before:
             self.stats.rejected += 1
             self._rejected_run.append(cone)
-            if self.state.consecutive_outliers > self.config.reset_run_length:
+            if self.state.consecutive_outliers > RESET_RUN_LENGTH:
                 return self._reset()
             return self.state, Action.REJECTED
         self.stats.accepted += 1
@@ -302,32 +300,28 @@ class SourceEstimator:
 
     def _reset(self) -> tuple[FilterState, Action]:
         self.stats.resets += 1
-        seed = list(self._rejected_run[-(self.config.reset_run_length + 1) :])
-        self._rejected_run.clear()
-        self.buffer = seed if self.config.reseed_rejected else []
-        self.state = FilterState(mode=self.mode)
+        # the rejected run is the last RESET_RUN_LENGTH + 1 cones
+        self.buffer, self._rejected_run = self._rejected_run, []
+        self.state = FilterState()
         log.info("hypothesis reset; reseeding buffer with %d cones", len(self.buffer))
         return self.state, Action.RESET
 
     def _separated_subset(self) -> list[Cone] | None:
         """Earliest arrival-order subset with pairwise separated origins."""
         kept: list[Cone] = []
-        min_sep = self.config.min_origin_separation
         for cone in self.buffer:
-            if all(math.dist(cone.origin, k.origin) > min_sep for k in kept):
+            if all(math.dist(cone.origin, k.origin) > MIN_ORIGIN_SEPARATION for k in kept):
                 kept.append(cone)
-                if len(kept) == self.config.init_cone_count:
+                if len(kept) == self.config.init_count:
                     return kept
         return None
 
     def _try_initialize(self, cones: list[Cone], timestamp: float) -> bool:
         problem = InitProblem(
             list(cones),
-            mode=self.mode,
-            bounds=default_bounds(cones, self.config.init_bounds_margin),
-            multistart_count=self.config.init_multistart,
-            degeneracy_threshold=self.config.degeneracy_threshold,
-            max_iterations=self.config.init_max_iterations,
+            mode=self.config.mode,
+            multistart=self.config.multistart,
+            max_iterations=self.config.max_iterations,
         )
         try:
             solution = solve(problem)
@@ -346,7 +340,7 @@ class SourceEstimator:
             return False
         # consistency gate: geometrically lucky but mutually inconsistent
         # cones (pure background) leave a large best-fit residual
-        if solution.cost > self.config.init_cost_gate * len(cones) * self.config.r:
+        if solution.cost > INIT_COST_GATE * len(cones) * self.config.r:
             self.stats.inconsistent_solves += 1
             log.debug(
                 "inconsistent initialization (cost %.3g) at t=%.3f", solution.cost, timestamp
@@ -354,7 +348,7 @@ class SourceEstimator:
             return False
         v = self.config.init_variance
         omega = (v, 0.0, 0.0), (0.0, v, 0.0), (0.0, 0.0, v)
-        self.state = FilterState(solution.p, omega, self.mode, 0, Status.TRACKING)
+        self.state = FilterState(solution.p, omega, 0, Status.TRACKING)
         self.buffer = []
         self.init_time = timestamp
         log.info("initialized at t=%.3f, p=(%.3f, %.3f, %.3f)", timestamp, *self.state.x)

@@ -263,7 +263,7 @@ def pair_coincident(
     tracks: list[PixelTrack],
     window: float = COINCIDENCE_WINDOW_NS,
     drop_ambiguous: bool = False,
-) -> list[tuple[PixelTrack, PixelTrack]]:
+) -> tuple[list[tuple[PixelTrack, PixelTrack]], int]:
     """Greedy earliest-first disjoint pairing of tracks within the window.
 
     Tracks are taken in arrival order; each still-unpaired track pairs
@@ -272,10 +272,12 @@ def pair_coincident(
     maximum number of disjoint pairs. With drop_ambiguous=True, any run
     of 3+ tracks that are mutually within one window is discarded as an
     irreducible multi-coincidence instead of being paired greedily.
+    Returns the pairs and the number of tracks dropped.
     """
     _check_positive("window", window)
     ordered = sorted(tracks, key=lambda t: t.toa)
     pairs: list[tuple[PixelTrack, PixelTrack]] = []
+    dropped = 0
     i = 0
     while i + 1 < len(ordered):
         if ordered[i + 1].toa - ordered[i].toa <= window:
@@ -284,13 +286,14 @@ def pair_coincident(
                 while j < len(ordered) and ordered[j].toa - ordered[i].toa <= window:
                     j += 1
                 log.debug("dropping %d mutually coincident tracks at %.1f ns", j - i, ordered[i].toa)
+                dropped += j - i
                 i = j
                 continue
             pairs.append((ordered[i], ordered[i + 1]))
             i += 2
         else:
             i += 1
-    return pairs
+    return pairs, dropped
 
 
 def classify_track(
@@ -500,10 +503,9 @@ def process_hits(
 ) -> PipelineResult:
     """Full flat-hit pipeline: cluster, pair, classify, build cones."""
     tracks = cluster_hits(hits, max_toa_gap)
-    pairs_raw = pair_coincident(tracks, window, drop_ambiguous)
+    pairs_raw, ambiguous = pair_coincident(tracks, window, drop_ambiguous)
     paired_ids = {id(t) for pair in pairs_raw for t in pair}
     unpaired = [t for t in tracks if id(t) not in paired_ids]
-    ambiguous = _ambiguous_count(tracks, window) if drop_ambiguous else 0
     pairs = [make_pair(a, b, energy_weighted) for a, b in pairs_raw]
     if duration is None and len(hits):
         duration = float(hits.toa.max() - hits.toa.min()) * 1e-9
@@ -515,26 +517,6 @@ def process_hits(
         unpaired_tracks=unpaired,
         ambiguous=ambiguous,
     )
-
-
-def _ambiguous_count(tracks: list[PixelTrack], window: float) -> int:
-    """Tracks belonging to runs of 3+ mutual coincidences (same scan as pairing)."""
-    ordered = sorted(tracks, key=lambda t: t.toa)
-    count = 0
-    i = 0
-    while i + 1 < len(ordered):
-        if ordered[i + 1].toa - ordered[i].toa <= window:
-            j = i + 2
-            while j < len(ordered) and ordered[j].toa - ordered[i].toa <= window:
-                j += 1
-            if j - i >= 3:
-                count += j - i
-                i = j
-                continue
-            i += 2
-        else:
-            i += 1
-    return count
 
 
 __all__ = [

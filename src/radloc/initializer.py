@@ -38,6 +38,8 @@ _FTOL = 1e-12
 _SLACK = 1e-9
 #: Search-box inflation around the cone apices, in metres.
 BOUNDS_MARGIN = 200.0
+#: A solution is degenerate (direction only) above this normal-matrix condition number.
+DEGENERACY_THRESHOLD = 1e6
 
 
 class Mode(Enum):
@@ -52,15 +54,14 @@ class InitProblem:
     cones: list[Cone]
     mode: Mode = Mode.THREE_D
     bounds: tuple[np.ndarray, np.ndarray] | None = None  # (lo, hi), meters
-    multistart_count: int = 8
-    degeneracy_threshold: float = 1e6
+    multistart: int = 8
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if len(self.cones) < 3:
             raise MalformedInputError("initialization needs at least 3 cones")
-        if self.multistart_count < 1 or self.max_iterations < 1:
-            raise MalformedInputError("multistart_count and max_iterations must be >= 1")
+        if self.multistart < 1 or self.max_iterations < 1:
+            raise MalformedInputError("multistart and max_iterations must be >= 1")
         self.mode = Mode(self.mode)
         if self.bounds is None:
             self.bounds = default_bounds(self.cones)
@@ -84,10 +85,10 @@ class InitSolution:
     iterations: int
 
 
-def default_bounds(cones: list[Cone], margin: float = BOUNDS_MARGIN) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned box around all apices, inflated by the search margin."""
+def default_bounds(cones: list[Cone]) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned box around all apices, inflated by BOUNDS_MARGIN."""
     apices = np.array([c.origin for c in cones])
-    return apices.min(axis=0) - margin, apices.max(axis=0) + margin
+    return apices.min(axis=0) - BOUNDS_MARGIN, apices.max(axis=0) + BOUNDS_MARGIN
 
 
 def residuals(p: np.ndarray, cones: Sequence[Cone] | ConeBatch) -> np.ndarray:
@@ -293,7 +294,7 @@ def solve(problem: InitProblem) -> InitSolution:
     """Best feasible local minimizer over deterministic multistarts.
 
     Starts are chosen in four steps: draw a deterministic uniform sample
-    of 32 * multistart_count points from the bounds box, score each by
+    of 32 * multistart points from the bounds box, score each by
     its summed squared cone distance, walk the cheapest 64 and the apex
     centroid downhill in _REFINE_STEPS damped Newton steps inside the
     box, and take the refined centroid followed by the refined draws of
@@ -317,14 +318,14 @@ def solve(problem: InitProblem) -> InitSolution:
     a_full, b_vec = _constraint_system(cones)
     centroid = np.mean(batch.origins, axis=0)
     rng = np.random.default_rng(_START_SEED)
-    pool = lo + rng.random((32 * problem.multistart_count, 3)) * (hi - lo)
+    pool = lo + rng.random((32 * problem.multistart, 3)) * (hi - lo)
     if two_d:
         pool[:, 2] = 0.0
     pool_cost = np.sum(residuals(pool, batch) ** 2, axis=1)
     cheapest = np.argsort(pool_cost, kind="stable")[:_REFINE_COUNT]
     walk = np.vstack([np.clip(centroid, lo, hi)[:dims], pool[cheapest, :dims]])
     refined = _descend(batch, walk, *box, np.empty((0, dims)), np.empty(0), _REFINE_STEPS)
-    order = 1 + np.argsort(refined.cost[1:], kind="stable")[: problem.multistart_count - 1]
+    order = 1 + np.argsort(refined.cost[1:], kind="stable")[: problem.multistart - 1]
 
     polished = minimize(
         batch,
@@ -352,12 +353,13 @@ def solve(problem: InitProblem) -> InitSolution:
         condition = float(np.linalg.cond(normal))
     else:
         condition = float("inf")
-    degenerate = (not np.isfinite(condition)) or condition > problem.degeneracy_threshold
+    degenerate = (not np.isfinite(condition)) or condition > DEGENERACY_THRESHOLD
     return InitSolution(p, cost, condition, degenerate, iterations)
 
 
 __all__ = [
     "BOUNDS_MARGIN",
+    "DEGENERACY_THRESHOLD",
     "InitProblem",
     "InitSolution",
     "Mode",

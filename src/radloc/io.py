@@ -287,6 +287,7 @@ def read_estimates_csv(path: str | Path) -> list[dict]:
     out = []
     for lineno, cells in _read_rows(path, ESTIMATES_HEADER):
         values = _floats(cells[:10], str(path), lineno)
+        _check_timestamp(values[0], str(path), lineno)
         row = dict(zip(ESTIMATES_HEADER[:10], values))
         row["status"] = cells[10].strip()
         row["action"] = cells[11].strip()
@@ -359,17 +360,9 @@ def write_json(path: str | Path, obj) -> None:
 # default; io only names the YAML keys. Each section maps its keys to the
 # (dataclass, field) they set, and that table is also the section's
 # allowed-key set. A key the file leaves out is not passed on, so the
-# dataclass default applies.
+# dataclass default applies. The detector and estimator keys are their
+# fields' names.
 
-# NoiseConfig fields whose YAML key differs from the field name
-_ESTIMATOR_KEY_OF = {
-    "outlier_gate": "gate",
-    "init_cone_count": "init_count",
-    "init_multistart": "multistart",
-    "init_bounds_margin": "bounds_margin",
-    "init_max_iterations": "max_iterations",
-    "init_cost_gate": "cost_gate",
-}
 _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {  # "" is the top level
     "": {key: (Scenario, key) for key in ("area", "duration", "timestep", "seed")},
     "source": {
@@ -385,10 +378,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, str]]] = {  # "" is the top level
         "start": (Scenario, "uav_start"),
     },
     "detector": {f.name: (DetectorModel, f.name) for f in fields(DetectorModel)},
-    "estimator": {
-        "mode": (Scenario, "mode"),
-        **{_ESTIMATOR_KEY_OF.get(f.name, f.name): (NoiseConfig, f.name) for f in fields(NoiseConfig)},
-    },
+    "estimator": {f.name: (NoiseConfig, f.name) for f in fields(NoiseConfig)},
 }
 _SECTIONS = [name for name in _SCHEMA if name]
 _HINTS = {cls: get_type_hints(cls) for cls in (Scenario, DetectorModel, NoiseConfig)}
@@ -406,12 +396,6 @@ def _area(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
-
-
 def _int(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -424,7 +408,6 @@ def _int(value) -> int:
 _COERCE = {
     float: float,
     int: _int,
-    bool: _bool,
     Vec3: _vec3,
     Vec3 | None: lambda value: None if value is None else _vec3(value),
     tuple[float, float]: _area,

@@ -22,7 +22,6 @@ from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Statu
 from .geometry import (
     Cone, Frame, Pose, Vec3, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis, unit, vec3
 )
-from .initializer import Mode
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +81,6 @@ class Scenario:
     timestep: float = 0.5
     program: Program = Program.SEARCH
     uav_start: Vec3 | None = None
-    mode: Mode = Mode.THREE_D
     estimator: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self) -> None:
@@ -96,10 +94,9 @@ class Scenario:
             raise MalformedInputError("scenario values must be finite")
         if not (self.activity > 0 and self.orbit_radius > 0 and self.timestep > 0 and min(self.area) > 0):
             raise MalformedInputError("activity, orbit radius, timestep and area sides must be positive")
-        if not (self.uav_speed >= 0 and self.duration >= 0):
-            raise MalformedInputError("speed and duration must be nonnegative")
+        if not (self.uav_speed >= 0 and self.duration >= 0 and self.seed >= 0):
+            raise MalformedInputError("speed, duration and seed must be nonnegative")
         self.program = Program(self.program)
-        self.mode = Mode(self.mode)
 
     def source_at(self, t: float) -> Vec3:
         return tuple(p + t * v for p, v in zip(self.source_initial, self.source_velocity))
@@ -215,7 +212,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     strategy transitions, then fly the vehicle one step further.
     """
     rng = np.random.default_rng(scenario.seed)
-    session = SourceEstimator(scenario.estimator, scenario.mode)
+    session = SourceEstimator(scenario.estimator)
     report = SimulationReport(scenario.seed, scenario.duration, stats=session.stats)
 
     alt = scenario.flight_altitude

@@ -269,7 +269,7 @@ def test_solver_cost_dominates_grid_search():
 
 def test_static_source_convergence():
     noise = NoiseConfig(
-        r=2.0, q=0.02, init_variance=25.0, init_multistart=4, init_max_iterations=60
+        r=2.0, q=0.02, init_variance=25.0, multistart=4, max_iterations=60
     )
     start = time.perf_counter()
     passed = 0
@@ -305,10 +305,10 @@ def test_moving_source_tracking():
     noise = NoiseConfig(
         r=0.5,
         q=1.0,
-        outlier_gate=25.0,
+        gate=25.0,
         init_variance=25.0,
-        init_multistart=4,
-        init_max_iterations=60,
+        multistart=4,
+        max_iterations=60,
     )
     # calibrated so a 10 m standoff yields about 1.7 usable cones per second
     activity = 1.7 * 125.0 / CONE_RATE_CONSTANT
@@ -327,7 +327,6 @@ def test_moving_source_tracking():
             duration=300.0,
             seed=seed,
             timestep=0.5,
-            mode=Mode.THREE_D,
             estimator=noise,
         )
         summary = metrics(run_scenario(scenario))
@@ -345,7 +344,7 @@ def test_moving_source_tracking():
 
 
 def test_degenerate_geometry_is_flagged_not_tracked():
-    noise = NoiseConfig(init_multistart=2, init_max_iterations=40)
+    noise = NoiseConfig(multistart=2, max_iterations=40)
     start = time.perf_counter()
     stationary_ok = 0
     for seed in range(100):

@@ -143,6 +143,17 @@ def test_reconstruct_drop_reasons_sum_to_rejected_pairs(tmp_path):
     assert (summary["pairs"], summary["cones_written"], summary["outside_pose_range"]) == (14, 9, 1)
 
 
+def test_reconstruct_drop_ambiguous_counts_the_triple(tmp_path, capsys):
+    # the fixture's one triple coincidence is dropped whole, and its
+    # three tracks are counted
+    assert reconstruct_fixture(tmp_path / "kept")["ambiguous_tracks"] == 0
+    argv = ["reconstruct", "--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv")]
+    assert main([*argv, "--drop-ambiguous", "--out", str(tmp_path / "dropped")]) == 0
+    summary = json.loads((tmp_path / "dropped" / "summary.json").read_text())
+    assert summary["ambiguous_tracks"] == 3
+    assert "ambiguous=3 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "flag, values",
     [
@@ -278,11 +289,9 @@ def test_estimate_tuning_defaults_come_from_noise_config(tmp_path, monkeypatch):
     assert main(["estimate", "--cones", str(cones_path), "--out", str(tmp_path / "b"), *flags]) == 0
     plain, tuned = sessions
     assert plain.config == NoiseConfig()
-    assert plain.mode is Mode.THREE_D
     assert tuned.config == NoiseConfig(
-        r=0.5, q=0.2, outlier_gate=16.0, init_cone_count=6, far_variance=1e8, init_multistart=3
+        mode=Mode.TWO_D, r=0.5, q=0.2, gate=16.0, init_count=6, far_variance=1e8, multistart=3
     )
-    assert tuned.mode is Mode.TWO_D
 
 
 def test_estimate_summary_counts_inconsistent_solves(tmp_path, monkeypatch):
@@ -362,13 +371,22 @@ def test_simulate_seed_override(tmp_path):
     assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["seed"] == 4
+    # a negative seed used to reach the random generator and end in a traceback
+    out = tmp_path / "c"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--seed", "-1"]) == 1
+    assert not out.exists()
 
 
-def test_simulate_schema_error_exit_3(tmp_path):
+def test_simulate_schema_error_exit_3(tmp_path, capsys):
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text("nonsense_key: 1\n")
     code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert code == 3
+    # a knob that became a constant is refused by name, not ignored
+    write_scenario_yaml(scenario)
+    scenario.write_text(scenario.read_text() + "  reseed_rejected: false\n")
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 3
+    assert "reseed_rejected" in capsys.readouterr().err
 
 
 def test_simulate_out_of_range_value_exit_1_at_load(tmp_path, capsys):
@@ -381,6 +399,7 @@ def test_simulate_out_of_range_value_exit_1_at_load(tmp_path, capsys):
         ("  init_variance: 25.0", "  init_variance: -1.0"),
         ("  activity_bq: 3.0e9", "  activity_bq: .nan"),
         ("timestep: 0.5", "timestep: .nan"),
+        ("seed: 3", "seed: -1"),
     ):
         scenario = tmp_path / "scenario.yaml"
         write_scenario_yaml(scenario)

@@ -23,11 +23,10 @@ from oracles import cone_normal_reference, kalman_cone_update_reference, surface
 from test_initializer import cone_through, exact_instance
 
 
-def tracking_state(x, omega=None, mode=Mode.THREE_D):
+def tracking_state(x, omega=None):
     return FilterState(
         x=np.asarray(x, dtype=float),
         omega=np.eye(3) if omega is None else omega,
-        mode=mode,
         status=Status.TRACKING,
     )
 
@@ -49,9 +48,12 @@ def test_noise_config_validation():
     with pytest.raises(MalformedInputError):
         NoiseConfig(q=-0.1)
     with pytest.raises(MalformedInputError):
-        NoiseConfig(outlier_gate=0.0)
+        NoiseConfig(gate=0.0)
     with pytest.raises(MalformedInputError):
-        NoiseConfig(init_cone_count=2)
+        NoiseConfig(init_count=2)
+    assert NoiseConfig(mode="2d").mode is Mode.TWO_D
+    with pytest.raises(ValueError):
+        NoiseConfig(mode="4d")
     nan, inf = math.nan, math.inf
     # NaN fails every range check, and a knob the filter's arithmetic uses
     # must be finite
@@ -61,19 +63,11 @@ def test_noise_config_validation():
         {"far_variance": inf},
         {"q": nan},
         {"q": inf},
-        {"outlier_gate": nan},
+        {"gate": nan},
         {"init_variance": -1.0},
         {"init_variance": 0.0},
         {"init_variance": nan},
         {"init_variance": inf},
-        {"min_origin_separation": -0.1},
-        {"min_origin_separation": nan},
-        {"init_bounds_margin": nan},
-        {"init_bounds_margin": -1.0},
-        {"fallback_factor": 0},
-        {"reset_run_length": -1},
-        {"degeneracy_threshold": nan},
-        {"init_cost_gate": nan},
     ):
         with pytest.raises(MalformedInputError):
             NoiseConfig(**bad)
@@ -217,10 +211,10 @@ def test_correct_zero_innovation_shrinks_along_normal():
 def test_correct_gated_outlier_increments_run():
     state = tracking_state([0.0, 0.0, 0.0])
     far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
-    out = correct(state, far_cone, NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0))
+    out = correct(state, far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
     assert np.array_equal(out.x, state.x)
     assert out.consecutive_outliers == 1
-    out2 = correct(out, far_cone, NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0))
+    out2 = correct(out, far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
     assert out2.consecutive_outliers == 2
 
 
@@ -244,8 +238,8 @@ def test_correct_refuses_innovation_covariance_it_cannot_factor():
 def test_correct_mode2d_pins_ground_plane():
     rng = np.random.default_rng(5)
     p_star = np.array([4.0, -2.0, 0.0])
-    state = tracking_state([6.0, 1.0, 0.0], omega=25.0 * np.eye(3), mode=Mode.TWO_D)
-    cfg = NoiseConfig(r=1.0, q=0.0)
+    state = tracking_state([6.0, 1.0, 0.0], omega=25.0 * np.eye(3))
+    cfg = NoiseConfig(r=1.0, q=0.0, mode=Mode.TWO_D)
     for i in range(20):
         cone = cone_through(
             p_star, p_star + np.array([8 * math.cos(i), 8 * math.sin(i), 5.0]),
@@ -298,7 +292,7 @@ def test_gain_orthogonality_bound():
 
 def test_is_outlier_examples():
     state = tracking_state([0.0, 0.0, 0.0])
-    cfg = NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0)
+    cfg = NoiseConfig(r=1.0, q=0.0, gate=9.0)
     on_surface = Cone(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5, Frame.WORLD)
     p = surface_points(on_surface.origin, on_surface.axis, on_surface.half_angle, [2.0], [0.3])[0]
     assert correct(tracking_state(p), on_surface, cfg).consecutive_outliers == 0
@@ -312,8 +306,8 @@ def test_is_outlier_boundary_is_inclusive():
     # r = 1 give S = 2 along it, so d^2 = 16 / 2 = 8 exactly
     state = tracking_state([4.0, 0.0, 0.0])
     cone = apex_cone([0.0, 0.0, 0.0], toward=[4.0, 0.0, 0.0])
-    assert correct(state, cone, NoiseConfig(r=1.0, outlier_gate=8.0)).consecutive_outliers == 0
-    assert correct(state, cone, NoiseConfig(r=1.0, outlier_gate=7.999)).consecutive_outliers == 1
+    assert correct(state, cone, NoiseConfig(r=1.0, gate=8.0)).consecutive_outliers == 0
+    assert correct(state, cone, NoiseConfig(r=1.0, gate=7.999)).consecutive_outliers == 1
 
 
 def test_is_outlier_requires_tracking():
@@ -321,7 +315,7 @@ def test_is_outlier_requires_tracking():
     # counting a cone it would gate as an outlier
     far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
     with pytest.raises(FilterLifecycleError):
-        correct(FilterState(), far_cone, NoiseConfig(r=1.0, q=0.0, outlier_gate=9.0))
+        correct(FilterState(), far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
 
 
 # --- filter step against the textbook reference ---
@@ -352,9 +346,10 @@ def reference_cases(rng, count):
         cfg = NoiseConfig(
             r=rng.uniform(0.25, 2.0),
             far_variance=rng.choice([1e9, 1e9, 1e5, 1e3]),
-            outlier_gate=rng.choice([9.0, 25.0]),
+            gate=rng.choice([9.0, 25.0]),
+            mode=mode,
         )
-        yield tracking_state(x, 0.5 * (omega + omega.T), mode), cone, cfg
+        yield tracking_state(x, 0.5 * (omega + omega.T)), cone, cfg
 
 
 def test_correct_matches_reference_kalman_update():
@@ -378,13 +373,13 @@ def test_correct_matches_reference_kalman_update():
             direction = cone_normal_reference(res.point, cone.origin, cone.axis, cone.half_angle)
         d2, x_ref, omega_ref = kalman_cone_update_reference(
             state.x, state.omega, nu, direction, cfg.r, cfg.far_variance,
-            ground_plane=state.mode is Mode.TWO_D,
+            ground_plane=cfg.mode is Mode.TWO_D,
         )
         out = correct(state, cone, cfg)
         gated = out.consecutive_outliers == 1
-        if abs(d2 - cfg.outlier_gate) <= 1e-6:
+        if abs(d2 - cfg.gate) <= 1e-6:
             continue
-        assert gated == (d2 > cfg.outlier_gate)
+        assert gated == (d2 > cfg.gate)
         if gated:
             assert np.array_equal(out.x, state.x) and np.array_equal(out.omega, state.omega)
             seen["gated"] += 1
@@ -395,7 +390,7 @@ def test_correct_matches_reference_kalman_update():
         step = float(np.linalg.norm(x_ref - state.x))
         assert np.linalg.norm(out.x - x_ref) <= 10.0 * cfg.far_variance * eps / lam * step + 1e-12
         assert np.max(np.abs(out.omega - omega_ref)) <= 1e-6 * np.max(np.abs(omega_ref))
-        if state.mode is Mode.TWO_D:
+        if cfg.mode is Mode.TWO_D:
             assert out.x[2] == 0.0 and out.omega[2][2] == state.omega[2][2]
     assert min(seen["accepted"], seen["gated"], seen["surface"]) >= 300, seen
 
@@ -405,7 +400,7 @@ def test_correct_matches_reference_kalman_update():
 
 def test_covariance_spd_over_random_sequences():
     rng = np.random.default_rng(10)
-    cfg = NoiseConfig(r=0.8, q=0.05, outlier_gate=25.0)
+    cfg = NoiseConfig(r=0.8, q=0.05, gate=25.0)
     for _ in range(200):
         p_star = rng.normal(size=3) * 5.0
         state = tracking_state(p_star + rng.normal(size=3) * 3.0, omega=9.0 * np.eye(3))
@@ -489,7 +484,7 @@ def world_cones_through(p_star, rng, n, base_angle=0.0, spread=12.0):
 
 def test_session_buffers_until_count_reached():
     rng = np.random.default_rng(12)
-    est = SourceEstimator(NoiseConfig(init_cone_count=5, init_multistart=4))
+    est = SourceEstimator(NoiseConfig(init_count=5, multistart=4))
     cones = world_cones_through(np.array([5.0, 5.0, 0.0]), rng, 4)
     for c in cones:
         state, action = est.ingest(c)
@@ -500,7 +495,7 @@ def test_session_buffers_until_count_reached():
 def test_session_initializes_and_tracks():
     rng = np.random.default_rng(13)
     p_star = np.array([5.0, 5.0, 0.0])
-    est = SourceEstimator(NoiseConfig(init_cone_count=5, init_multistart=4))
+    est = SourceEstimator(NoiseConfig(init_count=5, multistart=4))
     for c in world_cones_through(p_star, rng, 5):
         state, action = est.ingest(c)
     assert state.status is Status.TRACKING
@@ -523,7 +518,7 @@ def test_session_ignores_unseparated_origins():
     # fallback solve flags the geometry as degenerate instead of tracking
     rng = np.random.default_rng(14)
     p_star = np.array([5.0, 0.0, 0.0])
-    cfg = NoiseConfig(init_cone_count=3, init_multistart=2, fallback_factor=3)
+    cfg = NoiseConfig(init_count=3, multistart=2)
     est = SourceEstimator(cfg)
     origin = np.array([0.0, 0.0, 5.0])
     for i in range(12):
@@ -540,7 +535,7 @@ def test_session_rejects_inconsistent_geometry():
     # each passes through a different target, so the best-fit residual
     # stays large and the consistency gate refuses to initialize
     rng = np.random.default_rng(21)
-    cfg = NoiseConfig(init_cone_count=5, init_multistart=4, init_cost_gate=3.0)
+    cfg = NoiseConfig(init_count=5, multistart=4)
     est = SourceEstimator(cfg)
     for i in range(5):
         ang = 2.0 * math.pi * i / 5.0
@@ -562,7 +557,7 @@ def test_session_counts_infeasible_solves_apart(monkeypatch):
 
     monkeypatch.setattr(estimator, "solve", infeasible)
     rng = np.random.default_rng(13)
-    est = SourceEstimator(NoiseConfig(init_cone_count=5, init_multistart=4))
+    est = SourceEstimator(NoiseConfig(init_count=5, multistart=4))
     for c in world_cones_through(np.array([5.0, 5.0, 0.0]), rng, 7):
         state, action = est.ingest(c)
         assert action is Action.BUFFERED
@@ -576,9 +571,7 @@ def test_session_counts_infeasible_solves_apart(monkeypatch):
 def test_session_reset_after_outlier_run():
     rng = np.random.default_rng(15)
     p_star = np.array([5.0, 5.0, 0.0])
-    cfg = NoiseConfig(
-        init_cone_count=5, init_multistart=4, reset_run_length=3, outlier_gate=9.0, q=0.0
-    )
+    cfg = NoiseConfig(init_count=5, multistart=4, gate=9.0, q=0.0)
     est = SourceEstimator(cfg)
     for c in world_cones_through(p_star, rng, 5):
         est.ingest(c)
@@ -598,29 +591,10 @@ def test_session_reset_after_outlier_run():
     assert len(est.buffer) == 4
 
 
-def test_session_reset_without_reseed():
-    rng = np.random.default_rng(16)
-    p_star = np.array([5.0, 5.0, 0.0])
-    cfg = NoiseConfig(
-        init_cone_count=5,
-        init_multistart=4,
-        reset_run_length=3,
-        reseed_rejected=False,
-        q=0.0,
-    )
-    est = SourceEstimator(cfg)
-    for c in world_cones_through(p_star, rng, 5):
-        est.ingest(c)
-    for i in range(4):
-        garbage = apex_cone([80.0 + i, -40.0, 0.0], toward=p_star)
-        est.ingest(Cone(garbage.origin, garbage.axis, garbage.half_angle, Frame.WORLD, 10.0 + i))
-    assert est.buffer == []
-
-
 def test_session_accept_counters():
     rng = np.random.default_rng(17)
     p_star = np.array([2.0, 2.0, 0.0])
-    est = SourceEstimator(NoiseConfig(init_cone_count=5, init_multistart=4, q=0.0))
+    est = SourceEstimator(NoiseConfig(init_count=5, multistart=4, q=0.0))
     for c in world_cones_through(p_star, rng, 5):
         est.ingest(c)
     for c in world_cones_through(p_star, rng, 6, base_angle=0.3):

@@ -314,21 +314,21 @@ def test_track_toa_and_energy_are_min_and_sum_of_hits():
 def test_pairing_example_three_tracks():
     # 0 and 10 pair; 30 is within the window of 10 but 10 is taken
     tracks = [track(0.0), track(10.0, 5, 5), track(30.0, 9, 9)]
-    pairs = pair_coincident(tracks, window=86.0)
-    assert len(pairs) == 1
+    pairs, dropped = pair_coincident(tracks, window=86.0)
+    assert len(pairs) == 1 and dropped == 0
     assert (pairs[0][0].toa, pairs[0][1].toa) == (0.0, 10.0)
 
 
 def test_pairing_outside_window():
     tracks = [track(0.0), track(100.0, 5, 5)]
-    assert pair_coincident(tracks, window=86.0) == []
+    assert pair_coincident(tracks, window=86.0) == ([], 0)
 
 
 def test_pairing_disjoint_and_within_window():
     rng = np.random.default_rng(8)
     toas = np.cumsum(rng.exponential(60.0, size=60))
     tracks = [track(float(t), i % 100, i // 100) for i, t in enumerate(toas)]
-    pairs = pair_coincident(tracks, window=86.0)
+    pairs, _ = pair_coincident(tracks, window=86.0)
     used = set()
     for a, b in pairs:
         assert abs(a.toa - b.toa) <= 86.0
@@ -343,15 +343,25 @@ def test_pairing_greedy_attains_maximum_cardinality():
     for _ in range(50):
         toas = sorted(rng.uniform(0, 400, size=rng.integers(2, 9)))
         tracks = [track(float(t), i, 0) for i, t in enumerate(toas)]
-        got = pair_coincident(tracks, window=86.0)
+        got, _ = pair_coincident(tracks, window=86.0)
         best = best_disjoint_pairing(toas, window=86.0)
         assert len(got) == len(best)
 
 
 def test_pairing_drop_ambiguous():
     tracks = [track(0.0), track(10.0, 5, 5), track(20.0, 9, 9)]
-    assert len(pair_coincident(tracks, window=86.0)) == 1
-    assert pair_coincident(tracks, window=86.0, drop_ambiguous=True) == []
+    assert len(pair_coincident(tracks, window=86.0)[0]) == 1
+    assert pair_coincident(tracks, window=86.0, drop_ambiguous=True) == ([], 3)
+    # a 3-run, a pair, a 4-run and a lone track, more than a window apart
+    # and given out of order: each run of 3+ is dropped and counted whole
+    toas = [0.0, 20.0, 40.0, 300.0, 350.0, 600.0, 610.0, 620.0, 630.0, 900.0]
+    tracks = [track(t, i, 0) for i, t in enumerate(toas)][::-1]
+    pairs, dropped = pair_coincident(tracks, window=86.0, drop_ambiguous=True)
+    assert [(a.toa, b.toa) for a, b in pairs] == [(300.0, 350.0)]
+    assert dropped == 7
+    pairs, dropped = pair_coincident(tracks, window=86.0)
+    assert [(a.toa, b.toa) for a, b in pairs] == [(0.0, 20.0), (300.0, 350.0), (600.0, 610.0), (620.0, 630.0)]
+    assert dropped == 0
 
 
 def test_knobs_refuse_nan_and_nonpositive():

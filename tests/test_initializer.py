@@ -154,7 +154,7 @@ def test_problem_validation():
     with pytest.raises(MalformedInputError):
         InitProblem(cones=cones[:2])
     with pytest.raises(MalformedInputError):
-        InitProblem(cones=cones, multistart_count=0)
+        InitProblem(cones=cones, multistart=0)
     with pytest.raises(MalformedInputError):
         InitProblem(cones=cones, max_iterations=0)
     with pytest.raises(MalformedInputError):

@@ -13,6 +13,7 @@ from radloc.errors import MalformedInputError, OrderingError, ParseError, Schema
 from radloc.geometry import Cone, Frame
 from radloc.io import (
     CONES_HEADER,
+    ESTIMATES_HEADER,
     HITS_HEADER,
     PAIRS_HEADER,
     POSES_HEADER,
@@ -385,6 +386,17 @@ def test_estimates_roundtrip(tmp_path):
     assert back[1]["action"] == "buffered"
 
 
+def test_estimates_reader_rejects_nonfinite_time(tmp_path):
+    # a NaN time used to reach metrics, which then wrote null errors
+    path = tmp_path / "estimates.csv"
+    for bad in ("nan", "inf"):
+        row = "1,0,0,1,0,0,1,0,1,tracking,corrected"
+        write_lines(path, ESTIMATES_HEADER, [f"0.5,{row}", f"{bad},{row}"])
+        with pytest.raises(ParseError) as err:
+            read_estimates_csv(path)
+        assert err.value.line == 3
+
+
 def test_steps_csv_serves_as_truth(tmp_path):
     sc = Scenario(source_initial=[2.0, 1.0, 0.0], duration=5.0, seed=1, timestep=0.5)
     report = run_scenario(sc)
@@ -485,10 +497,12 @@ def test_scenario_unknown_keys_rejected():
         scenario_from_dict({"uav": {"speeed": 1.0}})
     with pytest.raises(SchemaError):
         scenario_from_dict({"detector": {"sigma": 0.1}})
-    # a renamed knob is read under its YAML key only, not its field name
-    with pytest.raises(SchemaError) as err:
-        scenario_from_dict({"estimator": {"outlier_gate": 16.0}})
-    assert "outlier_gate" in err.value.keys
+    # knobs that became constants are refused by name
+    for key in ("min_origin_separation", "reseed_rejected", "reset_run_length", "bounds_margin",
+                "fallback_factor", "degeneracy_threshold", "cost_gate", "outlier_gate"):
+        with pytest.raises(SchemaError) as err:
+            scenario_from_dict({"estimator": {key: 1}})
+        assert err.value.keys == [key]
 
 
 def test_scenario_value_validation():
@@ -500,11 +514,8 @@ def test_scenario_value_validation():
         scenario_from_dict({"source": {"position": [1.0, 2.0]}})
     with pytest.raises(SchemaError):
         scenario_from_dict({"duration": "soon"})
-    # bool("false") is True and int(5.9) is 5: only real bools and integral
-    # values are accepted
+    # int(5.9) is 5 and int(True) is 1: only integral values are accepted
     for raw in (
-        {"estimator": {"reseed_rejected": "false"}},
-        {"estimator": {"reseed_rejected": 0}},
         {"estimator": {"init_count": 5.9}},
         {"estimator": {"init_count": True}},
         {"seed": 2.7},
@@ -519,9 +530,9 @@ def test_scenario_value_validation():
         {"estimator": {"r": nan}},
         {"estimator": {"q": nan}},
         {"estimator": {"init_variance": -1.0}},
-        {"estimator": {"min_origin_separation": -1.0}},
-        {"estimator": {"fallback_factor": 0}},
-        {"estimator": {"reset_run_length": -1}},
+        {"estimator": {"gate": 0.0}},
+        {"estimator": {"multistart": 0}},
+        {"seed": -1},
         {"source": {"activity_bq": nan}},
         {"source": {"position": [nan, 0.0, 0.0]}},
         {"source": {"velocity": [0.0, inf, 0.0]}},
@@ -537,23 +548,17 @@ def test_scenario_value_validation():
             scenario_from_dict(raw)
 
 
-# YAML key -> (NoiseConfig field, a value other than its default)
+# YAML key -> a value other than its default
 ESTIMATOR_KEYS = {
-    "r": ("r", 2.5),
-    "far_variance": ("far_variance", 1e8),
-    "q": ("q", 0.5),
-    "gate": ("outlier_gate", 16.0),
-    "init_count": ("init_cone_count", 6),
-    "min_origin_separation": ("min_origin_separation", 1.5),
-    "init_variance": ("init_variance", 25.0),
-    "reseed_rejected": ("reseed_rejected", False),
-    "reset_run_length": ("reset_run_length", 4),
-    "multistart": ("init_multistart", 3),
-    "bounds_margin": ("init_bounds_margin", 150.0),
-    "fallback_factor": ("fallback_factor", 2),
-    "degeneracy_threshold": ("degeneracy_threshold", 1e7),
-    "max_iterations": ("init_max_iterations", 60),
-    "cost_gate": ("init_cost_gate", 5.0),
+    "mode": "2d",
+    "r": 2.5,
+    "far_variance": 1e8,
+    "q": 0.5,
+    "gate": 16.0,
+    "init_count": 6,
+    "init_variance": 25.0,
+    "multistart": 3,
+    "max_iterations": 60,
 }
 DETECTOR_KEYS = {
     "cone_rate_constant": 1e-7,
@@ -566,22 +571,23 @@ DETECTOR_KEYS = {
 
 
 def test_scenario_estimator_mapping():
-    assert {f for f, _ in ESTIMATOR_KEYS.values()} == {f.name for f in dataclasses.fields(NoiseConfig)}
+    # each estimator and detector key is the name of the field it sets
+    assert set(ESTIMATOR_KEYS) == {f.name for f in dataclasses.fields(NoiseConfig)}
     assert set(DETECTOR_KEYS) == {f.name for f in dataclasses.fields(DetectorModel)}
     scenario = scenario_from_dict(
         {
-            "estimator": {"mode": "2d", **{key: value for key, (_, value) in ESTIMATOR_KEYS.items()}},
+            "estimator": ESTIMATOR_KEYS,
             "detector": DETECTOR_KEYS,
             "uav": {"start": [1.0, 2.0, 5.0]},
         }
     )
-    for key, (name, value) in ESTIMATOR_KEYS.items():
-        assert getattr(NoiseConfig(), name) != value, key
-        assert getattr(scenario.estimator, name) == value, key
+    assert scenario.estimator == NoiseConfig(**ESTIMATOR_KEYS)
+    assert scenario.estimator.mode is Mode.TWO_D
+    for key, value in ESTIMATOR_KEYS.items():
+        assert getattr(scenario.estimator, key) != getattr(NoiseConfig(), key), key
     for name, value in DETECTOR_KEYS.items():
         assert getattr(DetectorModel(), name) != value, name
         assert getattr(scenario.detector, name) == value, name
-    assert scenario.mode is Mode.TWO_D
     assert np.array_equal(scenario.uav_start, [1.0, 2.0, 5.0])
 
 

@@ -195,7 +195,7 @@ def static_scenario(**overrides):
         seed=7,
         timestep=0.5,
         estimator=NoiseConfig(
-            r=2.0, q=0.02, init_variance=25.0, init_multistart=4, init_max_iterations=60
+            r=2.0, q=0.02, init_variance=25.0, multistart=4, max_iterations=60
         ),
     )
     base.update(overrides)
@@ -274,7 +274,7 @@ def test_run_scenario_stationary_uav_never_tracks():
         timestep=0.5,
         program=Program.STATIONARY,
         uav_start=[8.0, 0.0, 5.0],
-        estimator=NoiseConfig(init_multistart=2, init_max_iterations=40),
+        estimator=NoiseConfig(multistart=2, max_iterations=40),
     )
     summary = metrics(run_scenario(sc))
     assert summary["degenerate_only"]
@@ -295,7 +295,7 @@ def test_run_scenario_radial_approach_never_tracks():
         timestep=0.5,
         program=Program.RADIAL,
         uav_start=[12.0, 0.0, 0.0],
-        estimator=NoiseConfig(init_multistart=2, init_max_iterations=40),
+        estimator=NoiseConfig(multistart=2, max_iterations=40),
     )
     summary = metrics(run_scenario(sc))
     assert summary["degenerate_only"]
@@ -308,7 +308,7 @@ def test_run_scenario_background_only_never_initializes():
     sc = static_scenario(
         detector=DetectorModel(cone_rate_constant=0.0, background_rate=0.1),
         duration=120.0,
-        estimator=NoiseConfig(init_multistart=4, init_max_iterations=60),
+        estimator=NoiseConfig(multistart=4, max_iterations=60),
     )
     report = run_scenario(sc)
     assert report.cones_source == 0
