@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .estimator import NoiseConfig, SourceEstimator, Status
-from .events import EventClass, process_hits, process_pairs
+from .events import EventClass, check_positive, process_hits, process_pairs
 from .geometry import Frame, interpolate_pose, transform_cone
 from .initializer import Mode
 from .simulator import metrics as sim_metrics
@@ -59,10 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--threshold-kev", type=float, default=BACKGROUND_THRESHOLD_KEV)
     rec.add_argument("--toa-gap-ns", type=float, default=CLUSTER_TOA_GAP_NS)
     rec.add_argument("--duration", type=float, default=None, help="stream duration in s for rates")
-    rec.add_argument("--format", choices=["auto", "hits", "pairs"], default="auto")
-    rec.add_argument("--swap-hypotheses", action="store_true")
-    rec.add_argument("--drop-ambiguous", action="store_true")
-    rec.add_argument("--geometric-centroid", action="store_true")
+    rec.add_argument("--drop-ambiguous", action="store_true", help="hit files only")
 
     est = sub.add_parser("estimate", help="run the estimator over recorded cones")
     est.add_argument("--cones", required=True)
@@ -93,25 +90,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    # checked here as well as in clustering and pairing, so that a pairs file refuses them too
+    check_positive("window", args.window_ns)
+    check_positive("max_toa_gap", args.toa_gap_ns)
     poses = rio.read_poses_csv(args.poses)
-    fmt = args.format if args.format != "auto" else rio.sniff_events_format(args.events)
-    common = dict(
-        threshold=args.threshold_kev,
-        swap_hypotheses=args.swap_hypotheses,
-        duration=args.duration,
-    )
-    if fmt == "hits":
+    if rio.sniff_events_format(args.events) == "hits":
         hits = rio.read_hits_csv(args.events)
         result = process_hits(
             hits,
             max_toa_gap=args.toa_gap_ns,
             window=args.window_ns,
-            energy_weighted=not args.geometric_centroid,
+            threshold=args.threshold_kev,
             drop_ambiguous=args.drop_ambiguous,
-            **common,
+            duration=args.duration,
         )
     else:
-        result = process_pairs(rio.read_pairs_csv(args.events), **common)
+        pairs = rio.read_pairs_csv(args.events)
+        result = process_pairs(pairs, threshold=args.threshold_kev, duration=args.duration)
 
     world = []
     skipped = 0
@@ -243,6 +238,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    check_positive("threshold", args.threshold)
     rows = rio.read_estimates_csv(args.estimates)
     t_truth, truth = rio.read_truth_csv(args.truth)
 

@@ -150,8 +150,8 @@ class EventClass(Enum):
     BACKGROUND = "background"
 
 
-def _check_positive(name: str, value: float) -> None:
-    # written so that NaN fails too
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not positive and finite, NaN included."""
     if not 0.0 < value < math.inf:
         raise MalformedInputError(f"{name} must be positive and finite, got {value!r}")
 
@@ -200,7 +200,7 @@ def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> lis
     Tracks come in order of their earliest hit, each with its hits in
     time order.
     """
-    _check_positive("max_toa_gap", max_toa_gap)
+    check_positive("max_toa_gap", max_toa_gap)
     n = len(hits)
     if n == 0:
         return []
@@ -239,24 +239,20 @@ def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> lis
     ]
 
 
-def track_centroid(
-    track: PixelTrack, energy_weighted: bool = True
-) -> tuple[float, float, float, float]:
-    """Centroid (x mm, y mm), total energy (keV), earliest toa (ns) of a track.
+def track_centroid(track: PixelTrack) -> tuple[float, float, float, float]:
+    """Energy-weighted centroid (x mm, y mm), total energy (keV), earliest toa (ns).
 
     Pixel (col, row) spans [col*pitch, (col+1)*pitch), so its center sits
-    at (col + 0.5)*pitch. Weighting by deposited energy is the default;
-    pass energy_weighted=False for the plain geometric mean. The sums run
-    in hit order, as numpy sums fewer than eight terms.
+    at (col + 0.5)*pitch, and each center is weighted by the energy its
+    pixel took. The sums run in hit order, as numpy sums fewer than
+    eight terms.
     """
-    sx = sy = sw = energy = 0.0
+    sx = sy = energy = 0.0
     for col, row, e in zip(track.cols, track.rows, track.energies):
-        w = e if energy_weighted else 1.0
-        sx += (col + 0.5) * w
-        sy += (row + 0.5) * w
-        sw += w
+        sx += (col + 0.5) * e
+        sy += (row + 0.5) * e
         energy += e
-    return sx / sw * PIXEL_PITCH_MM, sy / sw * PIXEL_PITCH_MM, energy, track.toa
+    return sx / energy * PIXEL_PITCH_MM, sy / energy * PIXEL_PITCH_MM, energy, track.toa
 
 
 def pair_coincident(
@@ -274,7 +270,7 @@ def pair_coincident(
     irreducible multi-coincidence instead of being paired greedily.
     Returns the pairs and the number of tracks dropped.
     """
-    _check_positive("window", window)
+    check_positive("window", window)
     ordered = sorted(tracks, key=lambda t: t.toa)
     pairs: list[tuple[PixelTrack, PixelTrack]] = []
     dropped = 0
@@ -305,7 +301,7 @@ def classify_track(
     and counts as background; below it, paired events are Compton
     candidates and lone tracks photoelectric absorptions.
     """
-    _check_positive("threshold", threshold)
+    check_positive("threshold", threshold)
     if not total_energy > 0.0:
         raise MalformedInputError("total_energy must be positive")
     if total_energy > threshold:
@@ -343,33 +339,18 @@ def scattering_angle(electron_energy: float, photon_energy: float) -> float:
     return math.acos(b)
 
 
-def make_pair(
-    first: PixelTrack,
-    second: PixelTrack,
-    energy_weighted: bool = True,
-) -> ComptonPair:
+def make_pair(first: PixelTrack, second: PixelTrack) -> ComptonPair:
     """Build a ComptonPair from two coincident tracks.
 
     Role convention for anonymous track input: the earlier track is the
     scattered photon, the later the recoil electron, so the depth offset
-    comes out nonnegative. When the true roles matter, use the
-    swap-hypotheses path to emit both readings.
+    comes out nonnegative. Each pair has this one reading and gives at
+    most one cone.
     """
     a, b = (first, second) if first.toa <= second.toa else (second, first)
-    px, py, pe, pt = track_centroid(a, energy_weighted)
-    ex, ey, ee, et = track_centroid(b, energy_weighted)
+    px, py, pe, pt = track_centroid(a)
+    ex, ey, ee, et = track_centroid(b)
     return ComptonPair((ex, ey), (px, py), ee, pe, et, pt)
-
-
-def swap_roles(pair: ComptonPair) -> ComptonPair:
-    return ComptonPair(
-        pair.photon_xy,
-        pair.electron_xy,
-        pair.photon_energy,
-        pair.electron_energy,
-        pair.photon_toa,
-        pair.electron_toa,
-    )
 
 
 def build_cone(pair: ComptonPair) -> Cone:
@@ -400,12 +381,16 @@ class ClassificationSummary:
     counts: dict[EventClass, int] = field(
         default_factory=lambda: {c: 0 for c in EventClass}
     )
-    rejected_pairs: int = 0  # Compton pairs that gave no cone
-    # dropped cone candidates by reason, one per role reading tried
+    # Compton pairs that gave no cone, by reason
     invalid_scattering: int = 0
     degenerate_geometry: int = 0
     ambiguous: int = 0
     duration: float = 0.0  # seconds
+
+    @property
+    def rejected_pairs(self) -> int:
+        """Compton pairs that gave no cone."""
+        return self.invalid_scattering + self.degenerate_geometry
 
     @property
     def total(self) -> int:
@@ -436,7 +421,6 @@ class PipelineResult:
 def process_pairs(
     pairs: list[ComptonPair],
     threshold: float = BACKGROUND_THRESHOLD_KEV,
-    swap_hypotheses: bool = False,
     duration: float | None = None,
     unpaired_tracks: list[PixelTrack] | None = None,
     ambiguous: int = 0,
@@ -446,10 +430,9 @@ def process_pairs(
     Pairs are classified on their summed energy; only Compton candidates
     yield cones. Pairs whose energy split fails the scattering-angle
     validity test, or whose two events coincide, stay classified but are
-    dropped from cone output and tallied under rejected_pairs; each
-    dropped candidate also counts under its reason.
+    dropped from cone output and counted under their reason.
     """
-    _check_positive("threshold", threshold)
+    check_positive("threshold", threshold)
     if duration is not None and not 0.0 <= duration < math.inf:
         raise MalformedInputError(f"duration must be nonnegative and finite, got {duration!r}")
     summary = ClassificationSummary(ambiguous=ambiguous)
@@ -462,20 +445,14 @@ def process_pairs(
         summary.counts[cls] += 1
         if cls is not EventClass.COMPTON_CANDIDATE:
             continue
-        candidates = [pair, swap_roles(pair)] if swap_hypotheses else [pair]
-        ok = 0
-        for cand in candidates:
-            try:
-                cones.append(build_cone(cand))
-                ok += 1
-            except InvalidScatteringError as exc:
-                summary.invalid_scattering += 1
-                log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
-            except DegenerateGeometryError as exc:
-                summary.degenerate_geometry += 1
-                log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
-        if ok == 0:
-            summary.rejected_pairs += 1
+        try:
+            cones.append(build_cone(pair))
+        except InvalidScatteringError as exc:
+            summary.invalid_scattering += 1
+            log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
+        except DegenerateGeometryError as exc:
+            summary.degenerate_geometry += 1
+            log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
 
     for track in unpaired_tracks or []:
         times.append(track.toa)
@@ -496,8 +473,6 @@ def process_hits(
     max_toa_gap: float = CLUSTER_TOA_GAP_NS,
     window: float = COINCIDENCE_WINDOW_NS,
     threshold: float = BACKGROUND_THRESHOLD_KEV,
-    energy_weighted: bool = True,
-    swap_hypotheses: bool = False,
     drop_ambiguous: bool = False,
     duration: float | None = None,
 ) -> PipelineResult:
@@ -506,16 +481,11 @@ def process_hits(
     pairs_raw, ambiguous = pair_coincident(tracks, window, drop_ambiguous)
     paired_ids = {id(t) for pair in pairs_raw for t in pair}
     unpaired = [t for t in tracks if id(t) not in paired_ids]
-    pairs = [make_pair(a, b, energy_weighted) for a, b in pairs_raw]
+    pairs = [make_pair(a, b) for a, b in pairs_raw]
     if duration is None and len(hits):
         duration = float(hits.toa.max() - hits.toa.min()) * 1e-9
     return process_pairs(
-        pairs,
-        threshold=threshold,
-        swap_hypotheses=swap_hypotheses,
-        duration=duration,
-        unpaired_tracks=unpaired,
-        ambiguous=ambiguous,
+        pairs, threshold=threshold, duration=duration, unpaired_tracks=unpaired, ambiguous=ambiguous
     )
 
 
@@ -535,6 +505,5 @@ __all__ = [
     "process_hits",
     "process_pairs",
     "scattering_angle",
-    "swap_roles",
     "track_centroid",
 ]

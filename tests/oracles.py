@@ -326,14 +326,13 @@ def exhaustive_min_norm(vectors) -> float:
 # matrix-vector products go through BLAS, which may fuse multiply-adds. ---
 
 
-def track_centroid_reference(track, energy_weighted: bool = True):
-    """(x mm, y mm, energy keV, toa ns) of a track with np.average."""
+def track_centroid_reference(track):
+    """Energy-weighted (x mm, y mm), energy keV and toa ns of a track with np.average."""
     cols = np.array(track.cols) + 0.5
     rows = np.array(track.rows) + 0.5
     energies = np.array(track.energies)
-    weights = energies if energy_weighted else np.ones_like(energies)
-    x = float(np.average(cols, weights=weights)) * PIXEL_PITCH_MM
-    y = float(np.average(rows, weights=weights)) * PIXEL_PITCH_MM
+    x = float(np.average(cols, weights=energies)) * PIXEL_PITCH_MM
+    y = float(np.average(rows, weights=energies)) * PIXEL_PITCH_MM
     return x, y, float(energies.sum()), min(track.toas)
 
 

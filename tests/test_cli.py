@@ -30,7 +30,9 @@ SOURCE = np.array([5.0, -3.0, 0.0])
 # ten Compton pairs of 1-4-pixel tracks (one of them in a triple
 # coincidence, one after the last pose), two impossible energy splits, a
 # 16-pixel ring around a pixel at the same time (coinciding centroids),
-# four photoelectric tracks, and background above the threshold
+# four photoelectric tracks, and background above the threshold. pairs.csv
+# holds three pre-paired events: a valid one, an impossible energy split
+# and coinciding electron and photon events
 FIXTURE = Path(__file__).parent / "data"
 
 
@@ -165,34 +167,27 @@ def test_reconstruct_drop_ambiguous_counts_the_triple(tmp_path, capsys):
 )
 def test_reconstruct_refuses_bad_knobs(tmp_path, capsys, flag, values):
     # NaN used to switch clustering or pairing off, or drop all background,
-    # and a negative duration was written out as it came
-    argv = ["reconstruct", "--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv")]
-    for value in values:
-        out = tmp_path / value
-        assert main([*argv, "--out", str(out), f"{flag}={value}"]) == 1, value
-        assert "must be" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
-    # the smallest accepted duration still reads
-    assert main([*argv, "--out", str(tmp_path / "ok"), "--duration", "0"]) == 0
+    # and a negative duration was written out as it came; a pairs file,
+    # which is neither clustered nor paired, used to take any gap or window
+    for events in ("hits.csv", "pairs.csv"):
+        argv = ["reconstruct", "--events", str(FIXTURE / events), "--poses", str(FIXTURE / "poses.csv")]
+        for value in values:
+            out = tmp_path / events / value
+            assert main([*argv, "--out", str(out), f"{flag}={value}"]) == 1, (events, value)
+            assert "must be" in capsys.readouterr().err
+            assert not (out / "summary.json").exists()
+        # the smallest accepted duration still reads
+        assert main([*argv, "--out", str(tmp_path / events / "ok"), "--duration", "0"]) == 0
 
 
-def test_reconstruct_pairs_input(tmp_path):
-    pairs = tmp_path / "pairs.csv"
-    pairs.write_text(
-        "electron_x_mm,electron_y_mm,electron_kev,electron_toa_ns,"
-        "photon_x_mm,photon_y_mm,photon_kev,photon_toa_ns\n"
-        "1.0,1.0,315.70,120.31,3.0,4.0,394.22,100.0\n"
-    )
-    poses = tmp_path / "poses.csv"
-    write_poses_csv(poses)
-    out = tmp_path / "out"
-    code = main(
-        ["reconstruct", "--events", str(pairs), "--poses", str(poses), "--out", str(out)]
-    )
-    assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["pairs"] == 1
-    assert summary["cones_written"] == 1
+def test_reconstruct_pairs_input(tmp_path, capsys):
+    argv = ["reconstruct", "--events", str(FIXTURE / "pairs.csv"), "--poses", str(FIXTURE / "poses.csv")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["counts"] == {"photoelectric": 0, "compton": 3, "background": 0}
+    assert (summary["invalid_scattering"], summary["degenerate_geometry"], summary["rejected_pairs"]) == (1, 1, 2)
+    assert (summary["pairs"], summary["cones_written"]) == (3, 1)
+    assert "pairs=3 rejected_pairs=2 " in capsys.readouterr().out
 
 
 def test_reconstruct_parse_error_exit_2(tmp_path, capsys):
@@ -463,6 +458,23 @@ def test_metrics_happy_path(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mean_error_m"] < 0.01
     assert summary["convergence_time_s"] is not None
+
+
+def test_metrics_refuses_bad_threshold(tmp_path, capsys):
+    # inf used to be written as Infinity, which is not JSON, and NaN as null
+    cones_path = tmp_path / "cones.csv"
+    exact_cones_file(cones_path)
+    est_out = tmp_path / "est"
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(est_out)]) == 0
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t_s,x,y,z\n" + "".join(f"{t},5.0,-3.0,0.0\n" for t in range(5)))
+    argv = ["metrics", "--estimates", str(est_out / "estimates.csv"), "--truth", str(truth)]
+    for value in ("inf", "nan", "-1", "0"):
+        out = tmp_path / value
+        assert main([*argv, "--out", str(out), f"--threshold={value}"]) == 1, value
+        assert "threshold must be positive and finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+    assert main([*argv, "--out", str(tmp_path / "ok"), "--threshold=0.5"]) == 0
 
 
 def test_metrics_no_overlap_exit_1(tmp_path):

@@ -29,7 +29,6 @@ from radloc.events import (
     process_hits,
     process_pairs,
     scattering_angle,
-    swap_roles,
     track_centroid,
 )
 from radloc.geometry import Frame
@@ -253,8 +252,6 @@ def test_centroid_energy_weighted():
     assert x == pytest.approx(0.055, abs=1e-12)
     assert y == pytest.approx(0.0275, abs=1e-12)
     assert e == 400.0
-    x_geo, _, _, _ = track_centroid(t, energy_weighted=False)
-    assert x_geo == pytest.approx(1.5 * 0.055, abs=1e-12)
 
 
 def test_centroid_toa_is_earliest():
@@ -281,15 +278,14 @@ def test_centroid_matches_numpy_reference():
     for k in range(2000):
         n = 1 + k % 7 if k < 1000 else int(rng.integers(8, 41))
         t = random_track(rng, n)
-        for weighted in (True, False):
-            got, want = track_centroid(t, weighted), track_centroid_reference(t, weighted)
-            if n < 8:
-                assert got == want, (n, weighted)
-                continue
-            assert got[3] == want[3]
-            for g, w in zip(got[:3], want[:3]):
-                worst = max(worst, abs(g - w) / math.ulp(w))
-                assert abs(g - w) <= n * math.ulp(w), (n, weighted, g, w)
+        got, want = track_centroid(t), track_centroid_reference(t)
+        if n < 8:
+            assert got == want, n
+            continue
+        assert got[3] == want[3]
+        for g, w in zip(got[:3], want[:3]):
+            worst = max(worst, abs(g - w) / math.ulp(w))
+            assert abs(g - w) <= n * math.ulp(w), (n, g, w)
     assert worst > 0.0  # the reference's pairwise order did come into play
 
 
@@ -413,12 +409,6 @@ def test_make_pair_earlier_track_is_photon():
     assert same == pair
 
 
-def test_swap_roles_involution():
-    pair = make_pair(track(0.0, 1, 1, 200.0), track(5.0, 3, 3, 300.0))
-    assert swap_roles(swap_roles(pair)) == pair
-    assert swap_roles(pair).electron_energy == pair.photon_energy
-
-
 def test_build_cone_reference_event():
     pair = ComptonPair(
         electron_xy=(1.0, 2.0),
@@ -530,24 +520,6 @@ def test_process_pairs_counts_drops_by_reason():
     ]
     summary = process_pairs(pairs).summary
     assert (summary.invalid_scattering, summary.degenerate_geometry, summary.rejected_pairs) == (1, 1, 2)
-    # with both role readings each candidate counts: the coinciding pair
-    # fails twice, and the swapped split of the first is valid
-    summary = process_pairs(pairs, swap_hypotheses=True).summary
-    assert (summary.invalid_scattering, summary.degenerate_geometry, summary.rejected_pairs) == (1, 2, 1)
-
-
-def test_process_hits_swap_hypotheses_doubles_cones():
-    hits = batch([hit(0.0, 10, 10, 394.22), hit(20.0, 60, 60, 315.70)])
-    one = process_hits(hits, duration=1.0)
-    both = process_hits(hits, duration=1.0, swap_hypotheses=True)
-    assert len(one.cones) == 1
-    assert len(both.cones) == 2
-    # swapping roles swaps the energy split (different angle) and flips
-    # the depth offset (opposite axis z sign)
-    angles = sorted(c.half_angle for c in both.cones)
-    assert angles[0] == pytest.approx(scattering_angle(315.70, 394.22))
-    assert angles[1] == pytest.approx(scattering_angle(394.22, 315.70))
-    assert both.cones[0].axis[2] * both.cones[1].axis[2] < 0
 
 
 def test_process_hits_cones_time_sorted():
