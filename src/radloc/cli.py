@@ -257,17 +257,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "no tracked estimates overlap the truth time range; nothing to compare"
         )
 
-    lines = ["t_s,ex,ey,ez,err_m,err_xy_m"]
-    errs = []
-    errs_xy = []
-    for t, e in samples:
-        err = float(np.linalg.norm(e))
-        err_xy = float(np.linalg.norm(e[:2]))
-        errs.append(err)
-        errs_xy.append(err_xy)
-        cells = [t, e[0], e[1], e[2], err, err_xy]
-        lines.append(",".join(format(v, ".12g") for v in cells))
-    rio.atomic_write(out / "error_series.csv", "\n".join(lines) + "\n")
+    errs = [float(np.linalg.norm(e)) for _, e in samples]
+    errs_xy = [float(np.linalg.norm(e[:2])) for _, e in samples]
+    rows = [(t, *e, err, err_xy) for (t, e), err, err_xy in zip(samples, errs, errs_xy)]
+    rio.write_errors_csv(out / "error_series.csv", rows)
 
     errs_arr = np.array(errs)
     abs_axes = np.abs(np.array([e for _, e in samples]))

@@ -1,28 +1,29 @@
 """File formats: CSV streams, scenario YAML, atomic output writing.
 
-All CSV files carry a mandatory header line. Readers raise ParseError
-with the offending line number, SchemaError for wrong headers or config
-keys, and OrderingError when a time-ordered stream runs backwards. A
-record's values are checked by its own type (ComptonPair, Pose, Cone);
-the readers report its refusal as a ParseError at the line. Hit files
-are read whole into one HitBatch: a bulk numeric parse, then one check
-of all rows, and a bad row is mapped back to its line.
-Writers go through an atomic temp-file rename so interrupted runs never
-leave truncated output behind.
+Every CSV file goes through one table reader and one table writer. A
+file has a header line, then one row per nonblank line: comma-separated
+cells, numbers first and any text cells last. Numbers are plain decimal
+(nan and inf where the record allows them); nothing is quoted and no
+digit separators are read. The reader parses the numbers of the whole
+body in one call and checks columns as arrays; only a failure makes it
+look at single lines. Readers raise ParseError at the earliest faulty
+line, SchemaError for wrong headers or config keys, and OrderingError
+when a time-ordered stream runs backwards. A record's values are
+checked by its own type (HitBatch, ComptonPair, Pose, Cone), and its
+refusal is a ParseError at its line. Writers go through an atomic
+temp-file rename so interrupted runs never leave truncated output behind.
 """
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
+from typing import NoReturn, get_type_hints
 
 import numpy as np
 import yaml
@@ -34,50 +35,17 @@ from .geometry import Cone, Frame, Pose, Vec3, vec3
 from .initializer import Mode
 from .simulator import DetectorModel, Program, Scenario, SimulationReport
 
-HITS_HEADER = ["toa_ns", "col", "row", "energy_kev"]
-PAIRS_HEADER = [
-    "electron_x_mm",
-    "electron_y_mm",
-    "electron_kev",
-    "electron_toa_ns",
-    "photon_x_mm",
-    "photon_y_mm",
-    "photon_kev",
-    "photon_toa_ns",
-]
-POSES_HEADER = ["t_s", "px", "py", "pz", "qw", "qx", "qy", "qz"]
-CONES_HEADER = ["t_s", "ox", "oy", "oz", "dx", "dy", "dz", "theta_rad", "frame"]
-ESTIMATES_HEADER = [
-    "t_s",
-    "x",
-    "y",
-    "z",
-    "cov_xx",
-    "cov_xy",
-    "cov_xz",
-    "cov_yy",
-    "cov_yz",
-    "cov_zz",
-    "status",
-    "action",
-]
-STEPS_HEADER = [
-    "t_s",
-    "truth_x",
-    "truth_y",
-    "truth_z",
-    "est_x",
-    "est_y",
-    "est_z",
-    "err_m",
-    "phase",
-    "action",
-]
-TRUTH_HEADER = ["t_s", "x", "y", "z"]
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
+# each header is a file's first line, split at its commas
+HITS_HEADER = "toa_ns,col,row,energy_kev".split(",")
+PAIRS_HEADER = (
+    "electron_x_mm,electron_y_mm,electron_kev,electron_toa_ns,photon_x_mm,photon_y_mm,photon_kev,photon_toa_ns"
+).split(",")
+POSES_HEADER = "t_s,px,py,pz,qw,qx,qy,qz".split(",")
+CONES_HEADER = "t_s,ox,oy,oz,dx,dy,dz,theta_rad,frame".split(",")
+ESTIMATES_HEADER = "t_s,x,y,z,cov_xx,cov_xy,cov_xz,cov_yy,cov_yz,cov_zz,status,action".split(",")
+STEPS_HEADER = "t_s,truth_x,truth_y,truth_z,est_x,est_y,est_z,err_m,phase,action".split(",")
+TRUTH_HEADER = "t_s,x,y,z".split(",")
+ERRORS_HEADER = "t_s,ex,ey,ez,err_m,err_xy_m".split(",")
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -87,6 +55,13 @@ def atomic_write(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_table(path: str | Path, header: list[str], rows: Iterable[tuple], text: int = 0) -> None:
+    """A CSV file of rows whose last `text` cells are text and the others
+    numbers, written to 12 significant digits."""
+    line = ",".join(["%.12g"] * (len(header) - text) + ["%s"] * text) + "\n"
+    atomic_write(path, ",".join(header) + "\n" + "".join(line % row for row in rows))
 
 
 def _read_lines(path: str | Path, header: list[str]) -> list[str]:
@@ -107,42 +82,112 @@ def _read_lines(path: str | Path, header: list[str]) -> list[str]:
     return lines
 
 
-def _split_rows(path: str, lines: list[str], width: int) -> list[tuple[int, list[str]]]:
-    """Cells of each nonblank line after the header, with its 1-based line number."""
-    rows: list[tuple[int, list[str]]] = []
-    reader = csv.reader(lines[1:])
-    for lineno, cells in enumerate(reader, start=2):
-        if reader.line_num + 1 != lineno:  # a quote left open ran into the next line
-            raise ParseError("unterminated quoted field", path=path, line=lineno)
-        if not lines[lineno - 1].strip():
-            continue
-        if len(cells) != width:
-            raise ParseError(f"expected {width} fields, got {len(cells)}", path=path, line=lineno)
-        rows.append((lineno, cells))
-    return rows
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """The one parse of CSV lines: an element of dtype per nonempty line.
+    A line of the wrong width (a line of spaces too) or a number that is
+    not plain raises ValueError."""
+    if not any(lines):  # the parser warns on input without rows
+        return np.empty(0, dtype)
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers, header validated."""
-    return _split_rows(str(path), _read_lines(path, header), len(header))
-
-
-def _floats(cells: list[str], path: str, lineno: int) -> list[float]:
+def _line_fault(line: str, width: int, numeric: int, dtype: np.dtype) -> str | None:
+    """Why _parse refuses one line of a table, or None when it reads it."""
     try:
-        return list(map(float, cells))
+        _parse([line], dtype)
+        return None
+    except ValueError as exc:
+        fault = str(exc)
+    cells = line.split(",")
+    if len(cells) != width:
+        return f"expected {width} fields, got {len(cells)}"
+    for cell in cells[:numeric]:
+        try:
+            if _parse([cell], np.dtype(float)).size:  # an empty cell reads as no line
+                continue
+        except ValueError:
+            pass
+        return f"not a number: {cell!r}"
+    return fault
+
+
+def _first(bad: np.ndarray | list[bool]) -> int | None:
+    """The index of the first true entry, or None."""
+    bad = np.asarray(bad, dtype=bool)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _read_table(path: str | Path, header: list[str], build: Callable, *, text: int = 0,
+                choices: dict | None = None, finite: dict | None = None, order: tuple | None = None):
+    """What build(numbers, texts, refuse) makes of the rows of a CSV file.
+
+    numbers holds all columns but the last `text` as floats, and texts
+    those cells of each row, stripped. Within a row the table refuses,
+    in this order: a line it cannot parse; text column k outside the
+    tuple choices[k]; a non-finite value in column k, named finite[k];
+    with order = (backwards, message), a row whose first column is
+    backwards(it, the row before's). build gets the rows before the
+    first refused one and calls refuse(i, error) to refuse its row i,
+    so the earliest faulty line is the one reported.
+    """
+    name = str(path)
+    body = _read_lines(path, header)[1:]
+    numeric = len(header) - text
+    # no text field without text: an object field slows the parse down
+    dtype = np.dtype([("n", float, (numeric,))] + ([("s", object, (text,))] if text else []))
+    faults = []  # (row, error type, message), in the order one row is checked
+    try:
+        rows = _parse(body, dtype)
     except ValueError:
-        for cell in cells:  # name the first cell that is not a number
+        kept = [line for line in body if line.strip()]
+        try:
+            rows = _parse(kept, dtype)  # only lines of spaces were in the way
+        except ValueError:
+            bad, message = next(
+                (i, m) for i, line in enumerate(kept) if (m := _line_fault(line, len(header), numeric, dtype))
+            )
+            faults.append((bad, ParseError, message))
+            rows = _parse(kept[:bad], dtype)
+    numbers = rows["n"]
+    texts = [[cell.strip() for cell in row] for row in rows["s"].tolist()] if text else [()] * len(rows)
+    for k, allowed in (choices or {}).items():
+        cells = [row[k - numeric] for row in texts]
+        if (i := _first([cell not in allowed for cell in cells])) is not None:
+            faults.append((i, ParseError, f"{header[k]} must be {' or '.join(allowed)}, got {cells[i]!r}"))
+    for k, label in (finite or {}).items():
+        if (i := _first(~np.isfinite(numbers[:, k]))) is not None:
+            faults.append((i, ParseError, f"{label} must be finite, got {float(numbers[i, k])!r}"))
+    if order and (i := _first(order[0](numbers[1:, 0], numbers[:-1, 0]))) is not None:
+        faults.append((i + 1, OrderingError, order[1]))
+
+    def line(i: int) -> int:  # row i is on the i-th nonblank line after the header
+        return [n for n, cells in enumerate(body, 2) if cells.strip()][i]
+
+    def refuse(i: int, exc: Exception) -> NoReturn:
+        raise ParseError(str(exc), path=name, line=line(i)) from exc
+
+    i, error, message = min(faults, key=lambda fault: fault[0], default=(len(rows), None, ""))
+    records = build(numbers[:i], texts[:i], refuse)
+    if error is OrderingError:
+        raise OrderingError(f"{name}:{line(i)}: {message}")
+    if error is ParseError:
+        raise ParseError(message, path=name, line=line(i))
+    return records
+
+
+def _each_row(make: Callable) -> Callable:
+    """A table build that makes one record per row, make(*numbers, *texts)."""
+
+    def build(numbers: np.ndarray, texts: list, refuse: Callable) -> list:
+        records = []
+        for i, (values, cells) in enumerate(zip(numbers.tolist(), texts)):
             try:
-                float(cell)
-            except ValueError as exc:
-                raise ParseError(f"not a number: {cell!r}", path=path, line=lineno) from exc
-        raise
+                records.append(make(*values, *cells))
+            except MalformedInputError as exc:
+                refuse(i, exc)
+        return records
 
-
-def _check_timestamp(t: float, path: str, lineno: int) -> None:
-    # NaN compares false with everything, so it would pass the ordering checks
-    if not math.isfinite(t):
-        raise ParseError(f"timestamp must be finite, got {t!r}", path=path, line=lineno)
+    return build
 
 
 def _header(path: Path) -> list[str]:
@@ -166,150 +211,68 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def _plain_floats(lines: list[str], width: int) -> np.ndarray | None:
-    """Rows of `width` plain numbers parsed in one call, or None.
-
-    None when the bulk parse refuses the lines: a quoted cell, a bad or
-    short row, a line of spaces, or a spelling such as 1_000 that
-    float() reads but the bulk parser does not. Lines that are all empty
-    also give None, as the parser warns about them.
-    """
-    if not any(lines):
-        return None
+def _hit_batch(numbers: np.ndarray, texts: list, refuse: Callable) -> HitBatch:
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape[1] == width else None
+        return HitBatch(*numbers.T)
+    except InvalidHitError as exc:
+        refuse(exc.index, exc)
 
 
 def read_hits_csv(path: str | Path) -> HitBatch:
-    """The hit stream of a file as one checked column batch.
-
-    The body goes through one bulk parse. What that refuses goes through
-    the per-row reader, which reads what float() reads and reports a bad
-    row at its line. The batch then checks every hit at once, and a bad
-    hit is reported at its own line.
-    """
-    name = str(path)
-    lines = _read_lines(path, HITS_HEADER)
-    data = _plain_floats(lines[1:], len(HITS_HEADER))
-    if data is None:
-        rows = _split_rows(name, lines, len(HITS_HEADER))
-        data = np.array([_floats(cells, name, n) for n, cells in rows]).reshape(-1, len(HITS_HEADER))
-    try:
-        return HitBatch(*data.T)
-    except InvalidHitError as exc:
-        # both parses keep one row per nonblank line, so the rows give the line
-        lineno = _split_rows(name, lines, len(HITS_HEADER))[exc.index][0]
-        raise ParseError(str(exc), path=name, line=lineno) from exc
+    """The hit stream of a file as one checked column batch; a bad hit
+    is reported at its own line."""
+    return _read_table(path, HITS_HEADER, _hit_batch)
 
 
 def read_pairs_csv(path: str | Path) -> list[ComptonPair]:
-    pairs = []
-    for lineno, cells in _read_rows(path, PAIRS_HEADER):
-        ex, ey, ee, et, px, py, pe, pt = _floats(cells, str(path), lineno)
-        for t in (et, pt):
-            _check_timestamp(t, str(path), lineno)
-        try:
-            pairs.append(ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
-        except MalformedInputError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from exc
-    return pairs
+    pair = _each_row(lambda ex, ey, ee, et, px, py, pe, pt: ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
+    return _read_table(path, PAIRS_HEADER, pair, finite={3: "timestamp", 7: "timestamp"})
 
 
 def read_poses_csv(path: str | Path) -> list[Pose]:
-    poses = []
-    last_t = None
-    for lineno, cells in _read_rows(path, POSES_HEADER):
-        t, px, py, pz, qw, qx, qy, qz = _floats(cells, str(path), lineno)
-        _check_timestamp(t, str(path), lineno)
-        if last_t is not None and t <= last_t:
-            raise OrderingError(f"{path}:{lineno}: pose timestamps must strictly increase")
-        last_t = t
-        try:
-            poses.append(Pose(t, (px, py, pz), (qw, qx, qy, qz)))
-        except MalformedInputError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from exc
-    return poses
+    pose = _each_row(lambda t, px, py, pz, qw, qx, qy, qz: Pose(t, (px, py, pz), (qw, qx, qy, qz)))
+    order = (np.less_equal, "pose timestamps must strictly increase")
+    return _read_table(path, POSES_HEADER, pose, finite={0: "timestamp"}, order=order)
+
+
+def _cone(t: float, ox: float, oy: float, oz: float, dx: float, dy: float, dz: float, theta: float,
+          frame: str) -> Cone:
+    norm = math.hypot(dx, dy, dz)
+    if norm < 1e-12:
+        raise MalformedInputError("zero cone axis")
+    return Cone((ox, oy, oz), (dx / norm, dy / norm, dz / norm), theta, Frame(frame), t)
 
 
 def read_cones_csv(path: str | Path) -> list[Cone]:
-    cones = []
-    last_t = None
-    for lineno, cells in _read_rows(path, CONES_HEADER):
-        values = _floats(cells[:8], str(path), lineno)
-        frame = cells[8].strip()
-        if frame not in ("C", "W"):
-            raise ParseError(f"frame must be C or W, got {frame!r}", path=str(path), line=lineno)
-        t, ox, oy, oz, dx, dy, dz, theta = values
-        _check_timestamp(t, str(path), lineno)
-        if last_t is not None and t < last_t:
-            raise OrderingError(f"{path}:{lineno}: cone timestamps must be nondecreasing")
-        last_t = t
-        norm = math.hypot(dx, dy, dz)
-        if norm < 1e-12:
-            raise ParseError("zero cone axis", path=str(path), line=lineno)
-        try:
-            cones.append(Cone((ox, oy, oz), (dx / norm, dy / norm, dz / norm), theta, Frame(frame), t))
-        except MalformedInputError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno) from exc
-    return cones
+    order = (np.less, "cone timestamps must be nondecreasing")
+    return _read_table(path, CONES_HEADER, _each_row(_cone), text=1, choices={8: ("C", "W")},
+                       finite={0: "timestamp"}, order=order)
 
 
 def write_cones_csv(path: str | Path, cones: list[Cone]) -> None:
-    buf = _io.StringIO()
-    buf.write(",".join(CONES_HEADER) + "\n")
-    for c in cones:
-        cells = [
-            _fmt(c.timestamp),
-            *(_fmt(v) for v in c.origin),
-            *(_fmt(v) for v in c.axis),
-            _fmt(c.half_angle),
-            c.frame.value,
-        ]
-        buf.write(",".join(cells) + "\n")
-    atomic_write(path, buf.getvalue())
+    rows = ((c.timestamp, *c.origin, *c.axis, c.half_angle, c.frame.value) for c in cones)
+    _write_table(path, CONES_HEADER, rows, text=1)
 
 
 def write_estimates_csv(path: str | Path, rows: list[dict]) -> None:
-    buf = _io.StringIO()
-    buf.write(",".join(ESTIMATES_HEADER) + "\n")
-    for row in rows:
-        cells = [_fmt(row[k]) for k in ESTIMATES_HEADER[:10]]
-        cells.append(str(row["status"]))
-        cells.append(str(row["action"]))
-        buf.write(",".join(cells) + "\n")
-    atomic_write(path, buf.getvalue())
+    _write_table(path, ESTIMATES_HEADER, (tuple(row[k] for k in ESTIMATES_HEADER) for row in rows), text=2)
 
 
 def read_estimates_csv(path: str | Path) -> list[dict]:
-    out = []
-    for lineno, cells in _read_rows(path, ESTIMATES_HEADER):
-        values = _floats(cells[:10], str(path), lineno)
-        _check_timestamp(values[0], str(path), lineno)
-        row = dict(zip(ESTIMATES_HEADER[:10], values))
-        row["status"] = cells[10].strip()
-        row["action"] = cells[11].strip()
-        out.append(row)
-    return out
+    estimate = _each_row(lambda *row: dict(zip(ESTIMATES_HEADER, row)))
+    return _read_table(path, ESTIMATES_HEADER, estimate, text=2, finite={0: "timestamp"})
 
 
 def write_steps_csv(path: str | Path, report: SimulationReport) -> None:
-    buf = _io.StringIO()
-    buf.write(",".join(STEPS_HEADER) + "\n")
-    for s in report.steps:
-        est = s.estimate if s.estimate is not None else [float("nan")] * 3
-        cells = [
-            _fmt(s.t),
-            *(_fmt(v) for v in s.truth),
-            *(_fmt(v) for v in est),
-            _fmt(s.error),
-            s.phase,
-            s.action,
-        ]
-        buf.write(",".join(cells) + "\n")
-    atomic_write(path, buf.getvalue())
+    nan3 = (float("nan"),) * 3
+    rows = ((s.t, *s.truth, *(nan3 if s.estimate is None else s.estimate), s.error, s.phase, s.action)
+            for s in report.steps)
+    _write_table(path, STEPS_HEADER, rows, text=2)
+
+
+def write_errors_csv(path: str | Path, rows: Iterable[tuple]) -> None:
+    """An error series: t_s, the error vector, its norm and its planar norm per row."""
+    _write_table(path, ERRORS_HEADER, rows)
 
 
 def read_truth_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -319,11 +282,9 @@ def read_truth_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     header = _header(path)
     if header not in (TRUTH_HEADER, STEPS_HEADER):
         raise SchemaError(f"{path}: not a truth or step file", keys=sorted(set(header)))
-    data = []
-    for lineno, cells in _read_rows(path, header):
-        data.append(_floats(cells[:4], str(path), lineno))
-        _check_timestamp(data[-1][0], str(path), lineno)
-    data = np.array(data)
+    # the truth columns come first; a step log's other cells are kept as text, unread
+    finite = {0: "timestamp", 1: header[1], 2: header[2], 3: header[3]}
+    data = _read_table(path, header, lambda numbers, *_: numbers, text=len(header) - 4, finite=finite)
     if data.size == 0:
         raise SchemaError(f"{path}: no truth samples", keys=[])
     t = data[:, 0]
@@ -465,6 +426,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 __all__ = [
     "CONES_HEADER",
+    "ERRORS_HEADER",
     "ESTIMATES_HEADER",
     "HITS_HEADER",
     "PAIRS_HEADER",
@@ -482,6 +444,7 @@ __all__ = [
     "scenario_from_dict",
     "sniff_events_format",
     "write_cones_csv",
+    "write_errors_csv",
     "write_estimates_csv",
     "write_json",
     "write_steps_csv",

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -29,8 +30,10 @@ from radloc.errors import (
     DegenerateGeometryError,
     InvalidScatteringError,
     MalformedInputError,
+    OrderingError,
     ParseError,
     PoseExtrapolationError,
+    SchemaError,
 )
 from radloc.events import ComptonPair, HitBatch, PixelTrack, delta_z, scattering_angle
 from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
@@ -441,27 +444,137 @@ def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_K
     return world
 
 
-# --- hits to tracks and pairs, one hit and one track at a time, as the
-# library did before it moved to column batches ---
+# --- CSV files read one line and one cell at a time, in the documented
+# dialect (split at commas, no quoting, plain decimal numbers), each row
+# checked before the next is read, as the library read them before its
+# table reader ---
+
+
+def _rows_reference(path, header):
+    """(line number, cells) of each nonblank line after a matching header."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or [c.strip() for c in lines[0].split(",")] != header:
+        raise SchemaError(f"{path}: bad header", keys=header)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(cells)}", path=str(path), line=lineno)
+        yield lineno, cells
+
+
+def _floats_reference(cells, path, lineno) -> list[float]:
+    values = []
+    for cell in cells:
+        # float() also reads digit separators and non-ASCII digits; plain decimal does not
+        if "_" in cell or not cell.strip().isascii():
+            raise ParseError(f"not a number: {cell!r}", path=str(path), line=lineno)
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(f"not a number: {cell!r}", path=str(path), line=lineno) from None
+    return values
+
+
+def _finite_reference(value: float, label: str, path, lineno) -> None:
+    if not math.isfinite(value):
+        raise ParseError(f"{label} must be finite, got {value!r}", path=str(path), line=lineno)
+
+
+def _record_reference(make, path, lineno):
+    try:
+        return make()
+    except MalformedInputError as exc:
+        raise ParseError(str(exc), path=str(path), line=lineno) from exc
 
 
 def read_hits_reference(path) -> HitBatch:
-    """A hit file read row by row, each row checked before the next is read."""
-    name = str(path)
     toa, col, row, energy = [], [], [], []
-    for lineno, cells in rio._read_rows(path, rio.HITS_HEADER):
-        t, c, r, e = rio._floats(cells, name, lineno)
-        if not math.isfinite(t):
-            raise ParseError(f"timestamp must be finite, got {t!r}", path=name, line=lineno)
+    for lineno, cells in _rows_reference(path, rio.HITS_HEADER):
+        t, c, r, e = _floats_reference(cells, path, lineno)
+        _finite_reference(t, "timestamp", path, lineno)
         if not (c.is_integer() and r.is_integer()):
-            raise ParseError(f"pixel ({c:g}, {r:g}) not integral", path=name, line=lineno)
+            raise ParseError(f"pixel ({c:g}, {r:g}) not integral", path=str(path), line=lineno)
         if not e > 0.0:
-            raise ParseError(f"hit energy must be positive, got {e!r}", path=name, line=lineno)
+            raise ParseError(f"hit energy must be positive, got {e!r}", path=str(path), line=lineno)
         if not (0 <= c < SENSOR_PIXELS and 0 <= r < SENSOR_PIXELS):
-            raise ParseError(f"pixel ({int(c)}, {int(r)}) outside the sensor matrix", path=name, line=lineno)
+            raise ParseError(f"pixel ({int(c)}, {int(r)}) outside the sensor matrix", path=str(path), line=lineno)
         for column, value in zip((toa, col, row, energy), (t, int(c), int(r), e)):
             column.append(value)
     return HitBatch(toa, col, row, energy)
+
+
+def read_pairs_reference(path) -> list:
+    pairs = []
+    for lineno, cells in _rows_reference(path, rio.PAIRS_HEADER):
+        ex, ey, ee, et, px, py, pe, pt = _floats_reference(cells, path, lineno)
+        for t in (et, pt):
+            _finite_reference(t, "timestamp", path, lineno)
+        pairs.append(_record_reference(lambda: ComptonPair((ex, ey), (px, py), ee, pe, et, pt), path, lineno))
+    return pairs
+
+
+def read_poses_reference(path) -> list:
+    poses = []
+    for lineno, cells in _rows_reference(path, rio.POSES_HEADER):
+        t, px, py, pz, qw, qx, qy, qz = _floats_reference(cells, path, lineno)
+        _finite_reference(t, "timestamp", path, lineno)
+        if poses and t <= poses[-1].timestamp:
+            raise OrderingError(f"{path}:{lineno}: pose timestamps must strictly increase")
+        poses.append(_record_reference(lambda: Pose(t, (px, py, pz), (qw, qx, qy, qz)), path, lineno))
+    return poses
+
+
+def read_cones_reference(path) -> list:
+    cones = []
+    for lineno, cells in _rows_reference(path, rio.CONES_HEADER):
+        t, ox, oy, oz, dx, dy, dz, theta = _floats_reference(cells[:8], path, lineno)
+        frame = cells[8].strip()
+        if frame not in ("C", "W"):
+            raise ParseError(f"frame must be C or W, got {frame!r}", path=str(path), line=lineno)
+        _finite_reference(t, "timestamp", path, lineno)
+        if cones and t < cones[-1].timestamp:
+            raise OrderingError(f"{path}:{lineno}: cone timestamps must be nondecreasing")
+        norm = math.hypot(dx, dy, dz)
+        if norm < 1e-12:
+            raise ParseError("zero cone axis", path=str(path), line=lineno)
+        axis = (dx / norm, dy / norm, dz / norm)
+        cones.append(_record_reference(lambda: Cone((ox, oy, oz), axis, theta, Frame(frame), t), path, lineno))
+    return cones
+
+
+def read_estimates_reference(path) -> list[dict]:
+    rows = []
+    for lineno, cells in _rows_reference(path, rio.ESTIMATES_HEADER):
+        values = _floats_reference(cells[:10], path, lineno)
+        _finite_reference(values[0], "timestamp", path, lineno)
+        rows.append({**dict(zip(rio.ESTIMATES_HEADER, values)), "status": cells[10].strip(),
+                     "action": cells[11].strip()})
+    return rows
+
+
+def read_truth_reference(path) -> tuple[np.ndarray, np.ndarray]:
+    """A plain truth file or a step log; of a step log only the truth
+    columns are read as numbers."""
+    header = [c.strip() for c in Path(path).read_text().splitlines()[0].split(",")]
+    if header not in (rio.TRUTH_HEADER, rio.STEPS_HEADER):
+        raise SchemaError(f"{path}: not a truth or step file", keys=header)
+    data = []
+    for lineno, cells in _rows_reference(path, header):
+        data.append(_floats_reference(cells[:4], path, lineno))
+        for value, label in zip(data[-1], ("timestamp", *header[1:4])):
+            _finite_reference(value, label, path, lineno)
+    if not data:
+        raise SchemaError(f"{path}: no truth samples", keys=[])
+    t = np.array(data)[:, 0]
+    if np.any(np.diff(t) < 0):
+        raise OrderingError(f"{path}: truth timestamps must be nondecreasing")
+    return t, np.array(data)[:, 1:4]
+
+
+# --- hits to tracks and pairs, one hit and one track at a time, as the
+# library did before it moved to column batches ---
 
 
 def cluster_hits_reference(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list:

@@ -477,6 +477,21 @@ def test_metrics_refuses_bad_threshold(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "ok"), "--threshold=0.5"]) == 0
 
 
+def test_metrics_refuses_nonfinite_truth(tmp_path, capsys):
+    # such a truth file used to give exit 0, with null errors in summary.json
+    cones_path = tmp_path / "cones.csv"
+    exact_cones_file(cones_path)
+    est_out = tmp_path / "est"
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(est_out)]) == 0
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t_s,x,y,z\n0,nan,-3,0\n4,inf,-3,0\n")
+    out = tmp_path / "met"
+    argv = ["metrics", "--estimates", str(est_out / "estimates.csv"), "--truth", str(truth), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{truth}:2: x must be finite, got nan" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_metrics_no_overlap_exit_1(tmp_path):
     cones_path = tmp_path / "cones.csv"
     exact_cones_file(cones_path)
