@@ -12,10 +12,9 @@ Pipeline layout:
 
 from .cones import ProjectionCase, ProjectionResult, distance_to_cone, project_to_cone
 from .errors import (
-    DegenerateGeometryError,
     FilterLifecycleError,
     InfeasibleInitError,
-    InvalidHitError,
+    InvalidRowError,
     InvalidScatteringError,
     MalformedInputError,
     OrderingError,
@@ -35,19 +34,19 @@ from .estimator import (
     predict,
 )
 from .events import (
-    ComptonPair,
     EventClass,
     HitBatch,
-    PixelTrack,
+    PairBatch,
+    Pairing,
+    TrackBatch,
     build_cone,
-    classify_track,
     cluster_hits,
     delta_z,
+    make_pair,
     pair_coincident,
     process_hits,
     process_pairs,
     scattering_angle,
-    track_centroid,
 )
 from .geometry import Cone, Frame, Pose, interpolate_pose, transform_cone
 from .initializer import InitProblem, InitSolution, Mode, jacobian, residuals, solve

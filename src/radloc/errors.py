@@ -14,8 +14,8 @@ class MalformedInputError(RadlocError):
     """Structurally invalid domain input (empty track, bad quaternion, ...)."""
 
 
-class InvalidHitError(MalformedInputError):
-    """A hit of a batch breaks the hit contract; carries its index in the batch."""
+class InvalidRowError(MalformedInputError):
+    """A row of a column batch (a hit, a pair) breaks its record's contract; carries its index in the batch."""
 
     def __init__(self, index: int, message: str):
         self.index = index
@@ -57,10 +57,6 @@ class InvalidScatteringError(RadlocError):
     def __init__(self, b: float):
         self.b = b
         super().__init__(f"scattering cosine out of range: B = {b:.6g}")
-
-
-class DegenerateGeometryError(RadlocError):
-    """Event geometry does not define a cone (coincident interaction points)."""
 
 
 class PoseExtrapolationError(RadlocError):

@@ -1,20 +1,23 @@
 """Event pipeline: pixel hits -> tracks -> coincident pairs -> Compton cones.
 
-Takes a flat stream of timestamped detector pixel hits, held as one
-checked HitBatch of columns, clusters them into particle tracks with
-array operations, pairs tracks that arrive within the coincidence
-window, recovers depth separation and scattering angle from times and
-energies, and emits camera-frame measurement cones plus classification
-statistics. Clustering builds no record per hit: each track holds
-list slices of the time-sorted columns, and the per-track and per-pair
-steps run on Python floats.
+Takes a flat stream of timestamped detector pixel hits and carries it
+as columns to the cones, one call per stage and stream: a checked
+HitBatch is clustered into a TrackBatch with array operations, tracks
+that arrive within the coincidence window are paired by index, the
+pairs become a PairBatch, and the kinematics of the Compton candidates
+(depth separation and scattering angle from times and energies) and
+their axes are computed as arrays. Only the camera-frame measurement
+cones at the end are records, one per cone, plus classification
+statistics. Each track's sums run over its hits in time order and each
+angle is one math.acos, so a cone does not depend on what else shares
+its batch.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -28,15 +31,25 @@ from .constants import (
     PIXEL_PITCH_MM,
     SENSOR_PIXELS,
 )
-from .errors import (
-    DegenerateGeometryError,
-    InvalidHitError,
-    InvalidScatteringError,
-    MalformedInputError,
-)
+from .errors import InvalidRowError, InvalidScatteringError, MalformedInputError
 from .geometry import Cone, Frame
 
 log = logging.getLogger(__name__)
+
+
+def _float_columns(record: str, *values) -> list[np.ndarray]:
+    """The values as float64 columns, refused unless 1-D and of one length."""
+    columns = [np.array(v, dtype=np.float64) for v in values]
+    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+        raise MalformedInputError(f"{record} columns must be 1-D and of one length")
+    return columns
+
+
+def _set_columns(batch, columns: dict[str, np.ndarray]) -> None:
+    """Store checked columns on a frozen batch, read-only."""
+    for name, column in columns.items():
+        column.flags.writeable = False
+        object.__setattr__(batch, name, column)
 
 
 def _integral_on_sensor(values: np.ndarray) -> np.ndarray:
@@ -64,7 +77,7 @@ class HitBatch:
     matrix and energy the deposit in keV. Every toa is finite, every
     pixel integral and on the matrix, and every energy positive; the
     columns are checked together, and a batch with a bad hit is refused
-    with an InvalidHitError that names the first one.
+    with an InvalidRowError that names the first one.
     """
 
     toa: np.ndarray  # float64
@@ -73,75 +86,88 @@ class HitBatch:
     energy: np.ndarray  # float64
 
     def __post_init__(self) -> None:
-        toa, col, row, energy = (
-            np.array(v, dtype=np.float64) for v in (self.toa, self.col, self.row, self.energy)
-        )
-        if toa.ndim != 1 or not toa.shape == col.shape == row.shape == energy.shape:
-            raise MalformedInputError("hit columns must be 1-D and of one length")
+        toa, col, row, energy = _float_columns("hit", self.toa, self.col, self.row, self.energy)
         ok = np.isfinite(toa) & _integral_on_sensor(col) & _integral_on_sensor(row) & (energy > 0.0)
         if not ok.all():
             i = int(np.argmin(ok))
             fault = _hit_fault(*(float(v[i]) for v in (toa, col, row, energy)))
-            raise InvalidHitError(i, fault)
-        columns = {"toa": toa, "col": col.astype(np.int64), "row": row.astype(np.int64), "energy": energy}
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            raise InvalidRowError(i, fault)
+        _set_columns(self, {"toa": toa, "col": col.astype(np.int64), "row": row.astype(np.int64), "energy": energy})
 
     def __len__(self) -> int:
         return len(self.toa)
 
 
-@dataclass(slots=True, eq=False)
-class PixelTrack:
-    """A connected cluster of hits left by one particle interaction.
+# TrackBatch and Pairing hold arrays made from checked columns, and are
+# plain classes: defining a frozen dataclass adds about 1 ms to every
+# radloc import
 
-    Four columns of equal length, one entry per hit; clustering fills
-    them in time order. toa and energy are derived once, on
-    construction, so the columns are not to be changed afterwards.
-    Not frozen: a frozen dataclass takes four times as long to build,
-    and clustering builds one per track.
+
+class TrackBatch:
+    """Particle tracks as four float columns, one entry per track.
+
+    toa is the track's earliest hit time in ns, energy its summed
+    deposit in keV and (x, y) its energy-weighted centroid in mm on the
+    sensor plane.
     """
 
-    toas: list[float]  # ns
-    cols: list[int]
-    rows: list[int]
-    energies: list[float]  # keV
-    # set once from the hits, since sorting and pairing read them many times
-    toa: float = field(init=False)  # representative time: earliest charge arrival, ns
-    energy: float = field(init=False)  # keV
+    def __init__(self, toa: np.ndarray, energy: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        self.toa, self.energy, self.x, self.y = toa, energy, x, y
 
-    def __post_init__(self) -> None:
-        if not self.toas:
-            raise MalformedInputError("a track needs at least one hit")
-        self.toa = min(self.toas)
-        self.energy = sum(self.energies)
+    def __len__(self) -> int:
+        return len(self.toa)
 
 
-@dataclass(frozen=True)
-class ComptonPair:
-    """Matched recoil-electron / scattered-photon tracks of one scattering event.
+class Pairing:
+    """Coincident tracks as rows of two track indices, the earlier track first.
 
-    Positions are centroid coordinates in mm on the sensor plane, times
-    in ns, energies in keV.
+    ambiguous counts the tracks dropped as multi-coincidences.
     """
 
-    electron_xy: tuple[float, float]
-    photon_xy: tuple[float, float]
-    electron_energy: float
-    photon_energy: float
-    electron_toa: float
-    photon_toa: float
+    def __init__(self, index: np.ndarray, ambiguous: int) -> None:
+        self.index, self.ambiguous = index, ambiguous  # index: (pairs, 2) int64
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """Matched recoil-electron / scattered-photon tracks, one entry per scattering event.
+
+    Eight read-only float columns, in the order of a pairs file's:
+    centroid coordinates in mm on the sensor plane, energies in keV,
+    times in ns. Every energy is positive and every position finite; a
+    batch with a bad pair is refused with an InvalidRowError that names
+    the first one.
+    """
+
+    electron_x: np.ndarray
+    electron_y: np.ndarray
+    electron_energy: np.ndarray
+    electron_toa: np.ndarray
+    photon_x: np.ndarray
+    photon_y: np.ndarray
+    photon_energy: np.ndarray
+    photon_toa: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.electron_energy > 0.0 and self.photon_energy > 0.0):
-            raise MalformedInputError("pair energies must be positive")
-        if not all(map(math.isfinite, (*self.electron_xy, *self.photon_xy))):
-            raise MalformedInputError("pair positions must be finite")
+        names = [f.name for f in fields(self)]
+        c = dict(zip(names, _float_columns("pair", *(getattr(self, name) for name in names))))
+        energy_ok = (c["electron_energy"] > 0.0) & (c["photon_energy"] > 0.0)
+        ok = energy_ok & np.isfinite([c["electron_x"], c["electron_y"], c["photon_x"], c["photon_y"]]).all(axis=0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            fault = "pair energies must be positive" if not energy_ok[i] else "pair positions must be finite"
+            raise InvalidRowError(i, fault)
+        _set_columns(self, c)
 
-    @property
-    def total_energy(self) -> float:
-        return self.electron_energy + self.photon_energy
+    def __len__(self) -> int:
+        return len(self.electron_toa)
+
+    def take(self, rows: np.ndarray) -> PairBatch:
+        """The pairs at the given row indices, or where a mask is true."""
+        return PairBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 class EventClass(Enum):
@@ -185,7 +211,7 @@ def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> list[PixelTrack]:
+def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> TrackBatch:
     """Partition hits into tracks by 8-neighbor adjacency chained in time.
 
     In time order (ties kept in stream order), each hit links to the
@@ -197,13 +223,15 @@ def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> lis
     per hit, so the work is O(n log n) however many hits share a time
     window.
 
-    Tracks come in order of their earliest hit, each with its hits in
-    time order.
+    Tracks come in order of their earliest hit. Pixel (col, row) spans
+    [col*pitch, (col+1)*pitch), so its center sits at (col + 0.5)*pitch,
+    and a track's centroid weights each center by the energy its pixel
+    took. The sums run over the track's hits in time order.
     """
     check_positive("max_toa_gap", max_toa_gap)
     n = len(hits)
     if n == 0:
-        return []
+        return TrackBatch(*(np.empty(0) for _ in range(4)))
 
     order = np.argsort(hits.toa, kind="stable")
     toa = hits.toa[order]
@@ -225,41 +253,24 @@ def cluster_hits(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS) -> lis
         earlier.append(found[linked])
     label = _min_labels(n, np.concatenate(later), np.concatenate(earlier))
 
-    # the smallest time position labels each track, so sorting by label
-    # orders the tracks by their earliest hit and keeps time order inside
-    grouped = np.argsort(label, kind="stable")
-    starts = [0, *(np.flatnonzero(np.diff(label[grouped])) + 1).tolist(), n]
-    stream = order[grouped]
-    toas, cols, rows, energies = (
-        column[stream].tolist() for column in (hits.toa, hits.col, hits.row, hits.energy)
-    )
-    return [
-        PixelTrack(toas[i:j], cols[i:j], rows[i:j], energies[i:j])
-        for i, j in zip(starts, starts[1:])
-    ]
-
-
-def track_centroid(track: PixelTrack) -> tuple[float, float, float, float]:
-    """Energy-weighted centroid (x mm, y mm), total energy (keV), earliest toa (ns).
-
-    Pixel (col, row) spans [col*pitch, (col+1)*pitch), so its center sits
-    at (col + 0.5)*pitch, and each center is weighted by the energy its
-    pixel took. The sums run in hit order, as numpy sums fewer than
-    eight terms.
-    """
-    sx = sy = energy = 0.0
-    for col, row, e in zip(track.cols, track.rows, track.energies):
-        sx += (col + 0.5) * e
-        sy += (row + 0.5) * e
-        energy += e
-    return sx / energy * PIXEL_PITCH_MM, sy / energy * PIXEL_PITCH_MM, energy, track.toa
+    # the smallest time position, the track's earliest hit, labels each
+    # track; numbering those in time order orders the tracks by it
+    earliest = label == np.arange(n)
+    track = (np.cumsum(earliest) - 1)[label]
+    # bincount adds the weights of each track in input order: its hits in time order
+    energy = hits.energy[order]
+    total = np.bincount(track, weights=energy)
+    # past the float range is inf, and inf / inf NaN, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = (np.bincount(track, weights=(column[order] + 0.5) * energy) for column in (hits.col, hits.row))
+        return TrackBatch(toa[earliest], total, sx / total * PIXEL_PITCH_MM, sy / total * PIXEL_PITCH_MM)
 
 
 def pair_coincident(
-    tracks: list[PixelTrack],
+    tracks: TrackBatch,
     window: float = COINCIDENCE_WINDOW_NS,
     drop_ambiguous: bool = False,
-) -> tuple[list[tuple[PixelTrack, PixelTrack]], int]:
+) -> Pairing:
     """Greedy earliest-first disjoint pairing of tracks within the window.
 
     Tracks are taken in arrival order; each still-unpaired track pairs
@@ -268,110 +279,108 @@ def pair_coincident(
     maximum number of disjoint pairs. With drop_ambiguous=True, any run
     of 3+ tracks that are mutually within one window is discarded as an
     irreducible multi-coincidence instead of being paired greedily.
-    Returns the pairs and the number of tracks dropped.
     """
     check_positive("window", window)
-    ordered = sorted(tracks, key=lambda t: t.toa)
-    pairs: list[tuple[PixelTrack, PixelTrack]] = []
+    order = np.argsort(tracks.toa, kind="stable")
+    toa = tracks.toa[order]
+    times = toa.tolist()
+    n = len(times)
+    starts: list[int] = []  # arrival position of each pair's earlier track
     dropped = 0
-    i = 0
-    while i + 1 < len(ordered):
-        if ordered[i + 1].toa - ordered[i].toa <= window:
-            if drop_ambiguous and i + 2 < len(ordered) and ordered[i + 2].toa - ordered[i].toa <= window:
-                j = i + 2
-                while j < len(ordered) and ordered[j].toa - ordered[i].toa <= window:
-                    j += 1
-                log.debug("dropping %d mutually coincident tracks at %.1f ns", j - i, ordered[i].toa)
-                dropped += j - i
-                i = j
-                continue
-            pairs.append((ordered[i], ordered[i + 1]))
-            i += 2
-        else:
-            i += 1
-    return pairs, dropped
+    i = 0  # the first track not yet paired or dropped
+    # the scan stops only where a track and its successor are within the window
+    for k in np.flatnonzero(np.diff(toa) <= window).tolist():
+        if k < i:
+            continue
+        if drop_ambiguous and k + 2 < n and times[k + 2] - times[k] <= window:
+            j = k + 3
+            while j < n and times[j] - times[k] <= window:
+                j += 1
+            log.debug("dropping %d mutually coincident tracks at %.1f ns", j - k, times[k])
+            dropped += j - k
+            i = j
+            continue
+        starts.append(k)
+        i = k + 2
+    at = np.array(starts, dtype=np.int64)
+    return Pairing(np.stack((order[at], order[at + 1]), axis=1), dropped)
 
 
-def classify_track(
-    total_energy: float, paired: bool, threshold: float = BACKGROUND_THRESHOLD_KEV
-) -> EventClass:
-    """Energy-threshold event classification.
-
-    Anything above the threshold is too energetic for the source isotope
-    and counts as background; below it, paired events are Compton
-    candidates and lone tracks photoelectric absorptions.
-    """
-    check_positive("threshold", threshold)
-    if not total_energy > 0.0:
-        raise MalformedInputError("total_energy must be positive")
-    if total_energy > threshold:
-        return EventClass.BACKGROUND
-    if paired:
-        return EventClass.COMPTON_CANDIDATE
-    return EventClass.PHOTOELECTRIC
-
-
-def delta_z(electron_toa: float, photon_toa: float) -> float:
+def delta_z(electron_toa, photon_toa):
     """Depth separation in mm from the arrival-time difference in ns.
 
     The charge cloud drifts through the biased sensor at a fixed speed,
     so the time difference maps linearly to a depth difference. Sign
-    follows (electron_toa - photon_toa).
+    follows (electron_toa - photon_toa). Takes floats or arrays.
     """
     return CHARGE_GATHERING_SPEED_UM_PER_NS * 1e-3 * (electron_toa - photon_toa)
+
+
+def _scattering_cosine(electron_energy, photon_energy):
+    """cos(theta) = 1 + m_e c^2 (1/(E_e + E_p) - 1/E_p), everything in keV; floats or arrays."""
+    return 1.0 + ELECTRON_REST_ENERGY_KEV * (1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy)
 
 
 def scattering_angle(electron_energy: float, photon_energy: float) -> float:
     """Scattering angle from the energy split between the two products.
 
-    cos(theta) = 1 + m_e c^2 (1/(E_e + E_p) - 1/E_p), everything in keV.
-    The expression is invariant under a common rescaling of the energies,
+    The cosine is invariant under a common rescaling of the energies,
     so keV-native math is exact. Energy splits with cos(theta) outside
     (-1, 1) cannot come from a single scattering and are rejected.
     """
     if not (electron_energy > 0.0 and photon_energy > 0.0):
         raise MalformedInputError("energies must be positive")
-    b = 1.0 + ELECTRON_REST_ENERGY_KEV * (
-        1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy
-    )
+    b = _scattering_cosine(electron_energy, photon_energy)
     if not (-1.0 < b < 1.0):
         raise InvalidScatteringError(b)
     return math.acos(b)
 
 
-def make_pair(first: PixelTrack, second: PixelTrack) -> ComptonPair:
-    """Build a ComptonPair from two coincident tracks.
+def make_pair(tracks: TrackBatch, first: np.ndarray, second: np.ndarray) -> PairBatch:
+    """Compton pairs of the tracks at indices first[k] and second[k].
 
     Role convention for anonymous track input: the earlier track is the
     scattered photon, the later the recoil electron, so the depth offset
     comes out nonnegative. Each pair has this one reading and gives at
     most one cone.
     """
-    a, b = (first, second) if first.toa <= second.toa else (second, first)
-    px, py, pe, pt = track_centroid(a)
-    ex, ey, ee, et = track_centroid(b)
-    return ComptonPair((ex, ey), (px, py), ee, pe, et, pt)
+    swap = tracks.toa[first] > tracks.toa[second]
+    photon, electron = np.where(swap, second, first), np.where(swap, first, second)
+    return PairBatch(*(column[rows] for rows in (electron, photon)
+                       for column in (tracks.x, tracks.y, tracks.energy, tracks.toa)))
 
 
-def build_cone(pair: ComptonPair) -> Cone:
-    """Camera-frame measurement cone of one Compton pair.
+def build_cone(pairs: PairBatch) -> tuple[list[Cone], int, int]:
+    """Camera-frame measurement cones of Compton pairs, in time order.
 
     The electron event sits at (x, y, delta_z), the photon event at
     (x, y, 0); the apex is the electron position, the axis points from
     the photon site through the electron site, and the half-angle is the
     scattering angle. Millimeter sensor coordinates convert to meters.
-    Raises if the two events coincide (axis undefined) or the energy
-    split is kinematically impossible.
+    A pair whose energy split is kinematically impossible, or whose two
+    events coincide (axis undefined), gives no cone. Returns the cones,
+    sorted stably by time, and the number of pairs dropped for each of
+    those two reasons.
     """
-    theta = scattering_angle(pair.electron_energy, pair.photon_energy)
-    (ex, ey), (px, py) = pair.electron_xy, pair.photon_xy
-    electron = (ex * 1e-3, ey * 1e-3, delta_z(pair.electron_toa, pair.photon_toa) * 1e-3)
-    sx, sy, sz = electron[0] - px * 1e-3, electron[1] - py * 1e-3, electron[2]
-    norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-    if norm < 1e-9:
-        raise DegenerateGeometryError("coincident pair events; cone axis undefined")
-    timestamp = min(pair.electron_toa, pair.photon_toa) * 1e-9
-    return Cone(electron, (sx / norm, sy / norm, sz / norm), theta, Frame.CAMERA, timestamp)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in cluster_hits
+        b = _scattering_cosine(pairs.electron_energy, pairs.photon_energy)
+        valid = (-1.0 < b) & (b < 1.0)
+        ox, oy = pairs.electron_x * 1e-3, pairs.electron_y * 1e-3
+        oz = delta_z(pairs.electron_toa, pairs.photon_toa) * 1e-3
+        sx, sy = ox - pairs.photon_x * 1e-3, oy - pairs.photon_y * 1e-3
+        norm = np.sqrt(sx * sx + sy * sy + oz * oz)
+        coincide = norm < 1e-9
+        rows = np.flatnonzero(valid & ~coincide)
+        time = np.minimum(pairs.electron_toa, pairs.photon_toa)[rows] * 1e-9
+        by_time = np.argsort(time, kind="stable")
+        rows, time = rows[by_time], time[by_time]
+        norm = norm[rows]  # nonzero: the division runs over the kept rows alone
+        columns = (ox[rows], oy[rows], oz[rows], sx[rows] / norm, sy[rows] / norm, oz[rows] / norm, b[rows], time)
+    cones = [
+        Cone((x, y, z), (ax, ay, az), math.acos(cos), Frame.CAMERA, t)
+        for x, y, z, ax, ay, az, cos, t in zip(*(column.tolist() for column in columns))
+    ]
+    return cones, int(np.count_nonzero(~valid)), int(np.count_nonzero(valid & coincide))
 
 
 @dataclass
@@ -419,52 +428,40 @@ class PipelineResult:
 
 
 def process_pairs(
-    pairs: list[ComptonPair],
+    pairs: PairBatch,
     threshold: float = BACKGROUND_THRESHOLD_KEV,
     duration: float | None = None,
-    unpaired_tracks: list[PixelTrack] | None = None,
+    lone_energy: np.ndarray | tuple = (),
     ambiguous: int = 0,
 ) -> PipelineResult:
-    """Classify pairs (and leftover single tracks) and emit cones.
+    """Classify pairs and lone tracks by energy and emit the Compton candidates' cones.
 
-    Pairs are classified on their summed energy; only Compton candidates
-    yield cones. Pairs whose energy split fails the scattering-angle
-    validity test, or whose two events coincide, stay classified but are
-    dropped from cone output and counted under their reason.
+    Anything above the threshold is too energetic for the source isotope
+    and counts as background; below it, a pair (on its summed energy) is
+    a Compton candidate and a lone track, given by its energy, a
+    photoelectric absorption. Only Compton candidates yield cones; those
+    whose energy split fails the scattering-angle validity test, or whose
+    two events coincide, stay classified but are dropped from cone output
+    and counted under their reason. duration, in s, defaults to the time
+    span of the pairs.
     """
     check_positive("threshold", threshold)
     if duration is not None and not 0.0 <= duration < math.inf:
         raise MalformedInputError(f"duration must be nonnegative and finite, got {duration!r}")
-    summary = ClassificationSummary(ambiguous=ambiguous)
-    cones: list[Cone] = []
-    times: list[float] = []
-
-    for pair in pairs:
-        times.extend((pair.electron_toa, pair.photon_toa))
-        cls = classify_track(pair.total_energy, paired=True, threshold=threshold)
-        summary.counts[cls] += 1
-        if cls is not EventClass.COMPTON_CANDIDATE:
-            continue
-        try:
-            cones.append(build_cone(pair))
-        except InvalidScatteringError as exc:
-            summary.invalid_scattering += 1
-            log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
-        except DegenerateGeometryError as exc:
-            summary.degenerate_geometry += 1
-            log.debug("dropped pair at %.1f ns: %s", pair.photon_toa, exc)
-
-    for track in unpaired_tracks or []:
-        times.append(track.toa)
-        cls = classify_track(track.energy, paired=False, threshold=threshold)
-        summary.counts[cls] += 1
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python floats
+        background = pairs.electron_energy + pairs.photon_energy > threshold
+    lone_background = np.asarray(lone_energy, dtype=np.float64) > threshold
+    cones, invalid, degenerate = build_cone(pairs.take(~background))
+    summary = ClassificationSummary(invalid_scattering=invalid, degenerate_geometry=degenerate, ambiguous=ambiguous)
+    summary.counts[EventClass.PHOTOELECTRIC] = int(np.count_nonzero(~lone_background))
+    summary.counts[EventClass.COMPTON_CANDIDATE] = int(np.count_nonzero(~background))
+    summary.counts[EventClass.BACKGROUND] = int(np.count_nonzero(background) + np.count_nonzero(lone_background))
 
     if duration is not None:
         summary.duration = duration
-    elif times:
-        summary.duration = (max(times) - min(times)) * 1e-9
-
-    cones.sort(key=lambda c: c.timestamp)
+    elif len(pairs):
+        times = np.concatenate((pairs.electron_toa, pairs.photon_toa))
+        summary.duration = float(times.max() - times.min()) * 1e-9
     return PipelineResult(cones, summary, pair_count=len(pairs))
 
 
@@ -476,28 +473,30 @@ def process_hits(
     drop_ambiguous: bool = False,
     duration: float | None = None,
 ) -> PipelineResult:
-    """Full flat-hit pipeline: cluster, pair, classify, build cones."""
+    """Full flat-hit pipeline: cluster, pair, classify, build cones.
+
+    Tracks in no pair, the dropped multi-coincidences among them, are
+    classified alone. duration, in s, defaults to the time span of the hits.
+    """
     tracks = cluster_hits(hits, max_toa_gap)
-    pairs_raw, ambiguous = pair_coincident(tracks, window, drop_ambiguous)
-    paired_ids = {id(t) for pair in pairs_raw for t in pair}
-    unpaired = [t for t in tracks if id(t) not in paired_ids]
-    pairs = [make_pair(a, b) for a, b in pairs_raw]
+    pairing = pair_coincident(tracks, window, drop_ambiguous)
+    pairs = make_pair(tracks, *pairing.index.T)
+    lone = np.ones(len(tracks), dtype=bool)
+    lone[pairing.index] = False
     if duration is None and len(hits):
         duration = float(hits.toa.max() - hits.toa.min()) * 1e-9
-    return process_pairs(
-        pairs, threshold=threshold, duration=duration, unpaired_tracks=unpaired, ambiguous=ambiguous
-    )
+    return process_pairs(pairs, threshold, duration, tracks.energy[lone], pairing.ambiguous)
 
 
 __all__ = [
     "ClassificationSummary",
-    "ComptonPair",
     "EventClass",
     "HitBatch",
+    "PairBatch",
+    "Pairing",
     "PipelineResult",
-    "PixelTrack",
+    "TrackBatch",
     "build_cone",
-    "classify_track",
     "cluster_hits",
     "delta_z",
     "make_pair",
@@ -505,5 +504,4 @@ __all__ = [
     "process_hits",
     "process_pairs",
     "scattering_angle",
-    "track_centroid",
 ]

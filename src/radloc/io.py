@@ -9,7 +9,7 @@ body in one call and checks columns as arrays; only a failure makes it
 look at single lines. Readers raise ParseError at the earliest faulty
 line, SchemaError for wrong headers or config keys, and OrderingError
 when a time-ordered stream runs backwards. A record's values are
-checked by its own type (HitBatch, ComptonPair, Pose, Cone), and its
+checked by its own type (HitBatch, PairBatch, Pose, Cone), and its
 refusal is a ParseError at its line. Writers go through an atomic
 temp-file rename so interrupted runs never leave truncated output behind.
 """
@@ -22,15 +22,16 @@ import os
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import NoReturn, get_type_hints
 
 import numpy as np
 import yaml
 
-from .errors import InvalidHitError, MalformedInputError, OrderingError, ParseError, SchemaError
+from .errors import InvalidRowError, MalformedInputError, OrderingError, ParseError, SchemaError
 from .estimator import NoiseConfig
-from .events import ComptonPair, HitBatch
+from .events import HitBatch, PairBatch
 from .geometry import Cone, Frame, Pose, Vec3, vec3
 from .initializer import Mode
 from .simulator import DetectorModel, Program, Scenario, SimulationReport
@@ -211,22 +212,24 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def _hit_batch(numbers: np.ndarray, texts: list, refuse: Callable) -> HitBatch:
+def _batch(batch: type, numbers: np.ndarray, texts: list, refuse: Callable):
+    """A table build that makes one column batch of all rows, batch(*columns)."""
     try:
-        return HitBatch(*numbers.T)
-    except InvalidHitError as exc:
+        return batch(*numbers.T)
+    except InvalidRowError as exc:
         refuse(exc.index, exc)
 
 
 def read_hits_csv(path: str | Path) -> HitBatch:
     """The hit stream of a file as one checked column batch; a bad hit
     is reported at its own line."""
-    return _read_table(path, HITS_HEADER, _hit_batch)
+    return _read_table(path, HITS_HEADER, partial(_batch, HitBatch))
 
 
-def read_pairs_csv(path: str | Path) -> list[ComptonPair]:
-    pair = _each_row(lambda ex, ey, ee, et, px, py, pe, pt: ComptonPair((ex, ey), (px, py), ee, pe, et, pt))
-    return _read_table(path, PAIRS_HEADER, pair, finite={3: "timestamp", 7: "timestamp"})
+def read_pairs_csv(path: str | Path) -> PairBatch:
+    """The Compton pairs of a file as one checked column batch; a bad
+    pair is reported at its own line."""
+    return _read_table(path, PAIRS_HEADER, partial(_batch, PairBatch), finite={3: "timestamp", 7: "timestamp"})
 
 
 def read_poses_csv(path: str | Path) -> list[Pose]:
@@ -284,13 +287,12 @@ def read_truth_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(f"{path}: not a truth or step file", keys=sorted(set(header)))
     # the truth columns come first; a step log's other cells are kept as text, unread
     finite = {0: "timestamp", 1: header[1], 2: header[2], 3: header[3]}
-    data = _read_table(path, header, lambda numbers, *_: numbers, text=len(header) - 4, finite=finite)
+    order = (np.less, "truth timestamps must be nondecreasing")
+    data = _read_table(path, header, lambda numbers, *_: numbers, text=len(header) - 4, finite=finite,
+                       order=order)
     if data.size == 0:
         raise SchemaError(f"{path}: no truth samples", keys=[])
-    t = data[:, 0]
-    if np.any(np.diff(t) < 0):
-        raise OrderingError(f"{path}: truth timestamps must be nondecreasing")
-    return t, data[:, 1:4]
+    return data[:, 0], data[:, 1:4]
 
 
 def _jsonable(obj):

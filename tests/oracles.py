@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_left
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from radloc.constants import (
     SENSOR_PIXELS,
 )
 from radloc.errors import (
-    DegenerateGeometryError,
     InvalidScatteringError,
     MalformedInputError,
     OrderingError,
@@ -35,9 +35,20 @@ from radloc.errors import (
     PoseExtrapolationError,
     SchemaError,
 )
-from radloc.events import ComptonPair, HitBatch, PixelTrack, delta_z, scattering_angle
+from radloc.events import (
+    ClassificationSummary,
+    EventClass,
+    HitBatch,
+    PipelineResult,
+    delta_z,
+    scattering_angle,
+)
 from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
+
+
+class DegenerateGeometryError(Exception):
+    """A pair whose two events coincide, so that its cone axis is undefined."""
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -423,7 +434,7 @@ def world_cones_reference(hits, poses, threshold: float = BACKGROUND_THRESHOLD_K
     below; every float step after them is one of the references above.
     """
     cones = []
-    for first, second in pair_coincident_reference(cluster_hits_reference(hits)):
+    for first, second in pair_coincident_reference(cluster_hits_reference(hits))[0]:
         photon, electron = (first, second) if first.toa <= second.toa else (second, first)
         px, py, pe, pt = track_centroid_reference(photon)
         ex, ey, ee, et = track_centroid_reference(electron)
@@ -562,15 +573,15 @@ def read_truth_reference(path) -> tuple[np.ndarray, np.ndarray]:
         raise SchemaError(f"{path}: not a truth or step file", keys=header)
     data = []
     for lineno, cells in _rows_reference(path, header):
-        data.append(_floats_reference(cells[:4], path, lineno))
-        for value, label in zip(data[-1], ("timestamp", *header[1:4])):
+        values = _floats_reference(cells[:4], path, lineno)
+        for value, label in zip(values, ("timestamp", *header[1:4])):
             _finite_reference(value, label, path, lineno)
+        if data and values[0] < data[-1][0]:
+            raise OrderingError(f"{path}:{lineno}: truth timestamps must be nondecreasing")
+        data.append(values)
     if not data:
         raise SchemaError(f"{path}: no truth samples", keys=[])
-    t = np.array(data)[:, 0]
-    if np.any(np.diff(t) < 0):
-        raise OrderingError(f"{path}: truth timestamps must be nondecreasing")
-    return t, np.array(data)[:, 1:4]
+    return np.array(data)[:, 0], np.array(data)[:, 1:4]
 
 
 # --- hits to tracks and pairs, one hit and one track at a time, as the
@@ -617,16 +628,147 @@ def cluster_hits_reference(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_
     return tracks
 
 
-def pair_coincident_reference(tracks, window: float = COINCIDENCE_WINDOW_NS) -> list:
-    """Earliest-first pairing: a track pairs with the one waiting before it, if in the window."""
-    pairs, waiting = [], None
-    for track in sorted(tracks, key=lambda t: t.toa):
-        if waiting is not None and track.toa - waiting.toa <= window:
-            pairs.append((waiting, track))
-            waiting = None
+def pair_coincident_reference(tracks, window: float = COINCIDENCE_WINDOW_NS, drop_ambiguous: bool = False):
+    """Earliest-first pairing of PixelTracks by a scan over them in time order.
+
+    Returns the pairs and the number of tracks dropped in runs of 3+
+    mutually coincident tracks when drop_ambiguous is set.
+    """
+    ordered = sorted(tracks, key=lambda t: t.toa)
+    pairs, dropped, i = [], 0, 0
+    while i + 1 < len(ordered):
+        if ordered[i + 1].toa - ordered[i].toa <= window:
+            if drop_ambiguous and i + 2 < len(ordered) and ordered[i + 2].toa - ordered[i].toa <= window:
+                j = i + 2
+                while j < len(ordered) and ordered[j].toa - ordered[i].toa <= window:
+                    j += 1
+                dropped += j - i
+                i = j
+                continue
+            pairs.append((ordered[i], ordered[i + 1]))
+            i += 2
         else:
-            waiting = track
-    return pairs
+            i += 1
+    return pairs, dropped
+
+
+# --- the per-record float pipeline: one object per track, pair and cone,
+# as the library ran it before column batches. Its sums run in hit order
+# and its angles through math.acos, the float steps the batches keep. ---
+
+
+@dataclass
+class PixelTrack:
+    """A connected cluster of hits, one list entry per hit, in time order."""
+
+    toas: list[float]  # ns
+    cols: list[int]
+    rows: list[int]
+    energies: list[float]  # keV
+    toa: float = field(init=False)  # earliest charge arrival, ns
+    energy: float = field(init=False)  # keV
+
+    def __post_init__(self) -> None:
+        if not self.toas:
+            raise MalformedInputError("a track needs at least one hit")
+        self.toa = min(self.toas)
+        self.energy = sum(self.energies)
+
+
+@dataclass(frozen=True)
+class ComptonPair:
+    """Matched recoil-electron / scattered-photon tracks: mm, keV and ns."""
+
+    electron_xy: tuple[float, float]
+    photon_xy: tuple[float, float]
+    electron_energy: float
+    photon_energy: float
+    electron_toa: float
+    photon_toa: float
+
+    def __post_init__(self) -> None:
+        if not (self.electron_energy > 0.0 and self.photon_energy > 0.0):
+            raise MalformedInputError("pair energies must be positive")
+        if not all(map(math.isfinite, (*self.electron_xy, *self.photon_xy))):
+            raise MalformedInputError("pair positions must be finite")
+
+
+def track_centroid(track: PixelTrack) -> tuple[float, float, float, float]:
+    """Energy-weighted centroid (x mm, y mm), energy keV and toa ns, summed in hit order."""
+    sx = sy = energy = 0.0
+    for col, row, e in zip(track.cols, track.rows, track.energies):
+        sx += (col + 0.5) * e
+        sy += (row + 0.5) * e
+        energy += e
+    return sx / energy * PIXEL_PITCH_MM, sy / energy * PIXEL_PITCH_MM, energy, track.toa
+
+
+def classify_track(total_energy: float, paired: bool, threshold: float = BACKGROUND_THRESHOLD_KEV) -> EventClass:
+    """Background above the threshold; below it, Compton when paired, else photoelectric."""
+    if total_energy > threshold:
+        return EventClass.BACKGROUND
+    return EventClass.COMPTON_CANDIDATE if paired else EventClass.PHOTOELECTRIC
+
+
+def make_pair_record(first: PixelTrack, second: PixelTrack) -> ComptonPair:
+    """The earlier track is the scattered photon, the later the recoil electron."""
+    a, b = (first, second) if first.toa <= second.toa else (second, first)
+    px, py, pe, pt = track_centroid(a)
+    ex, ey, ee, et = track_centroid(b)
+    return ComptonPair((ex, ey), (px, py), ee, pe, et, pt)
+
+
+def build_cone_record(pair: ComptonPair) -> Cone:
+    """Camera-frame cone of one pair in Python floats; raises when it gives none."""
+    theta = scattering_angle(pair.electron_energy, pair.photon_energy)
+    (ex, ey), (px, py) = pair.electron_xy, pair.photon_xy
+    electron = (ex * 1e-3, ey * 1e-3, delta_z(pair.electron_toa, pair.photon_toa) * 1e-3)
+    sx, sy, sz = electron[0] - px * 1e-3, electron[1] - py * 1e-3, electron[2]
+    norm = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if norm < 1e-9:
+        raise DegenerateGeometryError("coincident pair events; cone axis undefined")
+    timestamp = min(pair.electron_toa, pair.photon_toa) * 1e-9
+    return Cone(electron, (sx / norm, sy / norm, sz / norm), theta, Frame.CAMERA, timestamp)
+
+
+def process_pairs_record(pairs, threshold: float = BACKGROUND_THRESHOLD_KEV, duration: float | None = None,
+                         unpaired_tracks=(), ambiguous: int = 0) -> PipelineResult:
+    """Classify ComptonPairs and lone PixelTracks one at a time and build the cones."""
+    summary = ClassificationSummary(ambiguous=ambiguous)
+    cones, times = [], []
+    for pair in pairs:
+        times.extend((pair.electron_toa, pair.photon_toa))
+        cls = classify_track(pair.electron_energy + pair.photon_energy, paired=True, threshold=threshold)
+        summary.counts[cls] += 1
+        if cls is not EventClass.COMPTON_CANDIDATE:
+            continue
+        try:
+            cones.append(build_cone_record(pair))
+        except InvalidScatteringError:
+            summary.invalid_scattering += 1
+        except DegenerateGeometryError:
+            summary.degenerate_geometry += 1
+    for track in unpaired_tracks:
+        summary.counts[classify_track(track.energy, paired=False, threshold=threshold)] += 1
+    if duration is not None:
+        summary.duration = duration
+    elif times:
+        summary.duration = (max(times) - min(times)) * 1e-9
+    cones.sort(key=lambda c: c.timestamp)
+    return PipelineResult(cones, summary, pair_count=len(pairs))
+
+
+def process_hits_record(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS,
+                        window: float = COINCIDENCE_WINDOW_NS, threshold: float = BACKGROUND_THRESHOLD_KEV,
+                        drop_ambiguous: bool = False, duration: float | None = None) -> PipelineResult:
+    """process_hits through the references above, one hit, track and pair at a time."""
+    tracks = cluster_hits_reference(hits, max_toa_gap)
+    pairs, ambiguous = pair_coincident_reference(tracks, window, drop_ambiguous)
+    paired = {id(t) for pair in pairs for t in pair}
+    if duration is None and len(hits):
+        duration = float(hits.toa.max() - hits.toa.min()) * 1e-9
+    return process_pairs_record([make_pair_record(a, b) for a, b in pairs], threshold, duration,
+                                [t for t in tracks if id(t) not in paired], ambiguous)
 
 
 def trajectory_waypoints(center, radius: float, speed: float, timestep: float, count: int,

@@ -13,6 +13,7 @@ from radloc.geometry import Cone, Frame, unit
 from radloc.io import (
     CONES_HEADER,
     HITS_HEADER,
+    PAIRS_HEADER,
     POSES_HEADER,
     read_estimates_csv,
     read_hits_csv,
@@ -188,6 +189,18 @@ def test_reconstruct_pairs_input(tmp_path, capsys):
     assert (summary["invalid_scattering"], summary["degenerate_geometry"], summary["rejected_pairs"]) == (1, 1, 2)
     assert (summary["pairs"], summary["cones_written"]) == (3, 1)
     assert "pairs=3 rejected_pairs=2 " in capsys.readouterr().out
+
+
+def test_reconstruct_header_only_pairs_file_gives_no_cones(tmp_path, capsys):
+    events = tmp_path / "pairs.csv"
+    events.write_text(",".join(PAIRS_HEADER) + "\n")
+    argv = ["reconstruct", "--events", str(events), "--poses", str(FIXTURE / "poses.csv")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["counts"] == {"photoelectric": 0, "compton": 0, "background": 0}
+    assert (summary["pairs"], summary["cones_written"], summary["duration_s"]) == (0, 0, 0.0)
+    assert (tmp_path / "out" / "cones.csv").read_text() == ",".join(CONES_HEADER) + "\n"
+    assert "pairs=0 rejected_pairs=0 ambiguous=0 cones=0 " in capsys.readouterr().out
 
 
 def test_reconstruct_parse_error_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,18 +11,16 @@ from radloc.constants import (
     SENSOR_THICKNESS_MM,
 )
 from radloc.errors import (
-    DegenerateGeometryError,
-    InvalidHitError,
+    InvalidRowError,
     InvalidScatteringError,
     MalformedInputError,
 )
 from radloc.events import (
-    ComptonPair,
     EventClass,
     HitBatch,
-    PixelTrack,
+    PairBatch,
+    TrackBatch,
     build_cone,
-    classify_track,
     cluster_hits,
     delta_z,
     make_pair,
@@ -29,16 +28,22 @@ from radloc.events import (
     process_hits,
     process_pairs,
     scattering_angle,
-    track_centroid,
 )
-from radloc.geometry import Frame
+from radloc.geometry import Frame, interpolate_pose, transform_cone
 
 from oracles import (
+    ComptonPair,
+    PixelTrack,
     best_disjoint_pairing,
+    build_cone_record,
     build_cone_reference,
     cluster_hits_reference,
+    process_hits_record,
     scattered_photon_energy,
+    track_centroid,
     track_centroid_reference,
+    trajectory_waypoints,
+    world_cones_reference,
 )
 
 
@@ -51,16 +56,36 @@ def batch(hits):
     return HitBatch(*(list(column) for column in zip(*hits))) if hits else HitBatch([], [], [], [])
 
 
-def track_of(*hits):
-    return PixelTrack(*(list(column) for column in zip(*hits)))
+def tracks_at(*toas, energy=100.0):
+    """A TrackBatch of tracks at the given times, all at the sensor's corner."""
+    n = len(toas)
+    return TrackBatch(np.array(toas, dtype=float), np.full(n, energy), np.zeros(n), np.zeros(n))
 
 
-def track(toa, col=0, row=0, energy=100.0):
-    return track_of(hit(toa, col, row, energy))
+def track_rows(tracks):
+    """(toa, energy, x, y) of each track of a TrackBatch."""
+    return list(zip(*(c.tolist() for c in (tracks.toa, tracks.energy, tracks.x, tracks.y))))
 
 
-def track_hits(t):
-    return list(zip(t.toas, t.cols, t.rows, t.energies))
+def record_rows(tracks):
+    """(toa, energy, x, y) of each PixelTrack, its sums taken in hit order."""
+    rows = []
+    for t in tracks:
+        x, y, energy, toa = track_centroid(t)
+        rows.append((toa, energy, x, y))
+    return rows
+
+
+def pair_batch(*pairs):
+    """A PairBatch of ComptonPair records."""
+    rows = [(*p.electron_xy, p.electron_energy, p.electron_toa, *p.photon_xy, p.photon_energy, p.photon_toa)
+            for p in pairs]
+    return PairBatch(*zip(*rows)) if rows else PairBatch(*([],) * 8)
+
+
+def same_cone(got, want):
+    return (got.origin, got.axis, got.half_angle, got.frame, got.timestamp) == (
+        want.origin, want.axis, want.half_angle, want.frame, want.timestamp)
 
 
 # --- kinematics ---
@@ -136,7 +161,7 @@ def test_hit_validation():
         hit(math.nan),
         hit(math.inf),
     ):
-        with pytest.raises(InvalidHitError) as err:
+        with pytest.raises(InvalidRowError) as err:
             batch([hit(0.0), bad])
         assert err.value.index == 1, bad
     with pytest.raises(MalformedInputError):
@@ -151,7 +176,7 @@ def test_cluster_adjacent_hits_merge():
     hits = batch([hit(0.0, 10, 10), hit(1.0, 11, 11), hit(2.0, 12, 11)])
     tracks = cluster_hits(hits)
     assert len(tracks) == 1
-    assert len(tracks[0].toas) == 3
+    assert tracks.energy.tolist() == [300.0]
 
 
 def test_cluster_separated_hits_split():
@@ -173,7 +198,8 @@ def test_cluster_chained_adjacency():
 
 
 def test_cluster_empty_and_bad_gap():
-    assert cluster_hits(batch([])) == []
+    empty = cluster_hits(batch([]))
+    assert len(empty) == 0 and all(c.shape == (0,) for c in (empty.toa, empty.energy, empty.x, empty.y))
     for gap in (0.0, -5.0, math.nan, math.inf):
         with pytest.raises(MalformedInputError):
             cluster_hits(batch([hit(0.0)]), max_toa_gap=gap)
@@ -181,15 +207,15 @@ def test_cluster_empty_and_bad_gap():
 
 def test_cluster_output_sorted_by_toa():
     hits = batch([hit(50.0, 40, 40), hit(0.0, 10, 10), hit(300.0, 80, 80)])
-    tracks = cluster_hits(hits)
-    toas = [t.toa for t in tracks]
-    assert toas == sorted(toas)
+    toas = cluster_hits(hits).toa.tolist()
+    assert toas == sorted(toas) == [0.0, 50.0, 300.0]
 
 
 def assert_clusters_like_reference(hits, gap=CLUSTER_TOA_GAP_NS):
+    # the same tracks in the same order; with energies drawn at random,
+    # equal in-order sums leave no doubt that the hits are the same
     got, want = cluster_hits(hits, gap), cluster_hits_reference(hits, gap)
-    assert [track_hits(t) for t in got] == [track_hits(t) for t in want]
-    assert [(t.toa, t.energy) for t in got] == [(t.toa, t.energy) for t in want]
+    assert track_rows(got) == record_rows(want)
 
 
 def test_cluster_matches_per_hit_reference():
@@ -216,7 +242,7 @@ def test_cluster_matches_per_hit_reference():
     # a burst of hits on one pixel, chained and broken by time
     burst = batch([hit(t, 7, 7) for t in (0.0, 0.0, 100.0, 200.0, 300.5, 300.5, 400.5)])
     assert_clusters_like_reference(burst)
-    assert [len(t.toas) for t in cluster_hits(burst)] == [4, 3]
+    assert cluster_hits(burst).energy.tolist() == [400.0, 300.0]
     # a 2,000-hit diagonal chain that bounces off the sensor's corners, each
     # hit exactly one gap after the one before it
     walk = [i % 510 if i % 510 < 256 else 510 - i % 510 for i in range(2000)]
@@ -231,59 +257,67 @@ def test_cluster_matches_per_hit_reference():
 
 
 def test_centroid_single_hit():
-    t = track(7.0, 0, 0, 100.0)
-    x, y, e, toa = track_centroid(t)
-    assert (x, y) == pytest.approx((0.0275, 0.0275))
-    assert e == 100.0
-    assert toa == 7.0
+    tracks = cluster_hits(batch([hit(7.0, 0, 0, 100.0)]))
+    assert (tracks.x[0], tracks.y[0]) == pytest.approx((0.0275, 0.0275))
+    assert tracks.energy.tolist() == [100.0]
+    assert tracks.toa.tolist() == [7.0]
 
 
 def test_centroid_symmetric_pair():
-    t = track_of(hit(0.0, 0, 0, 100.0), hit(1.0, 2, 0, 100.0))
-    x, y, _, _ = track_centroid(t)
-    assert x == pytest.approx(1.5 * 0.055)  # midway between pixel centers
-    assert y == pytest.approx(0.5 * 0.055)
+    # two equal deposits bridged by a third midway
+    tracks = cluster_hits(batch([hit(0.0, 0, 0, 100.0), hit(1.0, 1, 0, 50.0), hit(2.0, 2, 0, 100.0)]))
+    assert len(tracks) == 1
+    assert tracks.x[0] == pytest.approx(1.5 * 0.055)  # midway between the outer pixel centers
+    assert tracks.y[0] == pytest.approx(0.5 * 0.055)
 
 
 def test_centroid_energy_weighted():
-    t = track_of(hit(0.0, 0, 0, 300.0), hit(1.0, 2, 0, 100.0))
-    x, y, e, _ = track_centroid(t)
-    # 3:1 weighting of centers 0.5 and 2.5 -> 1.0 pixel -> 0.055 mm
-    assert x == pytest.approx(0.055, abs=1e-12)
-    assert y == pytest.approx(0.0275, abs=1e-12)
-    assert e == 400.0
+    tracks = cluster_hits(batch([hit(0.0, 0, 0, 300.0), hit(1.0, 1, 0, 100.0)]))
+    # 3:1 weighting of centers 0.5 and 1.5 -> 0.75 pixel
+    assert tracks.x[0] == pytest.approx(0.75 * 0.055, abs=1e-12)
+    assert tracks.y[0] == pytest.approx(0.0275, abs=1e-12)
+    assert tracks.energy.tolist() == [400.0]
 
 
 def test_centroid_toa_is_earliest():
-    t = track_of(hit(9.0, 0, 0), hit(3.0, 1, 0), hit(5.0, 1, 1))
-    assert track_centroid(t)[3] == 3.0
+    tracks = cluster_hits(batch([hit(9.0, 0, 0), hit(3.0, 1, 0), hit(5.0, 1, 1)]))
+    assert tracks.toa.tolist() == [3.0]
 
 
-def random_track(rng, n):
-    col, row = rng.integers(4, 252, size=2)
-    return track_of(*(
-        hit(float(rng.uniform(0.0, 1e6)), int(col + rng.integers(-4, 5)),
-            int(row + rng.integers(-4, 5)), float(rng.uniform(0.5, 300.0)))
-        for _ in range(n)
-    ))
+def walk_tracks(rng, sizes):
+    """A hit stream of one connected random walk per size, each walk's
+    hits within one clustering gap and the walks far apart in time; with
+    the walks as PixelTracks, their hits in time order."""
+    hits, walks = [], []
+    for k, n in enumerate(sizes):
+        steps = rng.integers(-1, 2, size=(n, 2))
+        steps[0] = rng.integers(20, 236, size=2)
+        pixels = np.cumsum(steps, axis=0).tolist()
+        toas = np.sort(rng.uniform(0.0, CLUSTER_TOA_GAP_NS, n)) + 1e4 * k
+        walk = [hit(float(t), c, r, float(e)) for t, (c, r), e in zip(toas, pixels, rng.uniform(0.5, 300.0, n))]
+        hits.extend(walk)
+        walks.append(PixelTrack(*(list(column) for column in zip(*walk))))
+    return batch(hits), walks
 
 
 def test_centroid_matches_numpy_reference():
-    # below eight terms numpy sums in sequence, as track_centroid does, so
-    # the results agree bit for bit; from eight on numpy keeps eight
-    # interleaved partial sums, and the two orders each stay within about
-    # n/2 ulp of the exact sum of n positive terms
+    # below eight terms numpy's np.average sums in sequence, as the
+    # clustering does, so the results agree bit for bit; from eight on
+    # numpy keeps eight interleaved partial sums, and the two orders each
+    # stay within about n/2 ulp of the exact sum of n positive terms
     rng = np.random.default_rng(31)
+    sizes = [1 + k % 7 for k in range(1000)] + rng.integers(8, 41, size=1000).tolist()
+    hits, walks = walk_tracks(rng, sizes)
+    got = track_rows(cluster_hits(hits))
+    assert len(got) == len(walks)
     worst = 0.0
-    for k in range(2000):
-        n = 1 + k % 7 if k < 1000 else int(rng.integers(8, 41))
-        t = random_track(rng, n)
-        got, want = track_centroid(t), track_centroid_reference(t)
+    for n, (toa, energy, x, y), walk in zip(sizes, got, walks):
+        want_x, want_y, want_energy, want_toa = track_centroid_reference(walk)
+        assert toa == want_toa
         if n < 8:
-            assert got == want, n
+            assert (x, y, energy) == (want_x, want_y, want_energy), n
             continue
-        assert got[3] == want[3]
-        for g, w in zip(got[:3], want[:3]):
+        for g, w in ((x, want_x), (y, want_y), (energy, want_energy)):
             worst = max(worst, abs(g - w) / math.ulp(w))
             assert abs(g - w) <= n * math.ulp(w), (n, g, w)
     assert worst > 0.0  # the reference's pairwise order did come into play
@@ -296,40 +330,42 @@ def test_track_toa_and_energy_are_min_and_sum_of_hits():
             float(rng.uniform(1.0, 300.0)))
         for _ in range(3000)
     ])
-    tracks = cluster_hits(hits)
-    assert sum(len(t.toas) for t in tracks) == len(hits)
-    assert any(len(t.toas) > 1 for t in tracks)
-    for t in tracks:
-        assert t.toa == min(t.toas) == t.toas[0]
-        assert t.energy == sum(t.energies)
+    tracks, want = cluster_hits(hits), cluster_hits_reference(hits)
+    assert sum(len(t.toas) for t in want) == len(hits)
+    assert any(len(t.toas) > 1 for t in want)
+    assert tracks.toa.tolist() == [min(t.toas) for t in want] == [t.toas[0] for t in want]
+    assert tracks.energy.tolist() == [sum(t.energies) for t in want]
 
 
 # --- pairing ---
 
 
+def pair_toas(tracks, pairing):
+    return [(tracks.toa[a], tracks.toa[b]) for a, b in pairing.index.tolist()]
+
+
 def test_pairing_example_three_tracks():
     # 0 and 10 pair; 30 is within the window of 10 but 10 is taken
-    tracks = [track(0.0), track(10.0, 5, 5), track(30.0, 9, 9)]
-    pairs, dropped = pair_coincident(tracks, window=86.0)
-    assert len(pairs) == 1 and dropped == 0
-    assert (pairs[0][0].toa, pairs[0][1].toa) == (0.0, 10.0)
+    tracks = tracks_at(0.0, 10.0, 30.0)
+    pairing = pair_coincident(tracks, window=86.0)
+    assert len(pairing) == 1 and pairing.ambiguous == 0
+    assert pairing.index.tolist() == [[0, 1]]
 
 
 def test_pairing_outside_window():
-    tracks = [track(0.0), track(100.0, 5, 5)]
-    assert pair_coincident(tracks, window=86.0) == ([], 0)
+    pairing = pair_coincident(tracks_at(0.0, 100.0), window=86.0)
+    assert (len(pairing), pairing.index.shape, pairing.ambiguous) == (0, (0, 2), 0)
 
 
 def test_pairing_disjoint_and_within_window():
     rng = np.random.default_rng(8)
-    toas = np.cumsum(rng.exponential(60.0, size=60))
-    tracks = [track(float(t), i % 100, i // 100) for i, t in enumerate(toas)]
-    pairs, _ = pair_coincident(tracks, window=86.0)
-    used = set()
-    for a, b in pairs:
-        assert abs(a.toa - b.toa) <= 86.0
-        assert id(a) not in used and id(b) not in used
-        used.update((id(a), id(b)))
+    tracks = tracks_at(*np.cumsum(rng.exponential(60.0, size=60)))
+    pairing = pair_coincident(tracks, window=86.0)
+    assert len(pairing) > 0
+    for a, b in pair_toas(tracks, pairing):
+        assert 0.0 <= b - a <= 86.0
+    used = pairing.index.ravel().tolist()
+    assert len(used) == len(set(used))
 
 
 def test_pairing_greedy_attains_maximum_cardinality():
@@ -338,75 +374,110 @@ def test_pairing_greedy_attains_maximum_cardinality():
     rng = np.random.default_rng(21)
     for _ in range(50):
         toas = sorted(rng.uniform(0, 400, size=rng.integers(2, 9)))
-        tracks = [track(float(t), i, 0) for i, t in enumerate(toas)]
-        got, _ = pair_coincident(tracks, window=86.0)
+        got = pair_coincident(tracks_at(*toas), window=86.0)
         best = best_disjoint_pairing(toas, window=86.0)
         assert len(got) == len(best)
 
 
 def test_pairing_drop_ambiguous():
-    tracks = [track(0.0), track(10.0, 5, 5), track(20.0, 9, 9)]
-    assert len(pair_coincident(tracks, window=86.0)[0]) == 1
-    assert pair_coincident(tracks, window=86.0, drop_ambiguous=True) == ([], 3)
+    tracks = tracks_at(0.0, 10.0, 20.0)
+    assert len(pair_coincident(tracks, window=86.0)) == 1
+    dropped = pair_coincident(tracks, window=86.0, drop_ambiguous=True)
+    assert (len(dropped), dropped.ambiguous) == (0, 3)
     # a 3-run, a pair, a 4-run and a lone track, more than a window apart
     # and given out of order: each run of 3+ is dropped and counted whole
     toas = [0.0, 20.0, 40.0, 300.0, 350.0, 600.0, 610.0, 620.0, 630.0, 900.0]
-    tracks = [track(t, i, 0) for i, t in enumerate(toas)][::-1]
-    pairs, dropped = pair_coincident(tracks, window=86.0, drop_ambiguous=True)
-    assert [(a.toa, b.toa) for a, b in pairs] == [(300.0, 350.0)]
-    assert dropped == 7
-    pairs, dropped = pair_coincident(tracks, window=86.0)
-    assert [(a.toa, b.toa) for a, b in pairs] == [(0.0, 20.0), (300.0, 350.0), (600.0, 610.0), (620.0, 630.0)]
-    assert dropped == 0
+    tracks = tracks_at(*toas[::-1])
+    pairing = pair_coincident(tracks, window=86.0, drop_ambiguous=True)
+    assert pair_toas(tracks, pairing) == [(300.0, 350.0)]
+    assert pairing.ambiguous == 7
+    pairing = pair_coincident(tracks, window=86.0)
+    assert pair_toas(tracks, pairing) == [(0.0, 20.0), (300.0, 350.0), (600.0, 610.0), (620.0, 630.0)]
+    assert pairing.ambiguous == 0
+    # a run whose drop ends inside a longer chain: 90 is out of 0's window,
+    # so it pairs with 100 after the run 0, 10, 20 is dropped
+    tracks = tracks_at(0.0, 10.0, 20.0, 90.0, 100.0)
+    pairing = pair_coincident(tracks, window=86.0, drop_ambiguous=True)
+    assert (pair_toas(tracks, pairing), pairing.ambiguous) == ([(90.0, 100.0)], 3)
 
 
 def test_knobs_refuse_nan_and_nonpositive():
     for bad in (math.nan, -5.0, 0.0, math.inf):
         with pytest.raises(MalformedInputError):
-            pair_coincident([], window=bad)
+            pair_coincident(tracks_at(), window=bad)
         with pytest.raises(MalformedInputError):
-            classify_track(100.0, paired=False, threshold=bad)
+            process_hits(batch([hit(0.0)]), threshold=bad)
         with pytest.raises(MalformedInputError):
-            process_pairs([], threshold=bad)
+            process_pairs(pair_batch(), threshold=bad)
     for bad in (math.nan, -1.0, math.inf):
         with pytest.raises(MalformedInputError):
-            process_pairs([], duration=bad)
-    assert process_pairs([], duration=0.0).summary.duration == 0.0
+            process_pairs(pair_batch(), duration=bad)
+    assert process_pairs(pair_batch(), duration=0.0).summary.duration == 0.0
 
 
 # --- classification ---
 
 
+def classify(pair_energy=None, lone_energy=None):
+    """The class process_pairs gives one pair of that summed energy, or one lone track."""
+    half = None if pair_energy is None else pair_energy / 2
+    pairs = [] if half is None else [ComptonPair((1.0, 2.0), (1.0, 1.0), half, half, 20.0, 0.0)]
+    lone = [] if lone_energy is None else [lone_energy]
+    counts = process_pairs(pair_batch(*pairs), lone_energy=np.array(lone)).summary.counts
+    (cls,) = [c for c, n in counts.items() if n]
+    assert counts[cls] == 1
+    return cls
+
+
 def test_classify_examples():
-    assert classify_track(662.0, paired=False) is EventClass.PHOTOELECTRIC
-    assert classify_track(850.0, paired=False) is EventClass.BACKGROUND
-    assert classify_track(709.92, paired=True) is EventClass.COMPTON_CANDIDATE
+    assert classify(lone_energy=662.0) is EventClass.PHOTOELECTRIC
+    assert classify(lone_energy=850.0) is EventClass.BACKGROUND
+    assert classify(pair_energy=709.92) is EventClass.COMPTON_CANDIDATE
 
 
 def test_classify_monotone_background():
     for e in (800.1, 900.0, 5000.0):
-        assert classify_track(e, paired=True) is EventClass.BACKGROUND
-        assert classify_track(e, paired=False) is EventClass.BACKGROUND
-    with pytest.raises(MalformedInputError):
-        classify_track(0.0, paired=False)
-    with pytest.raises(MalformedInputError):
-        classify_track(math.nan, paired=True)
+        assert classify(pair_energy=e) is EventClass.BACKGROUND
+        assert classify(lone_energy=e) is EventClass.BACKGROUND
+    # a pair of no energy, or of NaN energy, is refused
+    for bad in (0.0, math.nan):
+        with pytest.raises(MalformedInputError):
+            PairBatch([1.0], [2.0], [bad], [20.0], [1.0], [1.0], [100.0], [0.0])
 
 
 # --- pair and cone construction ---
 
 
+def test_pair_batch_validation():
+    good = [1.0, 2.0, 315.70, 20.31, 1.0, 1.0, 394.22, 0.0]
+    for k, bad, message in ((2, -1.0, "energies"), (6, 0.0, "energies"), (0, math.inf, "positions"),
+                            (5, math.nan, "positions")):
+        row = list(good)
+        row[k] = bad
+        with pytest.raises(InvalidRowError, match=message) as err:
+            PairBatch(*zip(good, row))
+        assert err.value.index == 1
+    with pytest.raises(MalformedInputError):
+        PairBatch(*([1.0],) * 7, [1.0, 2.0])
+    pairs = PairBatch(*zip(good))
+    with pytest.raises(ValueError):
+        pairs.electron_x[0] = 0.0  # the checked columns are read-only
+    assert len(pairs.take(np.array([False]))) == 0
+
+
 def test_make_pair_earlier_track_is_photon():
-    a = track(0.0, 10, 10, 394.22)
-    b = track(20.31, 40, 40, 315.70)
-    pair = make_pair(a, b)
-    assert pair.photon_toa == 0.0
-    assert pair.electron_toa == 20.31
-    assert pair.photon_energy == pytest.approx(394.22)
-    assert pair.electron_energy == pytest.approx(315.70)
+    tracks = TrackBatch(np.array([0.0, 20.31]), np.array([394.22, 315.70]), np.array([0.5, 2.0]),
+                        np.array([0.6, 2.2]))
+    pair = make_pair(tracks, np.array([0]), np.array([1]))
+    assert (pair.photon_toa.tolist(), pair.electron_toa.tolist()) == ([0.0], [20.31])
+    assert (pair.photon_energy.tolist(), pair.electron_energy.tolist()) == ([394.22], [315.70])
+    assert (pair.photon_x.tolist(), pair.photon_y.tolist()) == ([0.5], [0.6])
+    assert (pair.electron_x.tolist(), pair.electron_y.tolist()) == ([2.0], [2.2])
     # argument order is irrelevant
-    same = make_pair(b, a)
-    assert same == pair
+    same = make_pair(tracks, np.array([1]), np.array([0]))
+    for name in ("electron_x", "electron_y", "electron_energy", "electron_toa",
+                 "photon_x", "photon_y", "photon_energy", "photon_toa"):
+        assert getattr(same, name).tolist() == getattr(pair, name).tolist()
 
 
 def test_build_cone_reference_event():
@@ -418,7 +489,8 @@ def test_build_cone_reference_event():
         electron_toa=20.31,
         photon_toa=0.0,
     )
-    cone = build_cone(pair)
+    (cone,), invalid, degenerate = build_cone(pair_batch(pair))
+    assert (invalid, degenerate) == (0, 0)
     assert cone.frame is Frame.CAMERA
     assert np.allclose(cone.origin, [0.001, 0.002, 0.00047232936], atol=1e-12)
     want_axis = np.array([0.0, 1.0, 0.47232936])
@@ -430,41 +502,50 @@ def test_build_cone_reference_event():
 
 def test_build_cone_pure_depth_separation():
     pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 20.31, 0.0)
-    cone = build_cone(pair)
+    (cone,), _, _ = build_cone(pair_batch(pair))
     assert np.allclose(cone.axis, [0.0, 0.0, 1.0])
 
 
 def test_build_cone_degenerate_pair():
     pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 5.0, 5.0)
-    with pytest.raises(DegenerateGeometryError):
-        build_cone(pair)
+    assert build_cone(pair_batch(pair)) == ([], 0, 1)
 
 
 def test_build_cone_invalid_kinematics():
     pair = ComptonPair((1.0, 2.0), (1.0, 1.0), 1000.0, 100.0, 20.0, 0.0)
-    with pytest.raises(InvalidScatteringError):
-        build_cone(pair)
+    assert build_cone(pair_batch(pair)) == ([], 1, 0)
+    # an impossible split is counted as such even where the events coincide
+    pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 1000.0, 100.0, 5.0, 5.0)
+    assert build_cone(pair_batch(pair)) == ([], 1, 0)
 
 
 def test_build_cone_matches_numpy_reference():
     rng = np.random.default_rng(41)
+    pairs = []
     for _ in range(2000):
         ee, ep = rng.uniform(20.0, 400.0, size=2)
         toa = rng.uniform(0.0, 1e9)
-        pair = ComptonPair(
+        pairs.append(ComptonPair(
             tuple(rng.uniform(0.0, 14.08, size=2)), tuple(rng.uniform(0.0, 14.08, size=2)),
             ee, ep, toa + rng.uniform(-86.0, 86.0), toa,
-        )
+        ))
+    want, records, invalid = [], [], 0
+    for pair in pairs:
         try:
-            want = build_cone_reference(pair)
+            want.append(build_cone_reference(pair))
+            records.append(build_cone_record(pair))
         except InvalidScatteringError:
-            with pytest.raises(InvalidScatteringError):
-                build_cone(pair)
-            continue
-        got = build_cone(pair)
-        assert np.array_equal(got.origin, want.origin)
-        assert (got.half_angle, got.timestamp) == (want.half_angle, want.timestamp)
-        assert np.max(np.abs(np.subtract(got.axis, want.axis))) <= 1e-15
+            invalid += 1
+    want.sort(key=lambda c: c.timestamp)
+    records.sort(key=lambda c: c.timestamp)
+    got, got_invalid, degenerate = build_cone(pair_batch(*pairs))
+    assert (got_invalid, degenerate) == (invalid, 0) and invalid > 0
+    assert len(got) == len(want)
+    for g, w, r in zip(got, want, records):
+        assert np.array_equal(g.origin, w.origin)
+        assert (g.half_angle, g.timestamp) == (w.half_angle, w.timestamp)
+        assert np.max(np.abs(np.subtract(g.axis, w.axis))) <= 1e-15
+        assert same_cone(g, r)  # and bit for bit the per-record float cone
 
 
 # --- stream statistics ---
@@ -513,13 +594,17 @@ def test_process_hits_rejected_pair_tally():
 
 
 def test_process_pairs_counts_drops_by_reason():
-    pairs = [
+    pairs = pair_batch(
         ComptonPair((1.0, 2.0), (1.0, 1.0), 500.0, 100.0, 20.0, 0.0),  # invalid split
         ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 5.0, 5.0),  # coinciding events
         ComptonPair((1.0, 2.0), (1.0, 1.0), 315.70, 394.22, 20.31, 0.0),  # a cone
-    ]
-    summary = process_pairs(pairs).summary
+        ComptonPair((1.0, 2.0), (1.0, 1.0), 500.0, 394.22, 20.31, 0.0),  # background: no cone, no drop
+    )
+    res = process_pairs(pairs)
+    summary = res.summary
     assert (summary.invalid_scattering, summary.degenerate_geometry, summary.rejected_pairs) == (1, 1, 2)
+    assert (res.pair_count, len(res.cones), summary.counts[EventClass.BACKGROUND]) == (4, 1, 1)
+    assert summary.duration == pytest.approx(20.31e-9)  # the pairs' time span
 
 
 def test_process_hits_cones_time_sorted():
@@ -533,3 +618,75 @@ def test_zero_duration_rates_are_zero():
     res = process_hits(batch([]), duration=0.0)
     assert all(v == 0.0 for v in res.summary.rates().values())
     assert all(v == 0.0 for v in res.summary.shares().values())
+
+
+def random_stream(rng, n_events):
+    """Hits of events a few windows apart: tracks of 1-12 hits alone, in
+    pairs and in triples, at energies that are no multiples of a power of
+    two, so each sum's order shows in its last bits."""
+    hits, t = [], 1000.0
+    for _ in range(n_events):
+        t += float(rng.exponential(150.0))
+        for _ in range(int(rng.choice([1, 2, 2, 3]))):
+            start = t + float(rng.uniform(0.0, 60.0))
+            n = int(rng.integers(1, 13))
+            pixels = np.cumsum(rng.integers(-1, 2, size=(n, 2)), axis=0) + rng.integers(20, 236, size=2)
+            toas = start + np.sort(rng.uniform(0.0, 30.0, n))
+            energies = rng.uniform(5.0, 450.0, n) / n
+            hits.extend(hit(float(a), int(c), int(r), float(e)) for a, (c, r), e in zip(toas, pixels, energies))
+    return hits
+
+
+def test_values_past_the_float_range_follow_python_floats_without_warnings():
+    # sums and products past the float range become inf and NaN quietly,
+    # as in the per-record floats, and end where those end
+    top = 1.7976931348623157e308
+    hits = batch([hit(0.0, 255, 255, top), hit(1.0, 254, 255, top),  # one track of infinite energy
+                  hit(1e4, 0, 0, 5e-324), hit(1e4 + 20.0, 9, 9, 5e-324)])  # a pair of no split
+    pairs = [ComptonPair((1e300, 2.0), (-1e300, 4.0), 315.70, 394.22, 120.31, 100.0),
+             ComptonPair((1.0, 2.0), (3.0, 4.0), top, top, 120.31, 100.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = process_hits(hits)
+        want = process_hits_record(hits)
+        assert (got.summary, got.pair_count, got.cones) == (want.summary, want.pair_count, want.cones)
+        assert got.summary.counts[EventClass.BACKGROUND] == 1
+        assert process_pairs(pair_batch(pairs[1])).summary.counts[EventClass.BACKGROUND] == 1
+        with pytest.raises(MalformedInputError, match="unit length"):
+            build_cone_record(pairs[0])
+        with pytest.raises(MalformedInputError, match="unit length"):
+            build_cone(pair_batch(pairs[0]))
+
+
+# three in-order terms whose np.add.reduceat sum differs in the last bit
+# (100.1 + 100.1 + 158.5 is 358.7 in order, 358.70000000000005 through
+# reduceat on numpy 2.4): the photon track of the first pair
+REDUCEAT_TRACK = [hit(0.0, 10, 10, 100.1), hit(1.0, 11, 10, 100.1), hit(2.0, 12, 10, 158.5)]
+
+
+def test_process_hits_matches_per_record_pipeline():
+    # bit for bit the one-object-per-track, -pair and -cone pipeline in
+    # floats, on streams the bench's 1/256 keV energies cannot stand for
+    rng = np.random.default_rng(57)
+    poses = trajectory_waypoints((0.0, 0.0, 0.0), 10.0, 2.0, 0.1, 40, altitude=5.0)
+    for k in range(40):
+        events = REDUCEAT_TRACK + [hit(20.0, 40, 40, 300.0)] + random_stream(rng, int(rng.integers(1, 60)))
+        order = rng.permutation(len(events))  # stream order is not time order
+        hits = batch([events[i] for i in order])
+        for drop_ambiguous in (True, False):
+            got = process_hits(hits, drop_ambiguous=drop_ambiguous)
+            want = process_hits_record(hits, drop_ambiguous=drop_ambiguous)
+            assert got.summary == want.summary and got.pair_count == want.pair_count, k
+            assert len(got.cones) == len(want.cones)
+            assert all(same_cone(g, w) for g, w in zip(got.cones, want.cones)), k
+        assert got.cones[0].timestamp == 0.0  # the cone of the first pair
+        # with the world step on top, within rounding of the numpy
+        # reference, whose centroids sum 8 terms or more pairwise
+        world = [transform_cone(cone, interpolate_pose(poses, cone.timestamp)) for cone in got.cones
+                 if cone.timestamp <= poses[-1].timestamp]
+        reference = world_cones_reference(hits, poses)
+        assert len(world) == len(reference) > 0
+        for g, w in zip(world, reference):
+            assert g.timestamp == w.timestamp and abs(g.half_angle - w.half_angle) <= 1e-12
+            assert np.max(np.abs(np.subtract(g.origin, w.origin))) <= 1e-12
+            assert np.max(np.abs(np.subtract(g.axis, w.axis))) <= 1e-12

@@ -340,8 +340,11 @@ MALFORMED_BODIES = {
         "nonfinite positions": "0,nan,-3,0\n4,inf,-3,0\n",
         "inf z": "0,1,2,0\n1,1,2,inf\n",
         "nan time": "0,1,2,0\nnan,1,2,0\n2,1,2,0\n",
-        "backwards time": "1,1,2,0\n0,1,2,0\n",
+        # refused at the line whose time runs backwards, before a later bad line is read
+        "backwards time": "1,1,2,0\n0,1,2,0\n2,1,2,0\n",
         "backwards time then bad number": "1,1,2,0\n0,1,2,0\n2,x,2,0\n",
+        "bad number then backwards time": "1,1,2,0\n2,x,2,0\n0,1,2,0\n",
+        "equal times then backwards time": "1,1,2,0\n1,1,2,1\n0.5,1,2,0\n",
         "short row": "0,1,2,0\n1,1,2\n",
         "no samples": "\n",
         "digit separator": "0,1,2,0\n1,1_0,2,0\n",
@@ -350,6 +353,7 @@ MALFORMED_BODIES = {
         "nan truth": "0,1,2,0,nan,nan,nan,nan,sweep,none\n1,1,nan,0,nan,nan,nan,nan,sweep,none\n",
         "bad time": "0,1,2,0,nan,nan,nan,nan,sweep,none\nsoon,1,2,0,nan,nan,nan,nan,sweep,none\n",
         "short row": "0,1,2,0,nan,nan,nan,nan,sweep,none\n1,1,2,0,nan,nan,nan,nan,sweep\n",
+        "backwards time": "1,1,2,0,nan,nan,nan,nan,sweep,none\n0,1,2,0,nan,nan,nan,nan,sweep,none\n",
     },
 }
 READERS = {  # kind -> header, reader, reference, the command that reads such a file
@@ -444,10 +448,15 @@ def test_hits_reader_header_only_is_empty_without_warning(tmp_path):
 
 def test_pairs_reader_validation(tmp_path):
     path = tmp_path / "p.csv"
-    write_lines(path, PAIRS_HEADER, ["1.0,2.0,315.70,120.31,3.0,4.0,394.22,100.0"])
-    (pair,) = read_pairs_csv(path)
-    assert pair.electron_energy == 315.70
-    assert pair.photon_xy == (3.0, 4.0)
+    write_lines(path, PAIRS_HEADER, ["1.0,2.0,315.70,120.31,3.0,4.0,394.22,100.0", "", "5,6,1e2,7,8,9,2e2,10"])
+    pairs = read_pairs_csv(path)
+    assert len(pairs) == 2
+    assert pairs.electron_energy.tolist() == [315.70, 100.0]
+    assert (pairs.photon_x.tolist(), pairs.photon_y.tolist()) == ([3.0, 8.0], [4.0, 9.0])
+    # the columns hold what the per-row reader's records do
+    records = read_pairs_reference(path)
+    assert list(zip(pairs.electron_x.tolist(), pairs.electron_y.tolist())) == [p.electron_xy for p in records]
+    assert pairs.photon_toa.tolist() == [p.photon_toa for p in records]
 
     write_lines(path, PAIRS_HEADER, ["1.0,2.0,-5.0,120.31,3.0,4.0,394.22,100.0"])
     with pytest.raises(ParseError):
@@ -547,7 +556,7 @@ def test_truth_csv_plain_schema(tmp_path):
     assert np.array_equal(truth[1], [1.5, 2.0, 0.0])
 
     write_lines(path, ["t_s", "x", "y", "z"], ["1,1,2,0", "0,1.5,2,0"])
-    with pytest.raises(OrderingError):
+    with pytest.raises(OrderingError, match=":3: truth timestamps must be nondecreasing"):
         read_truth_csv(path)
     write_lines(path, ["t_s", "x", "y", "z"], ["0,1,2,0", "nan,1.5,2,0", "2,2,2,0"])
     with pytest.raises(ParseError):
