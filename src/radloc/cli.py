@@ -202,6 +202,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if tracking:
         x = session.state.x
         print(f"status=tracking estimate=({x[0]:.3f}, {x[1]:.3f}, {x[2]:.3f}) m")
+    elif session.init_time is not None:  # locked, then reset by a run of gated cones
+        print(f"status=collecting (initialized, then reset; {len(cones)} cones)")
     else:
         print(f"status=collecting (uninitialized after {len(cones)} cones)")
     stats = session.stats

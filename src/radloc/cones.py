@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ class ProjectionCase(Enum):
     ON_AXIS = "on_axis"
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Projected point with the diagnostic angles of the construction.
 
     alpha is the angle between the apex-to-point offset and the cone

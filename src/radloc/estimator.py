@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .cones import ProjectionCase, project_to_cone, surface_normal
@@ -187,7 +187,9 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     ones, which update only the covariance along the surface normal) reset
     the outlier run; gated ones increment it and leave the state untouched
     otherwise. Ground-plane mode re-pins z to 0 and restores the prior z
-    variance so the flattening never fakes confidence in altitude.
+    variance so the flattening never fakes confidence in altitude. The
+    step is plain float arithmetic, each entry in a fixed order of
+    operations, so equal inputs give equal bits.
     """
     if state.status is not Status.TRACKING:
         raise FilterLifecycleError("correct requires an initialized (tracking) state")
@@ -204,9 +206,9 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         try:
             d0, d1, d2 = surface_normal(res.point, cone)
         except ValueError:
-            return replace(state, consecutive_outliers=0)
+            return FilterState(state.x, state.omega, 0, state.status)
     else:
-        return replace(state, consecutive_outliers=0)
+        return FilterState(state.x, state.omega, 0, state.status)
     # along = n n^T / n^T n and P = I - along; each diagonal entry of P is
     # a sum of the other two squares, so no entry cancels
     r, far = config.r, config.far_variance
@@ -214,8 +216,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
     a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
     c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
-    omega = state.omega
-    (o00, o01, o02), (_, o11, o12), (_, _, o22) = omega
+    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
     factor = _ldl(  # of S = omega + far P + r along
         o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
         o11 + far * c11 + r * a11, o12 - far * a12 + r * a12, o22 + far * c22 + r * a22,
@@ -224,31 +225,41 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
     y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
     if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
-        return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
+        return FilterState(state.x, state.omega, state.consecutive_outliers + 1, state.status)
 
     # x moves by K nu = omega S^-1 nu. K = omega S^-1 is solved row by row
-    # (omega is symmetric), then the Joseph form with K R K^T = r (K n)(K n)^T
-    # + far (K P)(K P)^T, so no far_variance-sized terms are formed to cancel.
-    x_new = [xi + o0 * y0 + o1 * y1 + o2 * y2 for xi, (o0, o1, o2) in zip((x0, x1, x2), omega)]
-    gain = [_ldl_solve(factor, *row) for row in omega]
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gain
-    kn = [k0 * d0 + k1 * d1 + k2 * d2 for k0, k1, k2 in gain]
-    ik = (1.0 - k00, -k01, -k02), (-k10, 1.0 - k11, -k12), (-k20, -k21, 1.0 - k22)
-    kp = _mul(gain, ((c00, -a01, -a02), (-a01, c11, -a12), (-a02, -a12, c22)))
-    j, f = _mul(_mul(ik, omega), ik), _mul(kp, kp)
-    # each entry of the new omega is written once, so it is symmetric
-    (w00, w01, w02), (w11, w12), (w22,) = [
-        [j[i][k] + r * kn[i] * kn[k] + far * f[i][k] for k in range(i, 3)] for i in range(3)
-    ]
+    # (omega is symmetric), then the Joseph form (I - K) omega (I - K)^T + K R K^T
+    # with K R K^T = r (K n)(K n)^T + far (K P)(K P)^T, so no far_variance-sized
+    # terms are formed to cancel; entry by entry, the upper triangle only.
+    k00, k01, k02 = _ldl_solve(factor, o00, o01, o02)
+    k10, k11, k12 = _ldl_solve(factor, o10, o11, o12)
+    k20, k21, k22 = _ldl_solve(factor, o20, o21, o22)
+    n0, n1, n2 = k00 * d0 + k01 * d1 + k02 * d2, k10 * d0 + k11 * d1 + k12 * d2, k20 * d0 + k21 * d1 + k22 * d2
+    q00, q01, q02 = (k00 * c00 - k01 * a01 - k02 * a02, -k00 * a01 + k01 * c11 - k02 * a12,
+                     -k00 * a02 - k01 * a12 + k02 * c22)
+    q10, q11, q12 = (k10 * c00 - k11 * a01 - k12 * a02, -k10 * a01 + k11 * c11 - k12 * a12,
+                     -k10 * a02 - k11 * a12 + k12 * c22)
+    q20, q21, q22 = (k20 * c00 - k21 * a01 - k22 * a02, -k20 * a01 + k21 * c11 - k22 * a12,
+                     -k20 * a02 - k21 * a12 + k22 * c22)
+    i00, i11, i22 = 1.0 - k00, 1.0 - k11, 1.0 - k22
+    m00, m01, m02 = (i00 * o00 - k01 * o01 - k02 * o02, i00 * o10 - k01 * o11 - k02 * o12,
+                     i00 * o20 - k01 * o21 - k02 * o22)
+    m10, m11, m12 = (-k10 * o00 + i11 * o01 - k12 * o02, -k10 * o10 + i11 * o11 - k12 * o12,
+                     -k10 * o20 + i11 * o21 - k12 * o22)
+    m20, m21, m22 = (-k20 * o00 - k21 * o01 + i22 * o02, -k20 * o10 - k21 * o11 + i22 * o12,
+                     -k20 * o20 - k21 * o21 + i22 * o22)
+    w00 = m00 * i00 - m01 * k01 - m02 * k02 + r * n0 * n0 + far * (q00 * q00 + q01 * q01 + q02 * q02)
+    w01 = -m00 * k10 + m01 * i11 - m02 * k12 + r * n0 * n1 + far * (q00 * q10 + q01 * q11 + q02 * q12)
+    w02 = -m00 * k20 - m01 * k21 + m02 * i22 + r * n0 * n2 + far * (q00 * q20 + q01 * q21 + q02 * q22)
+    w11 = -m10 * k10 + m11 * i11 - m12 * k12 + r * n1 * n1 + far * (q10 * q10 + q11 * q11 + q12 * q12)
+    w12 = -m10 * k20 - m11 * k21 + m12 * i22 + r * n1 * n2 + far * (q10 * q20 + q11 * q21 + q12 * q22)
+    w22 = -m20 * k20 - m21 * k21 + m22 * i22 + r * n2 * n2 + far * (q20 * q20 + q21 * q21 + q22 * q22)
+    xy = x0 + o00 * y0 + o01 * y1 + o02 * y2, x1 + o10 * y0 + o11 * y1 + o12 * y2
+    z = x2 + o20 * y0 + o21 * y1 + o22 * y2
     if config.mode is Mode.TWO_D:
-        x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
+        z, w02, w12, w22 = 0.0, 0.0, 0.0, o22
     omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
-    return FilterState(x_new, omega_new, 0, Status.TRACKING)
-
-
-def _mul(a, b_t) -> list[list[float]]:
-    """a @ b for 3x3 nested sequences, b given by its columns."""
-    return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in b_t] for a0, a1, a2 in a]
+    return FilterState((*xy, z), omega_new, 0, Status.TRACKING)
 
 
 class SourceEstimator:

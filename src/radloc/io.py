@@ -385,11 +385,16 @@ def _check_keys(section: dict, allowed: Iterable[str], where: str) -> None:
         raise SchemaError(f"unknown {where} keys: {', '.join(unknown)}", keys=unknown)
 
 
+# libyaml's parser where PyYAML was built with it: the same resolver and
+# constructor as yaml.SafeLoader, about ten times faster on a scenario file
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario config file."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     except yaml.YAMLError as exc:

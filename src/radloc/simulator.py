@@ -5,7 +5,10 @@ from a parametric detector model (Poisson arrivals with inverse-square
 intensity, exact cone-through-source geometry plus angular noise),
 injects uniform background cones, and drives the estimator session with
 the naive strategy: sweep the area until a hypothesis locks, then orbit
-the hypothesis; a reset sends the vehicle back to sweeping.
+the hypothesis; a reset sends the vehicle back to sweeping. Cones are
+sampled in the world frame at the vehicle position, so the loop builds
+no heading or Pose; each variate is one scalar draw from the run's
+Generator in a fixed order, so the seed fixes every cone.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Status
-from .geometry import (
-    Cone, Frame, Pose, Vec3, cross, perpendicular_unit, quat_from_axis_angle, rotate_about_axis, unit, vec3
-)
+from .geometry import Cone, Frame, Pose, Vec3, cross, perpendicular_unit, unit, vec3
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +30,7 @@ log = logging.getLogger(__name__)
 # reference 1.7 cones/s operating point
 CONE_RATE_CONSTANT = 1.7 * 10.0 ** 2 / 3.0e9
 
-_E3 = (0.0, 0.0, 1.0)
+_TWO_PI = 2.0 * math.pi
 
 
 class Program(Enum):
@@ -146,13 +147,19 @@ def _random_unit(rng: np.random.Generator) -> Vec3:
             return x / n, y / n, z / n
 
 
-def _perpendicular_unit_random(v: Vec3, rng: np.random.Generator) -> Vec3:
-    """Uniformly random unit vector perpendicular to v."""
-    w0 = perpendicular_unit(v)
-    w1 = cross(v, w0)
-    psi = float(rng.uniform(0.0, 2.0 * math.pi))
+def _about_perpendicular(v: Vec3, w0: Vec3, w1: Vec3, psi: float, angle: float) -> Vec3:
+    """v rotated by angle about its unit perpendicular cos(psi) w0 + sin(psi) w1, w0 being
+    perpendicular_unit(v) and w1 = v x w0: rotate_about_axis, same operations, same order."""
+    (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = v, w0, w1
     c, s = math.cos(psi), math.sin(psi)
-    return tuple(c * a + s * b for a, b in zip(w0, w1))
+    k0, k1, k2 = unit((c * a0 + s * b0, c * a1 + s * b1, c * a2 + s * b2))
+    c, s = math.cos(angle), math.sin(angle)
+    dot, f = k0 * v0 + k1 * v1 + k2 * v2, 1.0 - c
+    return (
+        v0 * c + (k1 * v2 - k2 * v1) * s + k0 * dot * f,
+        v1 * c + (k2 * v0 - k0 * v2) * s + k1 * dot * f,
+        v2 * c + (k0 * v1 - k1 * v0) * s + k2 * dot * f,
+    )
 
 
 def sample_cones(
@@ -164,7 +171,11 @@ def sample_cones(
     rng: np.random.Generator,
 ) -> tuple[list[Cone], list[Cone]]:
     """Source-driven and background cones for one timestep, in that order."""
-    apex = pose.position
+    return _sample(source, pose.position, pose.timestamp, model, activity, dt, rng)
+
+
+def _sample(source, apex: Vec3, t: float, model: DetectorModel, activity: float, dt: float,
+            rng: np.random.Generator) -> tuple[list[Cone], list[Cone]]:
     o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
     dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
@@ -173,23 +184,32 @@ def sample_cones(
     d = math.sqrt(dist2)
     true_dir = o0 / d, o1 / d, o2 / d
 
+    # numpy draws uniform(lo, hi) as lo + (hi - lo) * random() and
+    # normal(0, sigma) as 0 + sigma * standard_normal(), so these are the
+    # same floats from the same stream, without the per-call overhead
+    lo, span = model.min_theta, model.max_theta - model.min_theta
     source_cones: list[Cone] = []
-    for _ in range(int(rng.poisson(lam * dt))):
-        theta = float(rng.uniform(model.min_theta, model.max_theta))
-        axis = rotate_about_axis(true_dir, _perpendicular_unit_random(true_dir, rng), theta)
+    count = int(rng.poisson(lam * dt))
+    if count:  # the perpendicular pair of true_dir, shared by the step's cones
+        w0 = perpendicular_unit(true_dir)
+        w1 = cross(true_dir, w0)
+    for _ in range(count):
+        theta = lo + span * rng.random()
+        axis = _about_perpendicular(true_dir, w0, w1, _TWO_PI * rng.random(), theta)
         if model.axis_sigma > 0.0:
             tilt = float(rng.normal(0.0, model.axis_sigma))
-            axis = rotate_about_axis(axis, _perpendicular_unit_random(axis, rng), tilt)
+            w = perpendicular_unit(axis)
+            axis = _about_perpendicular(axis, w, cross(axis, w), _TWO_PI * rng.random(), tilt)
         half_angle = theta
         if model.angular_sigma > 0.0:
-            half_angle = min(max(theta + rng.normal(0.0, model.angular_sigma), 1e-3), math.pi - 1e-3)
-        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, pose.timestamp))
+            half_angle = min(max(theta + model.angular_sigma * rng.standard_normal(), 1e-3), math.pi - 1e-3)
+        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, t))
 
     background: list[Cone] = []
     for _ in range(int(rng.poisson(model.background_rate * dt))):
         axis = _random_unit(rng)
-        theta = float(rng.uniform(model.min_theta, model.max_theta))
-        background.append(Cone(apex, axis, theta, Frame.WORLD, pose.timestamp))
+        theta = lo + span * rng.random()
+        background.append(Cone(apex, axis, theta, Frame.WORLD, t))
     return source_cones, background
 
 
@@ -229,11 +249,11 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     for k in range(n_steps):
         t = k * scenario.timestep
         truth = scenario.source_at(t)
-        focus = strategy.center if scenario.program is Program.SEARCH else scenario.source_initial
-        yaw = math.atan2(focus[1] - position[1], focus[0] - position[0])
-        pose = Pose(t, position, quat_from_axis_angle(_E3, yaw))
+        # the check a Pose at this position would make; the heading is not sampled
+        if not all(map(math.isfinite, position)):
+            raise MalformedInputError(f"pose position must be finite, got {position!r}")
 
-        src, bg = sample_cones(truth, pose, scenario.detector, scenario.activity, scenario.timestep, rng)
+        src, bg = _sample(truth, position, t, scenario.detector, scenario.activity, scenario.timestep, rng)
         report.cones_source += len(src)
         report.cones_background += len(bg)
 

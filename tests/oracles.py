@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,9 @@ from radloc.constants import (
     PIXEL_PITCH_MM,
     SENSOR_PIXELS,
 )
+from radloc.cones import ProjectionCase, project_to_cone, surface_normal
 from radloc.errors import (
+    FilterLifecycleError,
     InvalidScatteringError,
     MalformedInputError,
     OrderingError,
@@ -43,7 +45,8 @@ from radloc.events import (
     delta_z,
     scattering_angle,
 )
-from radloc.geometry import Cone, Frame, Pose, perpendicular_unit
+from radloc.estimator import FilterState, NoiseConfig, Status, _ldl, _ldl_solve
+from radloc.geometry import Cone, Frame, Pose, cross, perpendicular_unit, rotate_about_axis, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 
 
@@ -148,6 +151,69 @@ def cone_normal_reference(point, origin, axis, half_angle) -> np.ndarray:
 
     g = central_difference(offset, point)
     return g / np.linalg.norm(g)
+
+
+def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
+    """The filter correction as radloc.estimator.correct computed it before it
+    was written out entry by entry: the same floating-point operations in the
+    same order, with the gain rows, I - K, K P and the Joseph form built as
+    nested lists multiplied by _mul_reference. The production function must
+    match it bit for bit; the LDL^T helpers are shared, not re-derived.
+    """
+    if state.status is not Status.TRACKING:
+        raise FilterLifecycleError("correct requires an initialized (tracking) state")
+    if cone.frame is not Frame.WORLD:
+        raise MalformedInputError("corrections expect world-frame cones")
+
+    res = project_to_cone(state.x, cone)
+    (x0, x1, x2), (p0, p1, p2) = state.x, res.point
+    v0, v1, v2 = p0 - x0, p1 - x1, p2 - x2
+    n = math.hypot(v0, v1, v2)
+    if n > 1e-12 * max(1.0, math.hypot(x0, x1, x2)):
+        d0, d1, d2 = v0 / n, v1 / n, v2 / n
+    elif res.case is ProjectionCase.SURFACE:
+        try:
+            d0, d1, d2 = surface_normal(res.point, cone)
+        except ValueError:
+            return replace(state, consecutive_outliers=0)
+    else:
+        return replace(state, consecutive_outliers=0)
+    r, far = config.r, config.far_variance
+    nn = d0 * d0 + d1 * d1 + d2 * d2
+    a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
+    a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
+    c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
+    omega = state.omega
+    (o00, o01, o02), (_, o11, o12), (_, _, o22) = omega
+    factor = _ldl(
+        o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
+        o11 + far * c11 + r * a11, o12 - far * a12 + r * a12, o22 + far * c22 + r * a22,
+    )
+    if factor is None:
+        raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
+    y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
+    if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
+        return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
+
+    x_new = [xi + o0 * y0 + o1 * y1 + o2 * y2 for xi, (o0, o1, o2) in zip((x0, x1, x2), omega)]
+    gain = [_ldl_solve(factor, *row) for row in omega]
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gain
+    kn = [k0 * d0 + k1 * d1 + k2 * d2 for k0, k1, k2 in gain]
+    ik = (1.0 - k00, -k01, -k02), (-k10, 1.0 - k11, -k12), (-k20, -k21, 1.0 - k22)
+    kp = _mul_reference(gain, ((c00, -a01, -a02), (-a01, c11, -a12), (-a02, -a12, c22)))
+    j, f = _mul_reference(_mul_reference(ik, omega), ik), _mul_reference(kp, kp)
+    (w00, w01, w02), (w11, w12), (w22,) = [
+        [j[i][k] + r * kn[i] * kn[k] + far * f[i][k] for k in range(i, 3)] for i in range(3)
+    ]
+    if config.mode is Mode.TWO_D:
+        x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
+    omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
+    return FilterState(x_new, omega_new, 0, Status.TRACKING)
+
+
+def _mul_reference(a, b_t) -> list[list[float]]:
+    """a @ b for 3x3 nested sequences, b given by its columns."""
+    return [[a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in b_t] for a0, a1, a2 in a]
 
 
 def central_difference(f, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -289,6 +355,56 @@ def qp_step_reference(
         best = np.where(cheaper[:, None], cand[np.arange(k), pick], best)
         best_cost = np.where(cheaper, obj_min, best_cost)
     return best, np.isfinite(best_cost)
+
+
+def sample_cones_reference(source, pose: Pose, model, activity: float, dt: float, rng):
+    """One timestep's source and background cones as radloc.simulator.sample_cones
+    drew them before its sampling was written out on floats: a numpy
+    Generator call per variate (uniform, normal) and geometry's
+    rotate_about_axis per rotation. From a generator in the same state the
+    production sampler must give equal cones and leave the generator in an
+    equal state.
+    """
+    apex = pose.position
+    o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
+    dist2 = o0 * o0 + o1 * o1 + o2 * o2
+    if dist2 < 1e-12:
+        raise MalformedInputError("source coincides with the detector")
+    lam = model.cone_rate_constant * activity / dist2
+    d = math.sqrt(dist2)
+    true_dir = o0 / d, o1 / d, o2 / d
+
+    source_cones = []
+    for _ in range(int(rng.poisson(lam * dt))):
+        theta = float(rng.uniform(model.min_theta, model.max_theta))
+        axis = rotate_about_axis(true_dir, _perpendicular_unit_random_reference(true_dir, rng), theta)
+        if model.axis_sigma > 0.0:
+            tilt = float(rng.normal(0.0, model.axis_sigma))
+            axis = rotate_about_axis(axis, _perpendicular_unit_random_reference(axis, rng), tilt)
+        half_angle = theta
+        if model.angular_sigma > 0.0:
+            half_angle = min(max(theta + rng.normal(0.0, model.angular_sigma), 1e-3), math.pi - 1e-3)
+        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, pose.timestamp))
+
+    background = []
+    for _ in range(int(rng.poisson(model.background_rate * dt))):
+        while True:
+            x, y, z = rng.normal(size=3).tolist()
+            n = math.hypot(x, y, z)
+            if n >= 1e-12:
+                break
+        theta = float(rng.uniform(model.min_theta, model.max_theta))
+        background.append(Cone(apex, (x / n, y / n, z / n), theta, Frame.WORLD, pose.timestamp))
+    return source_cones, background
+
+
+def _perpendicular_unit_random_reference(v, rng):
+    """Uniformly random unit vector perpendicular to v."""
+    w0 = perpendicular_unit(v)
+    w1 = cross(v, w0)
+    psi = float(rng.uniform(0.0, 2.0 * math.pi))
+    c, s = math.cos(psi), math.sin(psi)
+    return tuple(c * a + s * b for a, b in zip(w0, w1))
 
 
 def scattered_photon_energy(incident_energy: float, theta: float) -> float:

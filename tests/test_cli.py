@@ -280,6 +280,22 @@ def test_estimate_action_counts_match_summary(tmp_path):
     assert actions["reset"] == summary["resets"] == 1
 
 
+def test_estimate_status_line_after_a_lock_and_a_reset(tmp_path, capsys):
+    # exact cones lock, then four gated cones reset the hypothesis and end the file
+    cones_path = tmp_path / "cones.csv"
+    good = exact_cones_file(cones_path)
+    far = np.array([500.0, 500.0, 5.0])
+    bad = [Cone(far, unit(far - SOURCE), 0.4, Frame.WORLD, 4.0 + 0.1 * k) for k in range(4)]
+    write_cones_csv(cones_path, good + bad)
+    out = tmp_path / "out"
+    assert main(["estimate", "--cones", str(cones_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["initialized"] and summary["init_time_s"] is not None
+    assert summary["status"] == "collecting" and summary["resets"] == 1
+    status = capsys.readouterr().out.splitlines()[0]
+    assert status == f"status=collecting (initialized, then reset; {len(good + bad)} cones)"
+
+
 def test_estimate_tuning_defaults_come_from_noise_config(tmp_path, monkeypatch):
     sessions = []
 

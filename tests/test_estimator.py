@@ -1,5 +1,7 @@
 import math
+import struct
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from radloc.estimator import (
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import Mode
 
-from oracles import cone_normal_reference, kalman_cone_update_reference, surface_points
+from oracles import cone_normal_reference, correct_reference, kalman_cone_update_reference, surface_points
 from test_initializer import cone_through, exact_instance
 
 
@@ -393,6 +395,85 @@ def test_correct_matches_reference_kalman_update():
         if cfg.mode is Mode.TWO_D:
             assert out.x[2] == 0.0 and out.omega[2][2] == state.omega[2][2]
     assert min(seen["accepted"], seen["gated"], seen["surface"]) >= 300, seen
+
+
+def _bits(state):
+    """A state's floats as hex strings, which tell -0.0 from 0.0, and its counters."""
+    return (
+        [v.hex() for v in state.x],
+        [v.hex() for row in state.omega for v in row],
+        state.consecutive_outliers,
+        state.status,
+    )
+
+
+def _outcome(state, cone, cfg, fn):
+    try:
+        return _bits(fn(state, cone, cfg))
+    except MalformedInputError as exc:
+        return str(exc)
+
+
+def _gate_at_d2(state, cone, cfg):
+    """The smallest gate that accepts the cone, which is its d2 exactly: for
+    positive floats the order of the values is that of their bit patterns."""
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        gate = struct.unpack("<d", struct.pack("<q", mid))[0]
+        accepted = correct(state, cone, replace(cfg, gate=gate)).consecutive_outliers == 0
+        lo, hi = (lo, mid) if accepted else (mid, hi)
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+def test_correct_is_bit_identical_to_the_nested_list_reference():
+    rng = np.random.default_rng(47)
+    seen = Counter()
+    for i, (state, cone, cfg) in enumerate(reference_cases(rng, 1200)):
+        (o00, o01, o02), (_, o11, o12), (_, _, o22) = state.omega
+        # lower entries a few ulps off the upper ones, within FilterState's
+        # symmetry tolerance: each entry must be read where the reference reads it
+        skew = 1.0 + rng.integers(-4, 5) * np.finfo(float).eps
+        omega = (o00, o01, o02), (o01 * skew, o11, o12), (o02, o12 * skew, o22)
+        state = FilterState(state.x, omega, int(rng.integers(0, 4)), Status.TRACKING)
+        cases = [cfg]
+        d2 = _gate_at_d2(state, cone, cfg) if i % 4 == 0 else 0.0
+        if math.nextafter(d2, 0.0) > 0.0:  # not a zero innovation, which any gate accepts
+            cases += [replace(cfg, gate=d2), replace(cfg, gate=math.nextafter(d2, 0.0))]
+        res = project_to_cone(state.x, cone)
+        if math.dist(res.point, state.x) <= 1e-12 * max(1.0, math.hypot(*state.x)):
+            assert res.case is ProjectionCase.SURFACE
+            seen["surface normal"] += 1
+        for c in cases:
+            out = _outcome(state, cone, c, correct)
+            assert out == _outcome(state, cone, c, correct_reference)
+            gated = out[2] > state.consecutive_outliers
+            seen[(c.mode, "gated" if gated else "accepted")] += 1
+        if len(cases) > 1:
+            seen["at the gate"] += 1
+            assert [_outcome(state, cone, c, correct)[2] for c in cases[1:]] == [0, state.consecutive_outliers + 1]
+    assert min(seen.values()) >= 50 and len(seen) == 6, seen
+
+
+def test_correct_is_bit_identical_to_the_reference_without_a_direction():
+    # at the apex, just behind it (APEX) and just ahead of it on the axis
+    # (ON_AXIS), the projection is within 1e-12 of the hypothesis and not a
+    # SURFACE case, so the state is kept and the outlier run cleared
+    # (the apex at 0, so that the offsets are not lost to rounding)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        cone = Cone((0.0, 0.0, 0.0), unit(rng.normal(size=3)), rng.uniform(0.2, 1.3), Frame.WORLD)
+        for offset, case in ((0.0, ProjectionCase.ON_AXIS), (-1e-14, ProjectionCase.APEX),
+                             (1e-14, ProjectionCase.ON_AXIS)):
+            x = [o + offset * a for o, a in zip(cone.origin, cone.axis)]
+            assert project_to_cone(x, cone).case is case
+            a = rng.normal(size=(3, 3))
+            state = FilterState(x, a @ a.T + np.eye(3), 2, Status.TRACKING)
+            for mode in Mode:
+                cfg = NoiseConfig(mode=mode)
+                out = _outcome(state, cone, cfg, correct)
+                assert out == _outcome(state, cone, cfg, correct_reference)
+                assert out == _bits(replace(state, consecutive_outliers=0))
 
 
 # --- covariance health and convergence ---

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import radloc
 from radloc.cli import main
@@ -608,6 +609,16 @@ def test_bundled_scenarios_load():
         scenario = load_scenario(SCENARIO_DIR / name)
         assert scenario.duration > 0
         assert scenario.activity > 0
+
+
+def test_bundled_scenarios_load_alike_with_the_pure_python_parser():
+    # load_scenario takes libyaml's loader where PyYAML has it; yaml.SafeLoader
+    # must give equal scenarios, so a build without libyaml runs the same
+    paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+    assert len(paths) == 4
+    for path in paths:
+        raw = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert load_scenario(path) == scenario_from_dict(raw), path.name
 
 
 def test_scenario_defaults_from_empty_file(tmp_path):

@@ -17,7 +17,7 @@ from radloc.simulator import (
     sample_cones,
 )
 
-from oracles import trajectory_waypoints
+from oracles import sample_cones_reference, trajectory_waypoints
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -170,6 +170,34 @@ def test_sample_cones_background_rate_and_noise():
     assert np.mean(misses > 3.0) == pytest.approx(0.5 / 2.2, abs=0.1)
     assert len(bg_cones) / len(cones) == pytest.approx(0.5 / 2.2, abs=0.1)
     assert np.median([distance_to_cone(source, c) for c in src_cones]) < 1.0
+
+
+def _cone_bits(cones):
+    return [[v.hex() for v in (*c.origin, *c.axis, c.half_angle, c.timestamp)] for c in cones]
+
+
+def test_sample_cones_matches_the_generator_call_reference():
+    # both noise terms and background on, the branches the closed loop's
+    # bundled scenarios do not all take: equal cones, bit for bit, and the
+    # generator left in an equal state
+    rng = np.random.default_rng(11)
+    drawn = 0
+    for k in range(300):
+        model = DetectorModel(
+            angular_sigma=rng.uniform(0.01, 0.2) * (k % 3 != 0),
+            axis_sigma=rng.uniform(0.01, 0.2) * (k % 3 != 1),
+            background_rate=rng.uniform(0.5, 3.0),
+        )
+        pose = level_pose(0.5 * k, rng.normal(size=3) * 20.0, rng.uniform(-math.pi, math.pi))
+        source = rng.normal(size=3) * 20.0
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_cones(source, pose, model, 3.0e10, 2.0, ours)
+        want = sample_cones_reference(source, pose, model, 3.0e10, 2.0, theirs)
+        assert [_cone_bits(c) for c in got] == [_cone_bits(c) for c in want]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        drawn += len(got[0])
+    assert drawn >= 300
 
 
 def test_sample_cones_rejects_coincident_source():
