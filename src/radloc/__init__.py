@@ -10,12 +10,11 @@ Pipeline layout:
 - ``io`` / ``cli``: file formats and the command-line front end
 """
 
-from .cones import ProjectionCase, ProjectionResult, distance_to_cone, project_to_cone
+from .cones import ProjectionCase, ProjectionResult, project_to_cone
 from .errors import (
     FilterLifecycleError,
     InfeasibleInitError,
     InvalidRowError,
-    InvalidScatteringError,
     MalformedInputError,
     OrderingError,
     ParseError,
@@ -46,17 +45,9 @@ from .events import (
     pair_coincident,
     process_hits,
     process_pairs,
-    scattering_angle,
 )
 from .geometry import Cone, Frame, Pose, interpolate_pose, transform_cone
-from .initializer import InitProblem, InitSolution, Mode, jacobian, residuals, solve
-from .simulator import (
-    DetectorModel,
-    Scenario,
-    SimulationReport,
-    metrics,
-    run_scenario,
-    sample_cones,
-)
+from .initializer import InitProblem, InitSolution, Mode, solve
+from .simulator import DetectorModel, Scenario, SimulationReport, metrics, run_scenario
 
 __version__ = "0.1.0"

@@ -163,28 +163,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     tuning = {f.name: given[f.name] for f in dataclasses.fields(NoiseConfig) if f.name in given}
     session = SourceEstimator(NoiseConfig(**tuning))
     rows = []
-    nan = float("nan")
+    nan3 = (float("nan"),) * 3
     for cone in cones:
         state, action = session.ingest(cone)
         tracking = state.status is Status.TRACKING
-        x = state.x if tracking else (nan, nan, nan)
-        om = state.omega if tracking else ((nan, nan, nan),) * 3
-        rows.append(
-            {
-                "t_s": cone.timestamp,
-                "x": x[0],
-                "y": x[1],
-                "z": x[2],
-                "cov_xx": om[0][0],
-                "cov_xy": om[0][1],
-                "cov_xz": om[0][2],
-                "cov_yy": om[1][1],
-                "cov_yz": om[1][2],
-                "cov_zz": om[2][2],
-                "status": state.status.value,
-                "action": action.value,
-            }
-        )
+        (xx, xy, xz), (_, yy, yz), (_, _, zz) = state.omega if tracking else (nan3,) * 3
+        rows.append((cone.timestamp, *(state.x if tracking else nan3), xx, xy, xz, yy, yz, zz,
+                     state.status.value, action.value))
     rio.write_estimates_csv(out / "estimates.csv", rows)
 
     tracking = session.state.status is Status.TRACKING

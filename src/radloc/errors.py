@@ -47,18 +47,6 @@ class OrderingError(RadlocError):
     """A time-ordered stream contract was violated."""
 
 
-class InvalidScatteringError(RadlocError):
-    """Energy pair is physically inconsistent with Compton kinematics.
-
-    Carries the out-of-range cosine so callers can log why the pair was
-    dropped.
-    """
-
-    def __init__(self, b: float):
-        self.b = b
-        super().__init__(f"scattering cosine out of range: B = {b:.6g}")
-
-
 class PoseExtrapolationError(RadlocError):
     """Requested time lies outside the pose stream."""
 

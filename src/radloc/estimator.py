@@ -130,7 +130,8 @@ class FilterState:
 
     def __post_init__(self) -> None:
         x0, x1, x2 = map(float, self.x)
-        (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = (map(float, row) for row in self.omega)
+        (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = self.omega
+        o00, o01, o02, o10, o11, o12, o20, o21, o22 = map(float, (o00, o01, o02, o10, o11, o12, o20, o21, o22))
         self.x = (x0, x1, x2)
         self.omega = (o00, o01, o02), (o10, o11, o12), (o20, o21, o22)
         if not all(map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))):

@@ -31,7 +31,7 @@ from .constants import (
     PIXEL_PITCH_MM,
     SENSOR_PIXELS,
 )
-from .errors import InvalidRowError, InvalidScatteringError, MalformedInputError
+from .errors import InvalidRowError, MalformedInputError
 from .geometry import Cone, Frame
 
 log = logging.getLogger(__name__)
@@ -321,21 +321,6 @@ def _scattering_cosine(electron_energy, photon_energy):
     return 1.0 + ELECTRON_REST_ENERGY_KEV * (1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy)
 
 
-def scattering_angle(electron_energy: float, photon_energy: float) -> float:
-    """Scattering angle from the energy split between the two products.
-
-    The cosine is invariant under a common rescaling of the energies,
-    so keV-native math is exact. Energy splits with cos(theta) outside
-    (-1, 1) cannot come from a single scattering and are rejected.
-    """
-    if not (electron_energy > 0.0 and photon_energy > 0.0):
-        raise MalformedInputError("energies must be positive")
-    b = _scattering_cosine(electron_energy, photon_energy)
-    if not (-1.0 < b < 1.0):
-        raise InvalidScatteringError(b)
-    return math.acos(b)
-
-
 def make_pair(tracks: TrackBatch, first: np.ndarray, second: np.ndarray) -> PairBatch:
     """Compton pairs of the tracks at indices first[k] and second[k].
 
@@ -503,5 +488,4 @@ __all__ = [
     "pair_coincident",
     "process_hits",
     "process_pairs",
-    "scattering_angle",
 ]

@@ -47,15 +47,6 @@ def cross(a, b) -> Vec3:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def rotate_about_axis(v, axis, angle: float) -> Vec3:
-    """Rodrigues rotation of v about a unit axis by angle (right-hand rule)."""
-    v = tuple(map(float, v))
-    k = unit(axis)
-    c, s = math.cos(angle), math.sin(angle)
-    dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
-    return tuple(vi * c + wi * s + ki * dot * (1.0 - c) for vi, wi, ki in zip(v, cross(k, v), k))
-
-
 def perpendicular_unit(v) -> Vec3:
     """A deterministic unit vector perpendicular to v.
 
@@ -90,13 +81,6 @@ def quat_to_matrix(q) -> tuple[Vec3, Vec3, Vec3]:
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
-
-
-def quat_from_axis_angle(axis, angle: float) -> Quat:
-    k0, k1, k2 = unit(axis)
-    half = 0.5 * angle
-    s = math.sin(half)
-    return math.cos(half), s * k0, s * k1, s * k2
 
 
 def quat_slerp(q0, q1, t: float) -> Quat:
@@ -221,11 +205,9 @@ __all__ = [
     "cross",
     "interpolate_pose",
     "perpendicular_unit",
-    "quat_from_axis_angle",
     "quat_normalize",
     "quat_slerp",
     "quat_to_matrix",
-    "rotate_about_axis",
     "transform_cone",
     "unit",
     "vec3",

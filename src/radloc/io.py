@@ -29,7 +29,7 @@ from typing import NoReturn, get_type_hints
 import numpy as np
 import yaml
 
-from .errors import InvalidRowError, MalformedInputError, OrderingError, ParseError, SchemaError
+from .errors import InvalidRowError, MalformedInputError, OrderingError, ParseError, RadlocError, SchemaError
 from .estimator import NoiseConfig
 from .events import HitBatch, PairBatch
 from .geometry import Cone, Frame, Pose, Vec3, vec3
@@ -50,12 +50,15 @@ ERRORS_HEADER = "t_s,ex,ey,ez,err_m,err_xy_m".split(",")
 
 
 def atomic_write(path: str | Path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename, or raise RadlocError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise RadlocError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_table(path: str | Path, header: list[str], rows: Iterable[tuple], text: int = 0) -> None:
@@ -257,8 +260,9 @@ def write_cones_csv(path: str | Path, cones: list[Cone]) -> None:
     _write_table(path, CONES_HEADER, rows, text=1)
 
 
-def write_estimates_csv(path: str | Path, rows: list[dict]) -> None:
-    _write_table(path, ESTIMATES_HEADER, (tuple(row[k] for k in ESTIMATES_HEADER) for row in rows), text=2)
+def write_estimates_csv(path: str | Path, rows: Iterable[tuple]) -> None:
+    """Estimate rows: tuples of the ESTIMATES_HEADER columns, in that order."""
+    _write_table(path, ESTIMATES_HEADER, rows, text=2)
 
 
 def read_estimates_csv(path: str | Path) -> list[dict]:

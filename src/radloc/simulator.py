@@ -22,13 +22,16 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Status
-from .geometry import Cone, Frame, Pose, Vec3, cross, perpendicular_unit, unit, vec3
+from .geometry import Cone, Frame, Vec3, cross, perpendicular_unit, unit, vec3
 
 log = logging.getLogger(__name__)
 
 # cones * m^2 / (s * Bq): a 3 GBq source seen from 10 m yields the
 # reference 1.7 cones/s operating point
 CONE_RATE_CONSTANT = 1.7 * 10.0 ** 2 / 3.0e9
+# range of the sampled scattering angle in rad, uniform within it
+MIN_THETA = 0.2
+MAX_THETA = 1.4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -50,19 +53,14 @@ class Phase(Enum):
 class DetectorModel:
     """Parametric surrogate for the physics detector chain."""
 
-    cone_rate_constant: float = CONE_RATE_CONSTANT
     angular_sigma: float = 0.0  # rad, half-angle measurement noise
     axis_sigma: float = 0.0  # rad, axis direction noise
     background_rate: float = 0.0  # spurious cones / s
-    min_theta: float = 0.2
-    max_theta: float = 1.4
 
     def __post_init__(self) -> None:
-        rates_and_sigmas = (self.cone_rate_constant, self.background_rate, self.angular_sigma, self.axis_sigma)
-        if not all(0.0 <= v < math.inf for v in rates_and_sigmas):  # written so that NaN fails
+        rate_and_sigmas = (self.background_rate, self.angular_sigma, self.axis_sigma)
+        if not all(0.0 <= v < math.inf for v in rate_and_sigmas):  # written so that NaN fails
             raise MalformedInputError("rates and noise sigmas must be finite and nonnegative")
-        if not (0.0 < self.min_theta < self.max_theta < math.pi):
-            raise MalformedInputError("need 0 < min_theta < max_theta < pi")
 
 
 @dataclass
@@ -149,7 +147,7 @@ def _random_unit(rng: np.random.Generator) -> Vec3:
 
 def _about_perpendicular(v: Vec3, w0: Vec3, w1: Vec3, psi: float, angle: float) -> Vec3:
     """v rotated by angle about its unit perpendicular cos(psi) w0 + sin(psi) w1, w0 being
-    perpendicular_unit(v) and w1 = v x w0: rotate_about_axis, same operations, same order."""
+    perpendicular_unit(v) and w1 = v x w0, by Rodrigues' formula (right-hand rule)."""
     (v0, v1, v2), (a0, a1, a2), (b0, b1, b2) = v, w0, w1
     c, s = math.cos(psi), math.sin(psi)
     k0, k1, k2 = unit((c * a0 + s * b0, c * a1 + s * b1, c * a2 + s * b2))
@@ -162,32 +160,21 @@ def _about_perpendicular(v: Vec3, w0: Vec3, w1: Vec3, psi: float, angle: float) 
     )
 
 
-def sample_cones(
-    source: Vec3,
-    pose: Pose,
-    model: DetectorModel,
-    activity: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> tuple[list[Cone], list[Cone]]:
-    """Source-driven and background cones for one timestep, in that order."""
-    return _sample(source, pose.position, pose.timestamp, model, activity, dt, rng)
-
-
-def _sample(source, apex: Vec3, t: float, model: DetectorModel, activity: float, dt: float,
-            rng: np.random.Generator) -> tuple[list[Cone], list[Cone]]:
+def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: float, dt: float,
+                 rng: np.random.Generator) -> tuple[list[Cone], list[Cone]]:
+    """Source-driven and background cones for one timestep at apex and time t, in that order."""
     o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
     dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
         raise MalformedInputError("source coincides with the detector")
-    lam = model.cone_rate_constant * activity / dist2
+    lam = CONE_RATE_CONSTANT * activity / dist2
     d = math.sqrt(dist2)
     true_dir = o0 / d, o1 / d, o2 / d
 
     # numpy draws uniform(lo, hi) as lo + (hi - lo) * random() and
     # normal(0, sigma) as 0 + sigma * standard_normal(), so these are the
     # same floats from the same stream, without the per-call overhead
-    lo, span = model.min_theta, model.max_theta - model.min_theta
+    lo, span = MIN_THETA, MAX_THETA - MIN_THETA
     source_cones: list[Cone] = []
     count = int(rng.poisson(lam * dt))
     if count:  # the perpendicular pair of true_dir, shared by the step's cones
@@ -253,7 +240,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         if not all(map(math.isfinite, position)):
             raise MalformedInputError(f"pose position must be finite, got {position!r}")
 
-        src, bg = _sample(truth, position, t, scenario.detector, scenario.activity, scenario.timestep, rng)
+        src, bg = sample_cones(truth, position, t, scenario.detector, scenario.activity, scenario.timestep, rng)
         report.cones_source += len(src)
         report.cones_background += len(bg)
 
@@ -373,6 +360,8 @@ def metrics(report: SimulationReport) -> dict:
 __all__ = [
     "CONE_RATE_CONSTANT",
     "DetectorModel",
+    "MAX_THETA",
+    "MIN_THETA",
     "Phase",
     "Program",
     "Scenario",

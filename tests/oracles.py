@@ -30,7 +30,6 @@ from radloc.constants import (
 from radloc.cones import ProjectionCase, project_to_cone, surface_normal
 from radloc.errors import (
     FilterLifecycleError,
-    InvalidScatteringError,
     MalformedInputError,
     OrderingError,
     ParseError,
@@ -43,15 +42,47 @@ from radloc.events import (
     HitBatch,
     PipelineResult,
     delta_z,
-    scattering_angle,
 )
 from radloc.estimator import FilterState, NoiseConfig, Status, _ldl, _ldl_solve
-from radloc.geometry import Cone, Frame, Pose, cross, perpendicular_unit, rotate_about_axis, unit
+from radloc.geometry import Cone, Frame, Pose, cross, perpendicular_unit, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
+from radloc.simulator import CONE_RATE_CONSTANT, MAX_THETA, MIN_THETA
 
 
 class DegenerateGeometryError(Exception):
     """A pair whose two events coincide, so that its cone axis is undefined."""
+
+
+class InvalidScatteringError(Exception):
+    """An energy split that no single Compton scattering gives: its cosine is outside (-1, 1)."""
+
+
+def scattering_angle(electron_energy: float, photon_energy: float) -> float:
+    """Scattering angle of one energy split, as radloc.events.build_cone computes
+    it per pair: math.acos of the Compton cosine, which must lie in (-1, 1)."""
+    if not (electron_energy > 0.0 and photon_energy > 0.0):
+        raise MalformedInputError("energies must be positive")
+    b = 1.0 + ELECTRON_REST_ENERGY_KEV * (1.0 / (electron_energy + photon_energy) - 1.0 / photon_energy)
+    if not (-1.0 < b < 1.0):
+        raise InvalidScatteringError(f"scattering cosine out of range: B = {b:.6g}")
+    return math.acos(b)
+
+
+def rotate_about_axis(v, axis, angle: float) -> tuple[float, float, float]:
+    """Rodrigues rotation of v about a unit axis by angle (right-hand rule)."""
+    v = tuple(map(float, v))
+    k = unit(axis)
+    c, s = math.cos(angle), math.sin(angle)
+    dot = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+    return tuple(vi * c + wi * s + ki * dot * (1.0 - c) for vi, wi, ki in zip(v, cross(k, v), k))
+
+
+def quat_from_axis_angle(axis, angle: float) -> tuple[float, float, float, float]:
+    """Unit quaternion (w, x, y, z) of the rotation by angle about axis."""
+    k0, k1, k2 = unit(axis)
+    half = 0.5 * angle
+    s = math.sin(half)
+    return math.cos(half), s * k0, s * k1, s * k2
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -357,26 +388,25 @@ def qp_step_reference(
     return best, np.isfinite(best_cost)
 
 
-def sample_cones_reference(source, pose: Pose, model, activity: float, dt: float, rng):
+def sample_cones_reference(source, apex, t: float, model, activity: float, dt: float, rng):
     """One timestep's source and background cones as radloc.simulator.sample_cones
     drew them before its sampling was written out on floats: a numpy
-    Generator call per variate (uniform, normal) and geometry's
-    rotate_about_axis per rotation. From a generator in the same state the
-    production sampler must give equal cones and leave the generator in an
-    equal state.
+    Generator call per variate (uniform, normal) and rotate_about_axis
+    per rotation. From a generator in the same state the production
+    sampler must give equal cones and leave the generator in an equal
+    state.
     """
-    apex = pose.position
     o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
     dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
         raise MalformedInputError("source coincides with the detector")
-    lam = model.cone_rate_constant * activity / dist2
+    lam = CONE_RATE_CONSTANT * activity / dist2
     d = math.sqrt(dist2)
     true_dir = o0 / d, o1 / d, o2 / d
 
     source_cones = []
     for _ in range(int(rng.poisson(lam * dt))):
-        theta = float(rng.uniform(model.min_theta, model.max_theta))
+        theta = float(rng.uniform(MIN_THETA, MAX_THETA))
         axis = rotate_about_axis(true_dir, _perpendicular_unit_random_reference(true_dir, rng), theta)
         if model.axis_sigma > 0.0:
             tilt = float(rng.normal(0.0, model.axis_sigma))
@@ -384,7 +414,7 @@ def sample_cones_reference(source, pose: Pose, model, activity: float, dt: float
         half_angle = theta
         if model.angular_sigma > 0.0:
             half_angle = min(max(theta + rng.normal(0.0, model.angular_sigma), 1e-3), math.pi - 1e-3)
-        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, pose.timestamp))
+        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, t))
 
     background = []
     for _ in range(int(rng.poisson(model.background_rate * dt))):
@@ -393,8 +423,8 @@ def sample_cones_reference(source, pose: Pose, model, activity: float, dt: float
             n = math.hypot(x, y, z)
             if n >= 1e-12:
                 break
-        theta = float(rng.uniform(model.min_theta, model.max_theta))
-        background.append(Cone(apex, (x / n, y / n, z / n), theta, Frame.WORLD, pose.timestamp))
+        theta = float(rng.uniform(MIN_THETA, MAX_THETA))
+        background.append(Cone(apex, (x / n, y / n, z / n), theta, Frame.WORLD, t))
     return source_cones, background
 
 

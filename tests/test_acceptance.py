@@ -18,9 +18,10 @@ from radloc.cones import distance_to_cone, project_to_cone
 from radloc.estimator import NoiseConfig
 from radloc.events import (
     EventClass,
+    _scattering_cosine,
+    build_cone,
     delta_z,
     process_hits,
-    scattering_angle,
 )
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import InitProblem, Mode, jacobian, solve
@@ -40,7 +41,7 @@ from oracles import (
     scattered_photon_energy,
     surface_points,
 )
-from test_events import synthetic_stream
+from test_events import energy_split, synthetic_stream
 from test_initializer import exact_instance
 
 SCENARIO_DIR = Path(radloc.__file__).parent / "scenarios"
@@ -51,7 +52,8 @@ def report(ok: bool, label: str) -> None:
 
 
 def test_kinematics_reference_values():
-    theta = scattering_angle(315.70, 394.22)
+    (cone,), _, _ = build_cone(energy_split([315.70], [394.22]))
+    theta = cone.half_angle
     dz = delta_z(20.31, 0.0)
     ok = abs(theta - 1.13) <= 0.01 and abs(dz - 0.472) <= 0.005
     report(
@@ -69,13 +71,12 @@ def test_kinematics_roundtrip_bulk():
     energies = rng.uniform(100.0, 1000.0, n).tolist()
     angles = rng.uniform(0.05, math.pi - 0.05, n).tolist()
     start = time.perf_counter()
-    worst = 0.0
-    for e, theta in zip(energies, angles):
-        e_prime = scattered_photon_energy(e, theta)
-        back = scattering_angle(e - e_prime, e_prime)
-        err = abs(back - theta)
-        if err > worst:
-            worst = err
+    e_prime = np.array([scattered_photon_energy(e, theta) for e, theta in zip(energies, angles)])
+    # build_cone's kinematics without its per-cone records: the cosine on
+    # columns, then one math.acos per pair
+    cosine = _scattering_cosine(np.array(energies) - e_prime, e_prime)
+    back = np.array([math.acos(b) for b in cosine.tolist()])
+    worst = float(np.max(np.abs(back - angles))) if np.all(np.abs(cosine) < 1.0) else math.inf
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
     report(

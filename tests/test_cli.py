@@ -553,3 +553,30 @@ def test_metrics_missing_truth_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+
+
+# --- outputs ---
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "estimate", "simulate", "metrics"])
+def test_out_under_a_regular_file_exit_1(tmp_path, capsys, command):
+    # the output directory cannot be made: an error line, not a traceback
+    if command == "reconstruct":
+        inputs = ["--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv")]
+    elif command == "estimate":
+        exact_cones_file(tmp_path / "cones.csv")
+        inputs = ["--cones", str(tmp_path / "cones.csv")]
+    elif command == "simulate":
+        write_scenario_yaml(tmp_path / "scenario.yaml", duration=1.0)
+        inputs = ["--scenario", str(tmp_path / "scenario.yaml")]
+    else:
+        write_estimates_csv(tmp_path / "estimates.csv", [(0.5, 5.0, -3.0, 0.0, *(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+                                                          "tracking", "corrected")])
+        (tmp_path / "truth.csv").write_text("t_s,x,y,z\n0,5.0,-3.0,0.0\n1,5.0,-3.0,0.0\n")
+        inputs = ["--estimates", str(tmp_path / "estimates.csv"), "--truth", str(tmp_path / "truth.csv")]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main([command, *inputs, "--out", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker / 'out'}")
+    assert "Traceback" not in err

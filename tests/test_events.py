@@ -12,7 +12,6 @@ from radloc.constants import (
 )
 from radloc.errors import (
     InvalidRowError,
-    InvalidScatteringError,
     MalformedInputError,
 )
 from radloc.events import (
@@ -27,12 +26,12 @@ from radloc.events import (
     pair_coincident,
     process_hits,
     process_pairs,
-    scattering_angle,
 )
 from radloc.geometry import Frame, interpolate_pose, transform_cone
 
 from oracles import (
     ComptonPair,
+    InvalidScatteringError,
     PixelTrack,
     best_disjoint_pairing,
     build_cone_record,
@@ -91,36 +90,50 @@ def same_cone(got, want):
 # --- kinematics ---
 
 
+def energy_split(electron_energies, photon_energies):
+    """A PairBatch of one pair per energy split, each at its own time, the
+    electron 1 mm from the photon on the sensor and 20.31 ns later."""
+    n = len(electron_energies)
+    toa = np.arange(n) * 1e3
+    return PairBatch(np.ones(n), np.full(n, 2.0), electron_energies, toa + 20.31,
+                     np.ones(n), np.ones(n), photon_energies, toa)
+
+
+def half_angles(electron_energies, photon_energies):
+    """The scattering angles build_cone gives the energy splits, all of which must give a cone."""
+    cones, invalid, degenerate = build_cone(energy_split(electron_energies, photon_energies))
+    assert (len(cones), invalid, degenerate) == (len(electron_energies), 0, 0)
+    return [cone.half_angle for cone in cones]
+
+
 def test_scattering_angle_reference_event():
-    theta = scattering_angle(315.70, 394.22)
-    assert theta == pytest.approx(1.13, abs=0.01)
+    assert half_angles([315.70], [394.22]) == [pytest.approx(1.13, abs=0.01)]
 
 
 def test_scattering_angle_equal_split():
     # B = 1 + 511 (1/1022 - 1/511) = 0.5 exactly
-    assert scattering_angle(511.0, 511.0) == pytest.approx(math.pi / 3, abs=1e-12)
+    assert half_angles([511.0], [511.0]) == [pytest.approx(math.pi / 3, abs=1e-12)]
 
 
 def test_scattering_angle_vanishing_electron_energy():
-    assert scattering_angle(1e-9, 662.0) == pytest.approx(0.0, abs=1e-4)
+    assert half_angles([1e-9], [662.0]) == [pytest.approx(0.0, abs=1e-4)]
 
 
 def test_scattering_angle_rejects_impossible_split():
-    with pytest.raises(InvalidScatteringError) as exc:
-        scattering_angle(1000.0, 100.0)
-    assert exc.value.b == pytest.approx(-3.645, abs=1e-3)
+    # B = 1 + 511 (1/1100 - 1/100) = -3.645: no cone, counted as an invalid split
+    assert build_cone(energy_split([1000.0], [100.0])) == ([], 1, 0)
+    summary = process_pairs(energy_split([1000.0, 600.0], [100.0, 100.0]), threshold=2000.0).summary
+    assert (summary.invalid_scattering, summary.rejected_pairs) == (2, 2)
     with pytest.raises(MalformedInputError):
-        scattering_angle(-1.0, 100.0)
+        energy_split([-1.0], [100.0])
 
 
 def test_scattering_angle_roundtrip():
     # forward energy split at a known angle must reproduce that angle
     rng = np.random.default_rng(12)
-    for _ in range(2000):
-        e_in = rng.uniform(100.0, 1000.0)
-        theta = rng.uniform(0.05, math.pi - 0.05)
-        e_out = scattered_photon_energy(e_in, theta)
-        assert scattering_angle(e_in - e_out, e_out) == pytest.approx(theta, abs=1e-9)
+    e_in, theta = np.array([(rng.uniform(100.0, 1000.0), rng.uniform(0.05, math.pi - 0.05)) for _ in range(2000)]).T
+    e_out = np.array([scattered_photon_energy(e, t) for e, t in zip(e_in, theta)])
+    assert half_angles(e_in - e_out, e_out) == pytest.approx(theta.tolist(), abs=1e-9)
 
 
 def test_delta_z_reference_event():

@@ -11,15 +11,20 @@ from radloc.geometry import (
     cross,
     interpolate_pose,
     perpendicular_unit,
-    quat_from_axis_angle,
     quat_slerp,
     quat_to_matrix,
-    rotate_about_axis,
     transform_cone,
     unit,
 )
+from radloc.simulator import _about_perpendicular
 
-from oracles import interpolate_pose_reference, rotation_matrix, transform_cone_reference
+from oracles import (
+    interpolate_pose_reference,
+    quat_from_axis_angle,
+    rotate_about_axis,
+    rotation_matrix,
+    transform_cone_reference,
+)
 
 
 def test_unit_normalizes():
@@ -38,20 +43,29 @@ def test_cross_is_bit_identical_to_numpy():
     assert np.array_equal(cross([1.0, 0, 0], [0.0, 1, 0]), [0.0, 0.0, 1.0])
 
 
-def test_rotate_about_axis_quarter_turn():
-    v = rotate_about_axis(np.array([1.0, 0, 0]), np.array([0.0, 0, 1]), math.pi / 2)
+def test_about_perpendicular_quarter_turn():
+    # x's perpendicular pair is (y, z): psi = pi/2 turns about z, taking x to y
+    v = (1.0, 0.0, 0.0)
+    w0 = perpendicular_unit(v)
+    v = _about_perpendicular(v, w0, cross(v, w0), math.pi / 2, math.pi / 2)
     assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_rotation_matrix_matches_rodrigues():
+    # the sampler's rotation about cos(psi) w0 + sin(psi) w1, against the
+    # matrix form about the same axis
     rng = np.random.default_rng(3)
     for _ in range(50):
-        axis = unit(rng.normal(size=3))
-        angle = rng.uniform(-math.pi, math.pi)
-        v = rng.normal(size=3)
+        v = unit(rng.normal(size=3))
+        w0 = perpendicular_unit(v)
+        w1 = cross(v, w0)
+        psi, angle = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-math.pi, math.pi)
+        axis = math.cos(psi) * np.asarray(w0) + math.sin(psi) * np.asarray(w1)
         assert np.allclose(
-            rotation_matrix(axis, angle) @ v, rotate_about_axis(v, axis, angle), atol=1e-12
+            rotation_matrix(axis, angle) @ v, _about_perpendicular(v, w0, w1, psi, angle), atol=1e-12
         )
+        # and bit for bit the generic Rodrigues rotation about that axis
+        assert _about_perpendicular(v, w0, w1, psi, angle) == rotate_about_axis(v, axis, angle)
 
 
 def test_perpendicular_unit_properties():

@@ -9,7 +9,7 @@ import pytest
 
 from radloc.cones import distance_to_cone, project_to_cone
 from radloc.errors import InfeasibleInitError, MalformedInputError
-from radloc.geometry import Cone, Frame, rotate_about_axis, unit
+from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import (
     InitProblem,
     Mode,
@@ -27,6 +27,7 @@ from oracles import (
     feasibility_margin,
     grid_search_cost,
     qp_step_reference,
+    rotate_about_axis,
     stationarity_residual,
 )
 

@@ -489,39 +489,15 @@ def test_sniff_events_format(tmp_path):
 
 
 def test_estimates_roundtrip(tmp_path):
+    nan = float("nan")
     rows = [
-        {
-            "t_s": 0.5,
-            "x": 1.25,
-            "y": -2.5,
-            "z": 0.125,
-            "cov_xx": 4.0,
-            "cov_xy": 0.5,
-            "cov_xz": 0.25,
-            "cov_yy": 3.0,
-            "cov_yz": -0.5,
-            "cov_zz": 2.0,
-            "status": "tracking",
-            "action": "corrected",
-        },
-        {
-            "t_s": 1.0,
-            "x": float("nan"),
-            "y": float("nan"),
-            "z": float("nan"),
-            "cov_xx": float("nan"),
-            "cov_xy": float("nan"),
-            "cov_xz": float("nan"),
-            "cov_yy": float("nan"),
-            "cov_yz": float("nan"),
-            "cov_zz": float("nan"),
-            "status": "collecting",
-            "action": "buffered",
-        },
+        (0.5, 1.25, -2.5, 0.125, 4.0, 0.5, 0.25, 3.0, -0.5, 2.0, "tracking", "corrected"),
+        (1.0, *(nan,) * 9, "collecting", "buffered"),
     ]
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, rows)
     back = read_estimates_csv(path)
+    assert tuple(back[0].values()) == rows[0]
     assert back[0]["x"] == 1.25
     assert back[0]["status"] == "tracking"
     assert math.isnan(back[1]["x"])
@@ -655,6 +631,10 @@ def test_scenario_unknown_keys_rejected():
         with pytest.raises(SchemaError) as err:
             scenario_from_dict({"estimator": {key: 1}})
         assert err.value.keys == [key]
+    for key in ("cone_rate_constant", "min_theta", "max_theta"):
+        with pytest.raises(SchemaError) as err:
+            scenario_from_dict({"detector": {key: 1}})
+        assert err.value.keys == [key]
 
 
 def test_scenario_value_validation():
@@ -713,12 +693,9 @@ ESTIMATOR_KEYS = {
     "max_iterations": 60,
 }
 DETECTOR_KEYS = {
-    "cone_rate_constant": 1e-7,
     "angular_sigma": 0.05,
     "axis_sigma": 0.01,
     "background_rate": 0.3,
-    "min_theta": 0.3,
-    "max_theta": 1.2,
 }
 
 

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from radloc import simulator
 from radloc.cones import distance_to_cone
 from radloc.errors import MalformedInputError
 from radloc.estimator import NoiseConfig
-from radloc.geometry import Pose, quat_from_axis_angle, quat_to_matrix, unit
+from radloc.geometry import quat_to_matrix, unit
 from radloc.simulator import (
     CONE_RATE_CONSTANT,
+    MAX_THETA,
+    MIN_THETA,
     DetectorModel,
     Program,
     Scenario,
@@ -19,27 +22,18 @@ from radloc.simulator import (
 
 from oracles import sample_cones_reference, trajectory_waypoints
 
-E3 = np.array([0.0, 0.0, 1.0])
-
-
-def level_pose(t, position, yaw=0.0):
-    return Pose(t, np.asarray(position, dtype=float), quat_from_axis_angle(E3, yaw))
-
 
 # --- configuration validation ---
 
 
 def test_detector_model_validation():
     with pytest.raises(MalformedInputError):
-        DetectorModel(cone_rate_constant=-1.0)
-    with pytest.raises(MalformedInputError):
         DetectorModel(background_rate=-0.1)
     with pytest.raises(MalformedInputError):
         DetectorModel(angular_sigma=-0.01)
     with pytest.raises(MalformedInputError):
-        DetectorModel(min_theta=0.0)
-    with pytest.raises(MalformedInputError):
-        DetectorModel(min_theta=1.5, max_theta=1.0)
+        DetectorModel(axis_sigma=math.nan)
+    assert 0.0 < MIN_THETA < MAX_THETA < math.pi
 
 
 def test_scenario_validation():
@@ -101,15 +95,15 @@ def test_sample_cones_exact_geometry():
     rng = np.random.default_rng(0)
     model = DetectorModel()  # zero noise, zero background
     source = np.array([5.0, -3.0, 0.0])
-    pose = level_pose(0.0, [0.0, 0.0, 5.0])
+    apex = (0.0, 0.0, 5.0)
     seen = 0
     for _ in range(200):
-        src, bg = sample_cones(source, pose, model, 3.0e9, 0.5, rng)
+        src, bg = sample_cones(source, apex, 0.0, model, 3.0e9, 0.5, rng)
         assert bg == []
         for cone in src:
             assert distance_to_cone(source, cone) < 1e-9
-            assert model.min_theta <= cone.half_angle <= model.max_theta
-            assert np.array_equal(cone.origin, pose.position)
+            assert MIN_THETA <= cone.half_angle <= MAX_THETA
+            assert cone.origin == apex
             seen += 1
     assert seen > 100
 
@@ -121,10 +115,10 @@ def test_sample_cones_moving_source_geometry():
     for k in range(100):
         t = 0.5 * k
         source = sc.source_at(t)
-        pose = level_pose(t, [0.0, 0.0, 5.0])
-        src, bg = sample_cones(source, pose, model, 3.0e9, 0.5, rng)
+        src, bg = sample_cones(source, (0.0, 0.0, 5.0), t, model, 3.0e9, 0.5, rng)
         for cone in src + bg:
             assert distance_to_cone(source, cone) < 1e-9
+            assert cone.timestamp == t
 
 
 def test_sample_cones_calibrated_rate():
@@ -132,21 +126,21 @@ def test_sample_cones_calibrated_rate():
     rng = np.random.default_rng(2)
     model = DetectorModel()
     source = np.array([10.0, 0.0, 0.0])
-    pose = level_pose(0.0, [0.0, 0.0, 0.0])
-    total = sum(sum(map(len, sample_cones(source, pose, model, 3.0e9, 1.0, rng))) for _ in range(1000))
+    apex = (0.0, 0.0, 0.0)
+    total = sum(sum(map(len, sample_cones(source, apex, 0.0, model, 3.0e9, 1.0, rng))) for _ in range(1000))
     assert total / 1000.0 == pytest.approx(1.7, abs=0.2)
 
 
 def test_sample_cones_inverse_square():
     rng = np.random.default_rng(3)
     model = DetectorModel()
-    pose = level_pose(0.0, [0.0, 0.0, 0.0])
+    apex = (0.0, 0.0, 0.0)
     near = sum(
-        sum(map(len, sample_cones(np.array([10.0, 0, 0]), pose, model, 3.0e9, 5.0, rng)))
+        sum(map(len, sample_cones(np.array([10.0, 0, 0]), apex, 0.0, model, 3.0e9, 5.0, rng)))
         for _ in range(2000)
     )
     far = sum(
-        sum(map(len, sample_cones(np.array([20.0, 0, 0]), pose, model, 3.0e9, 5.0, rng)))
+        sum(map(len, sample_cones(np.array([20.0, 0, 0]), apex, 0.0, model, 3.0e9, 5.0, rng)))
         for _ in range(2000)
     )
     assert near / far == pytest.approx(4.0, abs=0.3)
@@ -156,10 +150,9 @@ def test_sample_cones_background_rate_and_noise():
     rng = np.random.default_rng(4)
     model = DetectorModel(angular_sigma=0.05, background_rate=0.5)
     source = np.array([10.0, 0.0, 0.0])
-    pose = level_pose(0.0, [0.0, 0.0, 0.0])
     src_cones, bg_cones = [], []
     for _ in range(400):
-        src, bg = sample_cones(source, pose, model, 3.0e9, 1.0, rng)
+        src, bg = sample_cones(source, (0.0, 0.0, 0.0), 0.0, model, 3.0e9, 1.0, rng)
         src_cones.extend(src)
         bg_cones.extend(bg)
     cones = src_cones + bg_cones
@@ -188,12 +181,12 @@ def test_sample_cones_matches_the_generator_call_reference():
             axis_sigma=rng.uniform(0.01, 0.2) * (k % 3 != 1),
             background_rate=rng.uniform(0.5, 3.0),
         )
-        pose = level_pose(0.5 * k, rng.normal(size=3) * 20.0, rng.uniform(-math.pi, math.pi))
+        apex, t = tuple(rng.normal(size=3) * 20.0), 0.5 * k
         source = rng.normal(size=3) * 20.0
         seed = int(rng.integers(2**32))
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_cones(source, pose, model, 3.0e10, 2.0, ours)
-        want = sample_cones_reference(source, pose, model, 3.0e10, 2.0, theirs)
+        got = sample_cones(source, apex, t, model, 3.0e10, 2.0, ours)
+        want = sample_cones_reference(source, apex, t, model, 3.0e10, 2.0, theirs)
         assert [_cone_bits(c) for c in got] == [_cone_bits(c) for c in want]
         assert ours.bit_generator.state == theirs.bit_generator.state
         drawn += len(got[0])
@@ -202,9 +195,8 @@ def test_sample_cones_matches_the_generator_call_reference():
 
 def test_sample_cones_rejects_coincident_source():
     rng = np.random.default_rng(5)
-    pose = level_pose(0.0, [1.0, 1.0, 1.0])
     with pytest.raises(MalformedInputError):
-        sample_cones(np.array([1.0, 1.0, 1.0]), pose, DetectorModel(), 3.0e9, 0.5, rng)
+        sample_cones(np.array([1.0, 1.0, 1.0]), (1.0, 1.0, 1.0), 0.0, DetectorModel(), 3.0e9, 0.5, rng)
 
 
 # --- closed-loop runs ---
@@ -330,11 +322,12 @@ def test_run_scenario_radial_approach_never_tracks():
     assert summary["tracked_steps"] == 0
 
 
-def test_run_scenario_background_only_never_initializes():
+def test_run_scenario_background_only_never_initializes(monkeypatch):
     # spurious cones have uniform random geometry; the best-fit point of
     # any five of them leaves a residual the consistency gate rejects
+    monkeypatch.setattr(simulator, "CONE_RATE_CONSTANT", 0.0)
     sc = static_scenario(
-        detector=DetectorModel(cone_rate_constant=0.0, background_rate=0.1),
+        detector=DetectorModel(background_rate=0.1),
         duration=120.0,
         estimator=NoiseConfig(multistart=4, max_iterations=60),
     )
