@@ -19,7 +19,7 @@ from enum import Enum
 
 from .cones import ProjectionCase, project_to_cone, surface_normal
 from .errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
-from .geometry import Cone, Frame, Vec3
+from .geometry import Cone, Frame, Vec3, vec3
 from .initializer import InitProblem, InitSolution, Mode, solve
 
 log = logging.getLogger(__name__)
@@ -117,10 +117,11 @@ class FilterState:
     """Source hypothesis x (m) with covariance omega (m^2), and its lifecycle.
 
     x is a tuple of three floats and omega the tuple of its three rows,
-    whatever sequences they were given as. Every state is checked on
-    construction, the filter's own included: x and omega are finite,
-    omega is symmetric to 1e-12 and positive definite (every LDL^T pivot
-    > 0). A failure raises MalformedInputError.
+    whatever sequences they were given as. Every state is checked: x and
+    omega finite, omega symmetric to 1e-12 and positive definite (every
+    LDL^T pivot > 0), or MalformedInputError. predict and correct run the
+    checks on the floats they computed, without converting them again; a
+    branch that returns its input's x and omega reuses them unchecked.
     """
 
     x: Vec3 = (0.0, 0.0, 0.0)
@@ -129,17 +130,28 @@ class FilterState:
     status: Status = Status.COLLECTING
 
     def __post_init__(self) -> None:
-        x0, x1, x2 = map(float, self.x)
-        (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = self.omega
-        o00, o01, o02, o10, o11, o12, o20, o21, o22 = map(float, (o00, o01, o02, o10, o11, o12, o20, o21, o22))
-        self.x = (x0, x1, x2)
-        self.omega = (o00, o01, o02), (o10, o11, o12), (o20, o21, o22)
-        if not all(map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))):
-            raise MalformedInputError("state must be finite")
-        if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
-            raise MalformedInputError("covariance must be symmetric")
-        if _ldl(o00, o01, o02, o11, o12, o22) is None:
-            raise MalformedInputError("covariance must be positive definite")
+        self.x = vec3(self.x)
+        r0, r1, r2 = self.omega
+        self.omega = vec3(r0), vec3(r1), vec3(r2)
+        _check(self.x, self.omega)
+
+
+def _check(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> None:
+    """FilterState's checks of x and omega, given as tuples of floats."""
+    (x0, x1, x2), ((o00, o01, o02), (o10, o11, o12), (o20, o21, o22)) = x, omega
+    if not all(map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))):
+        raise MalformedInputError("state must be finite")
+    if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
+        raise MalformedInputError("covariance must be symmetric")
+    if _ldl(o00, o01, o02, o11, o12, o22) is None:
+        raise MalformedInputError("covariance must be positive definite")
+
+
+def _state(x: Vec3, omega: tuple[Vec3, Vec3, Vec3], outliers: int, status: Status) -> FilterState:
+    """A FilterState of fields in their stored form, without __post_init__: x and omega checked already."""
+    state = object.__new__(FilterState)
+    state.x, state.omega, state.consecutive_outliers, state.status = x, omega, outliers, status
+    return state
 
 
 def _ldl(s00: float, s01: float, s02: float, s11: float, s12: float, s22: float):
@@ -172,7 +184,8 @@ def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     q = config.q
     (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
     omega = (o00 + q, o01, o02), (o10, o11 + q, o12), (o20, o21, o22 + q)
-    return FilterState(state.x, omega, state.consecutive_outliers, state.status)
+    _check(state.x, omega)
+    return _state(state.x, omega, state.consecutive_outliers, state.status)
 
 
 def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
@@ -207,9 +220,9 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         try:
             d0, d1, d2 = surface_normal(res.point, cone)
         except ValueError:
-            return FilterState(state.x, state.omega, 0, state.status)
+            return _state(state.x, state.omega, 0, state.status)
     else:
-        return FilterState(state.x, state.omega, 0, state.status)
+        return _state(state.x, state.omega, 0, state.status)
     # along = n n^T / n^T n and P = I - along; each diagonal entry of P is
     # a sum of the other two squares, so no entry cancels
     r, far = config.r, config.far_variance
@@ -226,7 +239,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
     y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
     if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
-        return FilterState(state.x, state.omega, state.consecutive_outliers + 1, state.status)
+        return _state(state.x, state.omega, state.consecutive_outliers + 1, state.status)
 
     # x moves by K nu = omega S^-1 nu. K = omega S^-1 is solved row by row
     # (omega is symmetric), then the Joseph form (I - K) omega (I - K)^T + K R K^T
@@ -259,8 +272,9 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
     z = x2 + o20 * y0 + o21 * y1 + o22 * y2
     if config.mode is Mode.TWO_D:
         z, w02, w12, w22 = 0.0, 0.0, 0.0, o22
-    omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
-    return FilterState((*xy, z), omega_new, 0, Status.TRACKING)
+    x, omega = (*xy, z), ((w00, w01, w02), (w01, w11, w12), (w02, w12, w22))
+    _check(x, omega)
+    return _state(x, omega, 0, Status.TRACKING)
 
 
 class SourceEstimator:

@@ -133,7 +133,8 @@ class Cone:
             raise MalformedInputError(f"cone axis must be unit length, got |axis| = {n!r}")
         if not (0.0 < self.half_angle < math.pi):
             raise MalformedInputError(f"cone half-angle out of (0, pi): {self.half_angle!r}")
-        self.frame = Frame(self.frame)
+        if not isinstance(self.frame, Frame):
+            self.frame = Frame(self.frame)
 
 
 @dataclass

@@ -16,6 +16,7 @@ temp-file rename so interrupted runs never leave truncated output behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -50,7 +51,7 @@ ERRORS_HEADER = "t_s,ex,ey,ez,err_m,err_xy_m".split(",")
 
 
 def atomic_write(path: str | Path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename, or raise RadlocError."""
+    """Write text to path via a same-directory temp file and rename, or leave no temp file and raise RadlocError."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -58,6 +59,8 @@ def atomic_write(path: str | Path, text: str) -> None:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # there may be no temp file, or no directory for one
+            tmp.unlink()
         raise RadlocError(f"cannot write {path}: {exc}") from exc
 
 

@@ -34,6 +34,8 @@ MIN_THETA = 0.2
 MAX_THETA = 1.4
 
 _TWO_PI = 2.0 * math.pi
+# a step record's action and status names, looked up once per step
+_NAMES = {None: "none", **{a: a.value for a in Action}, **{s: s.value for s in Status}}
 
 
 class Program(Enum):
@@ -163,7 +165,8 @@ def _about_perpendicular(v: Vec3, w0: Vec3, w1: Vec3, psi: float, angle: float) 
 def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: float, dt: float,
                  rng: np.random.Generator) -> tuple[list[Cone], list[Cone]]:
     """Source-driven and background cones for one timestep at apex and time t, in that order."""
-    o0, o1, o2 = (s - a for s, a in zip(map(float, source), apex))
+    (s0, s1, s2), (a0, a1, a2) = map(float, source), apex
+    o0, o1, o2 = s0 - a0, s1 - a1, s2 - a2
     dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
         raise MalformedInputError("source coincides with the detector")
@@ -193,7 +196,9 @@ def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: f
         source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, t))
 
     background: list[Cone] = []
-    for _ in range(int(rng.poisson(model.background_rate * dt))):
+    # poisson(0) is 0 without a draw, so skipping the call leaves the stream as it was
+    n_background = int(rng.poisson(model.background_rate * dt)) if model.background_rate > 0.0 else 0
+    for _ in range(n_background):
         axis = _random_unit(rng)
         theta = lo + span * rng.random()
         background.append(Cone(apex, axis, theta, Frame.WORLD, t))
@@ -227,15 +232,18 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     strategy = StrategyState(center=sweep_center)
 
     position = scenario.uav_start if scenario.uav_start is not None else _default_start(scenario)
-    if scenario.program is Program.SEARCH:
+    search = scenario.program is Program.SEARCH
+    if search:
         strategy.azimuth = math.atan2(
             position[1] - sweep_center[1], position[0] - sweep_center[0]
         )
 
+    (s0, s1, s2), (v0, v1, v2) = scenario.source_initial, scenario.source_velocity
+    phase = strategy.phase.value if search else scenario.program.value
     n_steps = int(round(scenario.duration / scenario.timestep))
     for k in range(n_steps):
         t = k * scenario.timestep
-        truth = scenario.source_at(t)
+        truth = s0 + t * v0, s1 + t * v1, s2 + t * v2  # scenario.source_at(t)
         # the check a Pose at this position would make; the heading is not sampled
         if not all(map(math.isfinite, position)):
             raise MalformedInputError(f"pose position must be finite, got {position!r}")
@@ -244,10 +252,9 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         report.cones_source += len(src)
         report.cones_background += len(bg)
 
-        last_action = "none"
+        action = None
         for cone in src + bg:
             state, action = session.ingest(cone)
-            last_action = action.value
             if action is Action.CORRECTED:
                 err = math.dist(state.x, truth)
                 err_xy = math.dist(state.x[:2], truth[:2])
@@ -261,26 +268,19 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
         # strategy reacts only to estimator status changes: a lock starts
         # the orbit around the hypothesis, a reset the sweep again
-        if scenario.program is Program.SEARCH and tracking == (strategy.phase is Phase.SWEEP_AREA):
+        if search and tracking == (strategy.phase is Phase.SWEEP_AREA):
             strategy.phase = Phase.ORBIT_HYPOTHESIS if tracking else Phase.SWEEP_AREA
             strategy.center = session.state.x if tracking else sweep_center
             strategy.azimuth = math.atan2(
                 position[1] - strategy.center[1], position[0] - strategy.center[0]
             )
-            report.transitions.append((t, strategy.phase.value))
+            phase = strategy.phase.value
+            report.transitions.append((t, phase))
 
         estimate = session.state.x if tracking else None
         error = math.dist(estimate, truth) if estimate is not None else float("nan")
         report.steps.append(
-            StepRecord(
-                t,
-                truth,
-                estimate,
-                error,
-                strategy.phase.value if scenario.program is Program.SEARCH else scenario.program.value,
-                session.state.status.value,
-                last_action,
-            )
+            StepRecord(t, truth, estimate, error, phase, _NAMES[session.state.status], _NAMES[action])
         )
 
         position = _advance(scenario, strategy, session, position)

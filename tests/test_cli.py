@@ -580,3 +580,50 @@ def test_out_under_a_regular_file_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocker / 'out'}")
     assert "Traceback" not in err
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # the rename onto a directory fails after the temp file is written
+    write_scenario_yaml(tmp_path / "scenario.yaml", duration=1.0)
+    out = tmp_path / "d"
+    (out / "steps.csv").mkdir(parents=True)
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.yaml"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'steps.csv'}")
+    assert sorted(p.name for p in out.iterdir()) == ["steps.csv"]
+
+
+# --- one parser per process ---
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path):
+    # a tuned estimate, then a plain one, writes what a first call in a
+    # fresh process writes; a bad flag and another command in between
+    # change nothing
+    cones_path = tmp_path / "cones.csv"
+    exact_cones_file(cones_path)
+    plain = ["estimate", "--cones", str(cones_path), "--out"]
+    scenario = tmp_path / "scenario.yaml"
+    write_scenario_yaml(scenario, duration=4.0)
+    reconstruct = ["reconstruct", "--events", str(FIXTURE / "hits.csv"), "--poses", str(FIXTURE / "poses.csv"), "--out"]
+
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    cli._build_parser.cache_clear()
+    assert main(plain + [str(tmp_path / "fresh")]) == 0
+    cli._build_parser.cache_clear()
+    assert main(reconstruct + [str(tmp_path / "rec_fresh")]) == 0
+
+    assert main(plain + [str(tmp_path / "tuned"), "--r", "2.0", "--gate", "4.0"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(plain + [str(tmp_path / "bad"), "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(plain + [str(tmp_path / "again")]) == 0
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim")]) == 0
+    assert main(reconstruct + [str(tmp_path / "rec_again")]) == 0
+
+    assert cli._build_parser.cache_info().currsize == 1
+    assert outputs(tmp_path / "again") == outputs(tmp_path / "fresh")
+    assert outputs(tmp_path / "tuned") != outputs(tmp_path / "fresh")
+    assert outputs(tmp_path / "rec_again") == outputs(tmp_path / "rec_fresh")
+    assert not (tmp_path / "bad").exists()

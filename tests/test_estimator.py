@@ -175,6 +175,30 @@ def test_predict_requires_tracking():
         predict(FilterState(), NoiseConfig())
 
 
+def test_predict_checks_the_state_it_builds():
+    # the diagonal overflows to inf: predict's own state is checked, not trusted
+    big = 1.5e308
+    state = tracking_state([0.0, 0.0, 0.0], omega=np.diag([big, big, big]))
+    with pytest.raises(MalformedInputError, match="state must be finite"):
+        predict(state, NoiseConfig(q=1e308))
+
+
+def test_predict_keeps_the_lower_entries_bit_for_bit():
+    # lower entries a few ulps off the upper ones, within FilterState's
+    # symmetry tolerance: predict neither copies nor averages them
+    eps = np.finfo(float).eps
+    a = np.random.default_rng(3).normal(size=(3, 3))
+    (o00, o01, o02), (_, o11, o12), (_, _, o22) = (a @ a.T + np.eye(3)).tolist()
+    omega = (o00, o01, o02), (o01 * (1.0 + 3 * eps), o11, o12), (o02 * (1.0 - 2 * eps), o12 * (1.0 + eps), o22)
+    state = FilterState((1.0, 2.0, 3.0), omega, 1, Status.TRACKING)
+    out = predict(state, NoiseConfig(q=0.25))
+    for i in range(3):
+        for j in range(3):
+            want = omega[i][j] + 0.25 if i == j else omega[i][j]
+            assert out.omega[i][j].hex() == want.hex()
+    assert out.x == state.x and out.consecutive_outliers == 1
+
+
 # --- correct ---
 
 
@@ -378,6 +402,9 @@ def test_correct_matches_reference_kalman_update():
             ground_plane=cfg.mode is Mode.TWO_D,
         )
         out = correct(state, cone, cfg)
+        # these states are symmetric, and a new covariance is built from its
+        # upper triangle: every output is symmetric exactly
+        assert np.array_equal(np.asarray(out.omega), np.asarray(out.omega).T)
         gated = out.consecutive_outliers == 1
         if abs(d2 - cfg.gate) <= 1e-6:
             continue
@@ -429,6 +456,7 @@ def _gate_at_d2(state, cone, cfg):
 def test_correct_is_bit_identical_to_the_nested_list_reference():
     rng = np.random.default_rng(47)
     seen = Counter()
+    rebuilt = 0
     for i, (state, cone, cfg) in enumerate(reference_cases(rng, 1200)):
         (o00, o01, o02), (_, o11, o12), (_, _, o22) = state.omega
         # lower entries a few ulps off the upper ones, within FilterState's
@@ -448,11 +476,17 @@ def test_correct_is_bit_identical_to_the_nested_list_reference():
             out = _outcome(state, cone, c, correct)
             assert out == _outcome(state, cone, c, correct_reference)
             gated = out[2] > state.consecutive_outliers
+            new = correct(state, cone, c).omega
+            if new is not state.omega:  # a new covariance, built from its upper triangle
+                (_, w01, w02), (w10, _, w12), (w20, w21, _) = new
+                assert (w10, w20, w21) == (w01, w02, w12)
+                rebuilt += 1
             seen[(c.mode, "gated" if gated else "accepted")] += 1
         if len(cases) > 1:
             seen["at the gate"] += 1
             assert [_outcome(state, cone, c, correct)[2] for c in cases[1:]] == [0, state.consecutive_outliers + 1]
     assert min(seen.values()) >= 50 and len(seen) == 6, seen
+    assert rebuilt >= 500, rebuilt
 
 
 def test_correct_is_bit_identical_to_the_reference_without_a_direction():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -170,27 +171,30 @@ def _cone_bits(cones):
 
 
 def test_sample_cones_matches_the_generator_call_reference():
-    # both noise terms and background on, the branches the closed loop's
-    # bundled scenarios do not all take: equal cones, bit for bit, and the
-    # generator left in an equal state
+    # both noise terms, and background on or off, the branches the closed
+    # loop's bundled scenarios do not all take: equal cones, bit for bit,
+    # and the generator left in an equal state after each of a run of calls
+    # (with no background the reference still calls poisson(0), which draws nothing)
     rng = np.random.default_rng(11)
-    drawn = 0
+    drawn = Counter()
     for k in range(300):
         model = DetectorModel(
             angular_sigma=rng.uniform(0.01, 0.2) * (k % 3 != 0),
             axis_sigma=rng.uniform(0.01, 0.2) * (k % 3 != 1),
-            background_rate=rng.uniform(0.5, 3.0),
+            background_rate=rng.uniform(0.5, 3.0) * (k % 4 != 0),
         )
         apex, t = tuple(rng.normal(size=3) * 20.0), 0.5 * k
         source = rng.normal(size=3) * 20.0
         seed = int(rng.integers(2**32))
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_cones(source, apex, t, model, 3.0e10, 2.0, ours)
-        want = sample_cones_reference(source, apex, t, model, 3.0e10, 2.0, theirs)
-        assert [_cone_bits(c) for c in got] == [_cone_bits(c) for c in want]
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        drawn += len(got[0])
-    assert drawn >= 300
+        for _ in range(3):
+            got = sample_cones(source, apex, t, model, 3.0e10, 2.0, ours)
+            want = sample_cones_reference(source, apex, t, model, 3.0e10, 2.0, theirs)
+            assert [_cone_bits(c) for c in got] == [_cone_bits(c) for c in want]
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            drawn["background" if model.background_rate else "no background"] += len(got[0])
+            drawn["background cones"] += len(got[1])
+    assert min(drawn.values()) >= 300, drawn
 
 
 def test_sample_cones_rejects_coincident_source():
