@@ -3,7 +3,7 @@
 Pipeline layout:
 
 - ``events``: pixel hits to tracks, coincidence pairs, and camera-frame cones
-- ``geometry`` / ``cones``: frames, poses, and cone surface primitives
+- ``geometry`` / ``cones``: frames, pose streams, and cone surface primitives
 - ``initializer``: constrained least-squares position initialization
 - ``estimator``: projection-corrected Kalman filter and session lifecycle
 - ``simulator``: closed-loop Monte-Carlo flight and detector simulation
@@ -46,7 +46,7 @@ from .events import (
     process_hits,
     process_pairs,
 )
-from .geometry import Cone, Frame, Pose, interpolate_pose, transform_cone
+from .geometry import Cone, Frame, PoseStream, interpolate_pose, transform_cone
 from .initializer import InitProblem, InitSolution, Mode, solve
 from .simulator import DetectorModel, Scenario, SimulationReport, metrics, run_scenario
 

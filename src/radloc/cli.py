@@ -112,13 +112,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     world = []
     skipped = 0
-    for cone in result.cones:
+    columns = (result.cones.origins, result.cones.axes, result.cones.half_angles, result.times)
+    for origin, axis, half_angle, t in zip(*(column.tolist() for column in columns)):
         try:
-            pose = interpolate_pose(poses, cone.timestamp)
+            pose = interpolate_pose(poses, t)
         except PoseExtrapolationError:
             skipped += 1
             continue
-        world.append(transform_cone(cone, pose))
+        world.append(transform_cone(origin, axis, half_angle, t, pose))
     rio.write_cones_csv(out / "cones.csv", world)
 
     summary = result.summary

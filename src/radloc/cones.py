@@ -78,6 +78,9 @@ class ConeBatch:
             np.array([c.half_angle for c in cones], dtype=float),
         )
 
+    def __len__(self) -> int:
+        return len(self.half_angles)
+
     def _offsets(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float)[..., None, :] - self.origins
 

@@ -15,7 +15,7 @@ class MalformedInputError(RadlocError):
 
 
 class InvalidRowError(MalformedInputError):
-    """A row of a column batch (a hit, a pair) breaks its record's contract; carries its index in the batch."""
+    """A row of a column batch (a hit, a pair, a pose) breaks its record's contract; carries its index in the batch."""
 
     def __init__(self, index: int, message: str):
         self.index = index

@@ -6,8 +6,8 @@ HitBatch is clustered into a TrackBatch with array operations, tracks
 that arrive within the coincidence window are paired by index, the
 pairs become a PairBatch, and the kinematics of the Compton candidates
 (depth separation and scattering angle from times and energies) and
-their axes are computed as arrays. Only the camera-frame measurement
-cones at the end are records, one per cone, plus classification
+their axes are computed as arrays. The camera-frame measurement cones
+come out as one ConeBatch with a time column, plus classification
 statistics. Each track's sums run over its hits in time order and each
 angle is one math.acos, so a cone does not depend on what else shares
 its batch.
@@ -32,7 +32,7 @@ from .constants import (
     SENSOR_PIXELS,
 )
 from .errors import InvalidRowError, MalformedInputError
-from .geometry import Cone, Frame
+from .cones import ConeBatch
 
 log = logging.getLogger(__name__)
 
@@ -335,7 +335,7 @@ def make_pair(tracks: TrackBatch, first: np.ndarray, second: np.ndarray) -> Pair
                        for column in (tracks.x, tracks.y, tracks.energy, tracks.toa)))
 
 
-def build_cone(pairs: PairBatch) -> tuple[list[Cone], int, int]:
+def build_cone(pairs: PairBatch) -> tuple[ConeBatch, np.ndarray, int, int]:
     """Camera-frame measurement cones of Compton pairs, in time order.
 
     The electron event sits at (x, y, delta_z), the photon event at
@@ -344,8 +344,9 @@ def build_cone(pairs: PairBatch) -> tuple[list[Cone], int, int]:
     scattering angle. Millimeter sensor coordinates convert to meters.
     A pair whose energy split is kinematically impossible, or whose two
     events coincide (axis undefined), gives no cone. Returns the cones,
-    sorted stably by time, and the number of pairs dropped for each of
-    those two reasons.
+    sorted stably by time, their times in s, and the number of pairs
+    dropped for each of those two reasons; the first cone past the float
+    range is refused as a Cone record refuses it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in cluster_hits
         b = _scattering_cosine(pairs.electron_energy, pairs.photon_energy)
@@ -360,12 +361,16 @@ def build_cone(pairs: PairBatch) -> tuple[list[Cone], int, int]:
         by_time = np.argsort(time, kind="stable")
         rows, time = rows[by_time], time[by_time]
         norm = norm[rows]  # nonzero: the division runs over the kept rows alone
-        columns = (ox[rows], oy[rows], oz[rows], sx[rows] / norm, sy[rows] / norm, oz[rows] / norm, b[rows], time)
-    cones = [
-        Cone((x, y, z), (ax, ay, az), math.acos(cos), Frame.CAMERA, t)
-        for x, y, z, ax, ay, az, cos, t in zip(*(column.tolist() for column in columns))
-    ]
-    return cones, int(np.count_nonzero(~valid)), int(np.count_nonzero(valid & coincide))
+        origins = np.stack((ox[rows], oy[rows], oz[rows]), axis=1)
+        axes = np.stack((sx[rows] / norm, sy[rows] / norm, oz[rows] / norm), axis=1)
+    # x and y of each origin are finite, so only a separation past the float range leaves a norm not finite
+    if not (finite := np.isfinite(norm)).all():
+        i = int(np.argmin(finite))
+        origin = tuple(origins[i].tolist())
+        fault = f"cone axis must be unit length, got |axis| = {math.hypot(*axes[i].tolist())!r}"
+        raise MalformedInputError(f"cone origin must be finite, got {origin!r}" if math.isinf(origin[2]) else fault)
+    cones = ConeBatch(origins, axes, np.array([math.acos(cos) for cos in b[rows].tolist()]))
+    return cones, time, int(np.count_nonzero(~valid)), int(np.count_nonzero(valid & coincide))
 
 
 @dataclass
@@ -386,10 +391,6 @@ class ClassificationSummary:
         """Compton pairs that gave no cone."""
         return self.invalid_scattering + self.degenerate_geometry
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def rates(self) -> dict[EventClass, float]:
         """Events per second by class; zero rates for a zero-length stream."""
         if self.duration <= 0.0:
@@ -397,7 +398,7 @@ class ClassificationSummary:
         return {c: n / self.duration for c, n in self.counts.items()}
 
     def shares(self) -> dict[EventClass, float]:
-        total = self.total
+        total = sum(self.counts.values())
         if total == 0:
             return {c: 0.0 for c in EventClass}
         return {c: n / total for c, n in self.counts.items()}
@@ -405,9 +406,10 @@ class ClassificationSummary:
 
 @dataclass
 class PipelineResult:
-    """Cones plus stream statistics from one pipeline run."""
+    """Camera-frame cones, their times in s, and stream statistics from one pipeline run."""
 
-    cones: list[Cone]
+    cones: ConeBatch
+    times: np.ndarray
     summary: ClassificationSummary
     pair_count: int = 0
 
@@ -436,7 +438,7 @@ def process_pairs(
     with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python floats
         background = pairs.electron_energy + pairs.photon_energy > threshold
     lone_background = np.asarray(lone_energy, dtype=np.float64) > threshold
-    cones, invalid, degenerate = build_cone(pairs.take(~background))
+    cones, times, invalid, degenerate = build_cone(pairs.take(~background))
     summary = ClassificationSummary(invalid_scattering=invalid, degenerate_geometry=degenerate, ambiguous=ambiguous)
     summary.counts[EventClass.PHOTOELECTRIC] = int(np.count_nonzero(~lone_background))
     summary.counts[EventClass.COMPTON_CANDIDATE] = int(np.count_nonzero(~background))
@@ -445,9 +447,9 @@ def process_pairs(
     if duration is not None:
         summary.duration = duration
     elif len(pairs):
-        times = np.concatenate((pairs.electron_toa, pairs.photon_toa))
-        summary.duration = float(times.max() - times.min()) * 1e-9
-    return PipelineResult(cones, summary, pair_count=len(pairs))
+        toa = np.concatenate((pairs.electron_toa, pairs.photon_toa))
+        summary.duration = float(toa.max() - toa.min()) * 1e-9
+    return PipelineResult(cones, times, summary, pair_count=len(pairs))
 
 
 def process_hits(

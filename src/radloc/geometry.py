@@ -1,4 +1,4 @@
-"""Core 3D geometry: vectors, rotations, poses, and the cone primitive.
+"""Core 3D geometry: vectors, rotations, pose streams, and the cone primitive.
 
 Conventions: a 3-vector is a tuple of three Python floats, and so is
 every vector a record here holds; quaternions are unit-norm and w-first
@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import MalformedInputError, PoseExtrapolationError
 
@@ -137,72 +137,57 @@ class Cone:
             self.frame = Frame(self.frame)
 
 
-@dataclass
-class Pose:
-    """Timestamped rigid pose of the vehicle body in the world frame."""
+class PoseStream(NamedTuple):
+    """Vehicle poses in the world frame as three lists, times strictly increasing, orientations unit."""
 
-    timestamp: float
-    position: Vec3
-    orientation: Quat  # unit quaternion, w-first
-
-    def __post_init__(self) -> None:
-        px, py, pz = map(float, self.position)
-        self.position = (px, py, pz)
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
-            raise MalformedInputError(f"pose position must be finite, got {self.position!r}")
-        w, x, y, z = map(float, self.orientation)
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if not abs(n - 1.0) <= 1e-6:
-            raise MalformedInputError(f"orientation quaternion not unit norm: {n!r}")
-        self.orientation = (w / n, x / n, y / n, z / n)
+    times: list[float]
+    positions: list[Vec3]
+    orientations: list[Quat]
 
 
-def interpolate_pose(stream: list[Pose], t: float) -> Pose:
-    """Pose at time t from a strictly time-ordered stream, in O(log P).
+def interpolate_pose(stream: PoseStream, t: float) -> tuple[Vec3, Quat]:
+    """Position and orientation at time t of a pose stream, in O(log P).
 
-    A binary search finds the bracketing samples, so the stream must be
-    strictly increasing in time, as io.read_poses_csv enforces. Position
-    is interpolated linearly, orientation by slerp; an exact timestamp
-    match returns that sample's values. Raises PoseExtrapolationError
-    outside [first, last].
+    A binary search finds the bracketing samples. Position is
+    interpolated linearly, orientation by slerp; an exact timestamp match
+    gives that sample's values. The orientation is normalized once more
+    either way. Raises PoseExtrapolationError outside [first, last].
     """
-    if not stream:
+    times = stream.times
+    if not times:
         raise MalformedInputError("empty pose stream")
-    first, last = stream[0].timestamp, stream[-1].timestamp
-    if t < first or t > last:
-        raise PoseExtrapolationError(f"t = {t} outside pose stream range [{first}, {last}]")
-    i = bisect_left(stream, t, key=attrgetter("timestamp"))
-    hi = stream[i]
-    if hi.timestamp == t:
-        return Pose(t, hi.position, hi.orientation)
-    lo = stream[i - 1]
-    u = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
-    pos = [(1.0 - u) * a + u * b for a, b in zip(lo.position, hi.position)]
-    return Pose(t, pos, quat_slerp(lo.orientation, hi.orientation, u))
+    if not times[0] <= t <= times[-1]:
+        raise PoseExtrapolationError(f"t = {t} outside pose stream range [{times[0]}, {times[-1]}]")
+    i = bisect_left(times, t)
+    if times[i] == t:
+        return stream.positions[i], quat_normalize(stream.orientations[i])
+    u = (t - times[i - 1]) / (times[i] - times[i - 1])
+    v = 1.0 - u
+    (a0, a1, a2), (b0, b1, b2) = stream.positions[i - 1], stream.positions[i]
+    q = quat_slerp(stream.orientations[i - 1], stream.orientations[i], u)
+    return (v * a0 + u * b0, v * a1 + u * b1, v * a2 + u * b2), quat_normalize(q)
 
 
-def transform_cone(cone: Cone, pose: Pose) -> Cone:
-    """Map a camera-frame cone into the world frame.
+def transform_cone(origin: Vec3, axis: Vec3, half_angle: float, t: float, pose: tuple[Vec3, Quat]) -> Cone:
+    """The world-frame cone at time t of a camera-frame origin, axis and half-angle.
 
     The camera frame is the body frame, since no flag or config key sets
-    camera extrinsics: the pose rotates and moves the cone origin, rotates
-    the axis, and leaves the half-angle untouched.
+    camera extrinsics: the pose rotates and moves the origin and rotates the axis.
     """
-    if cone.frame is not Frame.CAMERA:
-        raise MalformedInputError("transform_cone expects a camera-frame cone")
-    rows = quat_to_matrix(pose.orientation)
-    o0, o1, o2 = cone.origin
-    a0, a1, a2 = cone.axis
-    origin = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, pose.position)]
+    position, orientation = pose
+    rows = quat_to_matrix(orientation)
+    o0, o1, o2 = origin
+    a0, a1, a2 = axis
+    world = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, position)]
     x, y, z = (r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in rows)
     n = math.sqrt(x * x + y * y + z * z)
-    return Cone(origin, (x / n, y / n, z / n), cone.half_angle, Frame.WORLD, pose.timestamp)
+    return Cone(world, (x / n, y / n, z / n), half_angle, Frame.WORLD, t)
 
 
 __all__ = [
     "Cone",
     "Frame",
-    "Pose",
+    "PoseStream",
     "cross",
     "interpolate_pose",
     "perpendicular_unit",

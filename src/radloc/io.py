@@ -9,8 +9,8 @@ body in one call and checks columns as arrays; only a failure makes it
 look at single lines. Readers raise ParseError at the earliest faulty
 line, SchemaError for wrong headers or config keys, and OrderingError
 when a time-ordered stream runs backwards. A record's values are
-checked by its own type (HitBatch, PairBatch, Pose, Cone), and its
-refusal is a ParseError at its line. Writers go through an atomic
+checked by its own type (HitBatch, PairBatch, Cone; poses as columns),
+and a refusal is a ParseError at its line. Writers go through an atomic
 temp-file rename so interrupted runs never leave truncated output behind.
 """
 
@@ -33,7 +33,7 @@ import yaml
 from .errors import InvalidRowError, MalformedInputError, OrderingError, ParseError, RadlocError, SchemaError
 from .estimator import NoiseConfig
 from .events import HitBatch, PairBatch
-from .geometry import Cone, Frame, Pose, Vec3, vec3
+from .geometry import Cone, Frame, PoseStream, Vec3, vec3
 from .initializer import Mode
 from .simulator import DetectorModel, Program, Scenario, SimulationReport
 
@@ -238,10 +238,23 @@ def read_pairs_csv(path: str | Path) -> PairBatch:
     return _read_table(path, PAIRS_HEADER, partial(_batch, PairBatch), finite={3: "timestamp", 7: "timestamp"})
 
 
-def read_poses_csv(path: str | Path) -> list[Pose]:
-    pose = _each_row(lambda t, px, py, pz, qw, qx, qy, qz: Pose(t, (px, py, pz), (qw, qx, qy, qz)))
+def _pose_stream(t, px, py, pz, qw, qx, qy, qz) -> PoseStream:
+    """Poses of finite position whose quaternions, within 1e-6 of unit norm, are normalized."""
+    with np.errstate(over="ignore"):  # past the float range is inf, as in Python floats
+        n = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    finite = np.isfinite(px) & np.isfinite(py) & np.isfinite(pz)
+    if (i := _first(~(finite & (np.abs(n - 1.0) <= 1e-6)))) is not None:  # a NaN norm fails too
+        if not finite[i]:
+            position = float(px[i]), float(py[i]), float(pz[i])
+            raise InvalidRowError(i, f"pose position must be finite, got {position!r}")
+        raise InvalidRowError(i, f"orientation quaternion not unit norm: {float(n[i])!r}")
+    orientations = zip(*(q.tolist() for q in (qw / n, qx / n, qy / n, qz / n)))
+    return PoseStream(t.tolist(), list(zip(px.tolist(), py.tolist(), pz.tolist())), list(orientations))
+
+
+def read_poses_csv(path: str | Path) -> PoseStream:
     order = (np.less_equal, "pose timestamps must strictly increase")
-    return _read_table(path, POSES_HEADER, pose, finite={0: "timestamp"}, order=order)
+    return _read_table(path, POSES_HEADER, partial(_batch, _pose_stream), finite={0: "timestamp"}, order=order)
 
 
 def _cone(t: float, ox: float, oy: float, oz: float, dx: float, dy: float, dz: float, theta: float,

@@ -7,7 +7,7 @@ injects uniform background cones, and drives the estimator session with
 the naive strategy: sweep the area until a hypothesis locks, then orbit
 the hypothesis; a reset sends the vehicle back to sweeping. Cones are
 sampled in the world frame at the vehicle position, so the loop builds
-no heading or Pose; each variate is one scalar draw from the run's
+no heading or orientation; each variate is one scalar draw from the run's
 Generator in a fixed order, so the seed fixes every cone.
 """
 
@@ -98,9 +98,6 @@ class Scenario:
         if not (self.uav_speed >= 0 and self.duration >= 0 and self.seed >= 0):
             raise MalformedInputError("speed, duration and seed must be nonnegative")
         self.program = Program(self.program)
-
-    def source_at(self, t: float) -> Vec3:
-        return tuple(p + t * v for p, v in zip(self.source_initial, self.source_velocity))
 
 
 @dataclass
@@ -243,8 +240,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     n_steps = int(round(scenario.duration / scenario.timestep))
     for k in range(n_steps):
         t = k * scenario.timestep
-        truth = s0 + t * v0, s1 + t * v1, s2 + t * v2  # scenario.source_at(t)
-        # the check a Pose at this position would make; the heading is not sampled
+        truth = s0 + t * v0, s1 + t * v1, s2 + t * v2
         if not all(map(math.isfinite, position)):
             raise MalformedInputError(f"pose position must be finite, got {position!r}")
 

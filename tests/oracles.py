@@ -44,7 +44,7 @@ from radloc.events import (
     delta_z,
 )
 from radloc.estimator import FilterState, NoiseConfig, Status, _ldl, _ldl_solve
-from radloc.geometry import Cone, Frame, Pose, cross, perpendicular_unit, unit
+from radloc.geometry import Cone, Frame, PoseStream, cross, perpendicular_unit, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 from radloc.simulator import CONE_RATE_CONSTANT, MAX_THETA, MIN_THETA
 
@@ -541,6 +541,43 @@ def quat_slerp_reference(q0, q1, t: float) -> np.ndarray:
     return s0 * q0 + s1 * q1
 
 
+@dataclass
+class Pose:
+    """Timestamped rigid pose of the vehicle body in the world frame, checked and
+    normalized one record at a time: the per-row reference for the pose reader."""
+
+    timestamp: float
+    position: tuple
+    orientation: tuple  # unit quaternion, w-first
+
+    def __post_init__(self) -> None:
+        px, py, pz = map(float, self.position)
+        self.position = (px, py, pz)
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            raise MalformedInputError(f"pose position must be finite, got {self.position!r}")
+        w, x, y, z = map(float, self.orientation)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        if not abs(n - 1.0) <= 1e-6:
+            raise MalformedInputError(f"orientation quaternion not unit norm: {n!r}")
+        self.orientation = (w / n, x / n, y / n, z / n)
+
+
+def pose_stream(poses) -> PoseStream:
+    """The library's pose stream of a list of Pose records."""
+    return PoseStream([p.timestamp for p in poses], [p.position for p in poses], [p.orientation for p in poses])
+
+
+def camera_cones(cones, times) -> list:
+    """A ConeBatch of camera-frame cones and its time column as Cone records, one per cone."""
+    columns = (cones.origins.tolist(), cones.axes.tolist(), cones.half_angles.tolist(), times.tolist())
+    return [Cone(o, a, h, Frame.CAMERA, t) for o, a, h, t in zip(*columns)]
+
+
+def source_at(scenario, t: float) -> tuple:
+    """A scenario's source position at time t: the start moved at constant velocity."""
+    return tuple(p + t * v for p, v in zip(scenario.source_initial, scenario.source_velocity))
+
+
 def interpolate_pose_reference(stream, t: float) -> Pose:
     """Pose at t by a linear scan for the timestamps, lerp and numpy slerp."""
     times = [p.timestamp for p in stream]
@@ -879,7 +916,8 @@ def build_cone_record(pair: ComptonPair) -> Cone:
 
 def process_pairs_record(pairs, threshold: float = BACKGROUND_THRESHOLD_KEV, duration: float | None = None,
                          unpaired_tracks=(), ambiguous: int = 0) -> PipelineResult:
-    """Classify ComptonPairs and lone PixelTracks one at a time and build the cones."""
+    """Classify ComptonPairs and lone PixelTracks one at a time and build the cones,
+    a list of Cone records, with their times."""
     summary = ClassificationSummary(ambiguous=ambiguous)
     cones, times = [], []
     for pair in pairs:
@@ -901,7 +939,7 @@ def process_pairs_record(pairs, threshold: float = BACKGROUND_THRESHOLD_KEV, dur
     elif times:
         summary.duration = (max(times) - min(times)) * 1e-9
     cones.sort(key=lambda c: c.timestamp)
-    return PipelineResult(cones, summary, pair_count=len(pairs))
+    return PipelineResult(cones, [c.timestamp for c in cones], summary, pair_count=len(pairs))
 
 
 def process_hits_record(hits: HitBatch, max_toa_gap: float = CLUSTER_TOA_GAP_NS,

@@ -17,12 +17,11 @@ from radloc.io import (
     POSES_HEADER,
     read_estimates_csv,
     read_hits_csv,
-    read_poses_csv,
     write_cones_csv,
     write_estimates_csv,
 )
 
-from oracles import world_cones_reference
+from oracles import read_poses_reference, world_cones_reference
 from test_events import synthetic_stream
 from test_initializer import cone_through
 
@@ -127,7 +126,7 @@ def test_reconstruct_fixture_matches_oracle_pipeline(tmp_path):
     lines = (tmp_path / "cones.csv").read_text().splitlines()
     assert lines[0] == ",".join(CONES_HEADER)
     rows = [line.split(",") for line in lines[1:]]
-    want = world_cones_reference(read_hits_csv(FIXTURE / "hits.csv"), read_poses_csv(FIXTURE / "poses.csv"))
+    want = world_cones_reference(read_hits_csv(FIXTURE / "hits.csv"), read_poses_reference(FIXTURE / "poses.csv"))
     assert len(rows) == len(want) == 9
     for row, cone in zip(rows, want):
         # times and angles come out of the same float steps; positions and
@@ -144,6 +143,36 @@ def test_reconstruct_drop_reasons_sum_to_rejected_pairs(tmp_path):
     assert summary["invalid_scattering"] + summary["degenerate_geometry"] == summary["rejected_pairs"]
     assert summary["counts"] == {"photoelectric": 5, "compton": 13, "background": 2}
     assert (summary["pairs"], summary["cones_written"], summary["outside_pose_range"]) == (14, 9, 1)
+
+
+def test_reconstruct_steps_each_cone_through_one_pose_lookup_and_one_transform(tmp_path, monkeypatch):
+    # the world-frame step of a cone is one interpolate_pose call, then one
+    # transform_cone call unless the lookup fell outside the pose stream,
+    # both looked up at radloc.cli: the benchmark's reconstruct
+    # ingest_p50_ms is the time from the one's entry to the other's return
+    calls = []
+    interpolate, transform = cli.interpolate_pose, cli.transform_cone
+
+    def counted_interpolate(*args, **kwargs):
+        calls.append("outside")  # until the lookup returns
+        pose = interpolate(*args, **kwargs)
+        calls[-1] = "interpolate"
+        return pose
+
+    def counted_transform(*args, **kwargs):
+        calls.append("transform")
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "interpolate_pose", counted_interpolate)
+    monkeypatch.setattr(cli, "transform_cone", counted_transform)
+    summary = reconstruct_fixture(tmp_path)
+    written, outside = summary["cones_written"], summary["outside_pose_range"]
+    assert (written, outside) == (9, 1)
+    assert calls.count("transform") == written
+    assert calls.count("interpolate") + calls.count("outside") == written + outside
+    assert calls.count("outside") == outside
+    # every returned lookup is followed by its transform, and nothing else is
+    assert [c for c in calls if c != "outside"] == ["interpolate", "transform"] * written
 
 
 def test_reconstruct_drop_ambiguous_counts_the_triple(tmp_path, capsys):

@@ -36,7 +36,9 @@ from oracles import (
     best_disjoint_pairing,
     build_cone_record,
     build_cone_reference,
+    camera_cones,
     cluster_hits_reference,
+    pose_stream,
     process_hits_record,
     scattered_photon_energy,
     track_centroid,
@@ -82,6 +84,12 @@ def pair_batch(*pairs):
     return PairBatch(*zip(*rows)) if rows else PairBatch(*([],) * 8)
 
 
+def cone_records(pairs):
+    """build_cone's cones as camera-frame Cone records, and its two drop counts."""
+    cones, times, invalid, degenerate = build_cone(pairs)
+    return camera_cones(cones, times), invalid, degenerate
+
+
 def same_cone(got, want):
     return (got.origin, got.axis, got.half_angle, got.frame, got.timestamp) == (
         want.origin, want.axis, want.half_angle, want.frame, want.timestamp)
@@ -101,9 +109,9 @@ def energy_split(electron_energies, photon_energies):
 
 def half_angles(electron_energies, photon_energies):
     """The scattering angles build_cone gives the energy splits, all of which must give a cone."""
-    cones, invalid, degenerate = build_cone(energy_split(electron_energies, photon_energies))
-    assert (len(cones), invalid, degenerate) == (len(electron_energies), 0, 0)
-    return [cone.half_angle for cone in cones]
+    cones, times, invalid, degenerate = build_cone(energy_split(electron_energies, photon_energies))
+    assert (len(cones), len(times), invalid, degenerate) == (len(electron_energies), len(electron_energies), 0, 0)
+    return cones.half_angles.tolist()
 
 
 def test_scattering_angle_reference_event():
@@ -121,7 +129,7 @@ def test_scattering_angle_vanishing_electron_energy():
 
 def test_scattering_angle_rejects_impossible_split():
     # B = 1 + 511 (1/1100 - 1/100) = -3.645: no cone, counted as an invalid split
-    assert build_cone(energy_split([1000.0], [100.0])) == ([], 1, 0)
+    assert cone_records(energy_split([1000.0], [100.0])) == ([], 1, 0)
     summary = process_pairs(energy_split([1000.0, 600.0], [100.0, 100.0]), threshold=2000.0).summary
     assert (summary.invalid_scattering, summary.rejected_pairs) == (2, 2)
     with pytest.raises(MalformedInputError):
@@ -502,7 +510,7 @@ def test_build_cone_reference_event():
         electron_toa=20.31,
         photon_toa=0.0,
     )
-    (cone,), invalid, degenerate = build_cone(pair_batch(pair))
+    (cone,), invalid, degenerate = cone_records(pair_batch(pair))
     assert (invalid, degenerate) == (0, 0)
     assert cone.frame is Frame.CAMERA
     assert np.allclose(cone.origin, [0.001, 0.002, 0.00047232936], atol=1e-12)
@@ -515,21 +523,21 @@ def test_build_cone_reference_event():
 
 def test_build_cone_pure_depth_separation():
     pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 20.31, 0.0)
-    (cone,), _, _ = build_cone(pair_batch(pair))
+    (cone,), _, _ = cone_records(pair_batch(pair))
     assert np.allclose(cone.axis, [0.0, 0.0, 1.0])
 
 
 def test_build_cone_degenerate_pair():
     pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 315.70, 394.22, 5.0, 5.0)
-    assert build_cone(pair_batch(pair)) == ([], 0, 1)
+    assert cone_records(pair_batch(pair)) == ([], 0, 1)
 
 
 def test_build_cone_invalid_kinematics():
     pair = ComptonPair((1.0, 2.0), (1.0, 1.0), 1000.0, 100.0, 20.0, 0.0)
-    assert build_cone(pair_batch(pair)) == ([], 1, 0)
+    assert cone_records(pair_batch(pair)) == ([], 1, 0)
     # an impossible split is counted as such even where the events coincide
     pair = ComptonPair((1.0, 1.0), (1.0, 1.0), 1000.0, 100.0, 5.0, 5.0)
-    assert build_cone(pair_batch(pair)) == ([], 1, 0)
+    assert cone_records(pair_batch(pair)) == ([], 1, 0)
 
 
 def test_build_cone_matches_numpy_reference():
@@ -551,7 +559,7 @@ def test_build_cone_matches_numpy_reference():
             invalid += 1
     want.sort(key=lambda c: c.timestamp)
     records.sort(key=lambda c: c.timestamp)
-    got, got_invalid, degenerate = build_cone(pair_batch(*pairs))
+    got, got_invalid, degenerate = cone_records(pair_batch(*pairs))
     assert (got_invalid, degenerate) == (invalid, 0) and invalid > 0
     assert len(got) == len(want)
     for g, w, r in zip(got, want, records):
@@ -603,7 +611,7 @@ def test_process_hits_rejected_pair_tally():
     res = process_hits(hits, duration=1.0)
     assert res.summary.counts[EventClass.COMPTON_CANDIDATE] == 1
     assert res.summary.rejected_pairs == 1
-    assert res.cones == []
+    assert len(res.cones) == len(res.times) == 0
 
 
 def test_process_pairs_counts_drops_by_reason():
@@ -623,8 +631,8 @@ def test_process_pairs_counts_drops_by_reason():
 def test_process_hits_cones_time_sorted():
     hits = synthetic_stream(0, 8, 0, duration_s=1.0)
     res = process_hits(hits)
-    ts = [c.timestamp for c in res.cones]
-    assert ts == sorted(ts)
+    ts = res.times.tolist()
+    assert len(ts) == len(res.cones) == 8 and ts == sorted(ts)
 
 
 def test_zero_duration_rates_are_zero():
@@ -662,13 +670,21 @@ def test_values_past_the_float_range_follow_python_floats_without_warnings():
         warnings.simplefilter("error")
         got = process_hits(hits)
         want = process_hits_record(hits)
-        assert (got.summary, got.pair_count, got.cones) == (want.summary, want.pair_count, want.cones)
+        assert (got.summary, got.pair_count, camera_cones(got.cones, got.times)) == (
+            want.summary, want.pair_count, want.cones)
         assert got.summary.counts[EventClass.BACKGROUND] == 1
         assert process_pairs(pair_batch(pairs[1])).summary.counts[EventClass.BACKGROUND] == 1
         with pytest.raises(MalformedInputError, match="unit length"):
             build_cone_record(pairs[0])
         with pytest.raises(MalformedInputError, match="unit length"):
             build_cone(pair_batch(pairs[0]))
+        # a depth past the float range: the origin is named, as the record names it
+        for pair in (pairs[0], ComptonPair((1.0, 2.0), (3.0, 4.0), 315.70, 394.22, top, -top)):
+            with pytest.raises(MalformedInputError) as want_error:
+                build_cone_record(pair)
+            with pytest.raises(MalformedInputError) as got_error:
+                build_cone(pair_batch(pairs[1], pair, pair))
+            assert str(got_error.value) == str(want_error.value)
 
 
 # three in-order terms whose np.add.reduceat sum differs in the last bit
@@ -682,6 +698,7 @@ def test_process_hits_matches_per_record_pipeline():
     # floats, on streams the bench's 1/256 keV energies cannot stand for
     rng = np.random.default_rng(57)
     poses = trajectory_waypoints((0.0, 0.0, 0.0), 10.0, 2.0, 0.1, 40, altitude=5.0)
+    stream = pose_stream(poses)
     for k in range(40):
         events = REDUCEAT_TRACK + [hit(20.0, 40, 40, 300.0)] + random_stream(rng, int(rng.integers(1, 60)))
         order = rng.permutation(len(events))  # stream order is not time order
@@ -690,13 +707,14 @@ def test_process_hits_matches_per_record_pipeline():
             got = process_hits(hits, drop_ambiguous=drop_ambiguous)
             want = process_hits_record(hits, drop_ambiguous=drop_ambiguous)
             assert got.summary == want.summary and got.pair_count == want.pair_count, k
-            assert len(got.cones) == len(want.cones)
-            assert all(same_cone(g, w) for g, w in zip(got.cones, want.cones)), k
-        assert got.cones[0].timestamp == 0.0  # the cone of the first pair
+            cones = camera_cones(got.cones, got.times)
+            assert len(cones) == len(want.cones)
+            assert all(same_cone(g, w) for g, w in zip(cones, want.cones)), k
+        assert cones[0].timestamp == 0.0  # the cone of the first pair
         # with the world step on top, within rounding of the numpy
         # reference, whose centroids sum 8 terms or more pairwise
-        world = [transform_cone(cone, interpolate_pose(poses, cone.timestamp)) for cone in got.cones
-                 if cone.timestamp <= poses[-1].timestamp]
+        world = [transform_cone(c.origin, c.axis, c.half_angle, c.timestamp, interpolate_pose(stream, c.timestamp))
+                 for c in cones if c.timestamp <= poses[-1].timestamp]
         reference = world_cones_reference(hits, poses)
         assert len(world) == len(reference) > 0
         for g, w in zip(world, reference):

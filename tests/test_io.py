@@ -171,8 +171,9 @@ def test_poses_reader_happy_and_ordering(tmp_path):
         ["0.0,1,2,3,1,0,0,0", "0.5,2,2,3,1,0,0,0"],
     )
     poses = read_poses_csv(path)
-    assert len(poses) == 2
-    assert np.array_equal(poses[0].position, [1.0, 2.0, 3.0])
+    assert poses.times == [0.0, 0.5]
+    assert poses.positions[0] == (1.0, 2.0, 3.0)
+    assert poses.orientations == [(1.0, 0.0, 0.0, 0.0)] * 2
 
     write_lines(path, POSES_HEADER, ["0.5,1,2,3,1,0,0,0", "0.5,2,2,3,1,0,0,0"])
     with pytest.raises(OrderingError):
@@ -192,6 +193,23 @@ def test_poses_reader_rejects_unnormalized_quaternion(tmp_path):
         with pytest.raises(ParseError) as err:
             read_poses_csv(path)
         assert err.value.line == 2, bad
+
+
+def test_poses_reader_reads_like_per_row_reader(tmp_path):
+    # positions as written, quaternions normalized bit for bit as the per-row records do
+    path = tmp_path / "p.csv"
+    fixture = (FIXTURE / "poses.csv").read_text().splitlines()[1:]
+    near_unit = ["0,0,0,5,1,0,0,1e-8", "1,-1e300,2,3,0.5000003,0.5,-0.5,0.5", "2,1,2,3,-0.1,0.2,0.3,0.9273618495495705"]
+    for body in (fixture, near_unit, ["0,1,2,3,1,0,0,0", "", "  ", "1,1,2,3,0,1,0,0"]):
+        write_lines(path, POSES_HEADER, body)
+        got, want = read_poses_csv(path), read_poses_reference(path)
+        assert got.times == [p.timestamp for p in want], body
+        assert got.positions == [p.position for p in want]
+        assert got.orientations == [p.orientation for p in want]
+        assert all(type(v) is float for q in got.orientations for v in q)
+    write_lines(path, POSES_HEADER, near_unit)
+    for orientation in read_poses_csv(path).orientations:
+        assert abs(np.linalg.norm(orientation) - 1.0) < 1e-15
 
 
 def test_poses_reader_rejects_short_row(tmp_path):
@@ -311,6 +329,17 @@ MALFORMED_BODIES = {
         "nan time": "0,0,0,5,1,0,0,0\nnan,0,0,5,1,0,0,0\n2,0,0,5,1,0,0,0\n",
         "nan time on a bad pose": "0,0,0,5,1,0,0,0\nnan,0,0,5,2,0,0,0\n",
         "inf position": "0,0,0,5,1,0,0,0\n1,inf,0,5,1,0,0,0\n",
+        "nan position": "0,0,0,5,1,0,0,0\n1,0,0,nan,1,0,0,0\n",
+        "non-unit quaternion": "0,0,0,5,1,0,0,0\n1,0,0,5,1,0,0,0.01\n",
+        "nan quaternion": "0,0,0,5,1,0,0,0\n1,0,0,5,1,nan,0,0\n",
+        "inf quaternion": "0,0,0,5,1,0,0,0\n1,0,0,5,1,0,-inf,0\n",
+        "quaternion past the float range": "0,0,0,5,1,0,0,0\n1,0,0,5,1e200,0,0,0\n",
+        "zero quaternion": "0,0,0,5,1,0,0,0\n1,0,0,5,0,0,0,0\n",
+        "bad position and bad quaternion on one line": "0,0,0,5,1,0,0,0\n1,-inf,0,5,2,0,0,0\n",
+        "two bad poses": "0,0,0,5,1,0,0,0\n1,0,0,5,1,0,0.5,0\n2,nan,0,5,1,0,0,0\n",
+        "two bad poses, position first": "0,0,0,5,1,0,0,0\n1,0,nan,5,1,0,0,0\n2,0,0,5,0.5,0,0,0\n",
+        "bad pose after backwards time": "0,0,0,5,1,0,0,0\n2,0,0,5,1,0,0,0\n1,0,0,5,1,0,0,0\n3,0,0,5,3,0,0,0\n",
+        "bad pose on a backwards time": "0,0,0,5,1,0,0,0\n2,0,0,5,1,0,0,0\n1,inf,0,5,3,0,0,0\n",
         "short row": "0,0,0,5,1,0,0,0\n1,0,0,5\n",
         "digit separator": "0,0,0,5,1,0,0,0\n1_0,0,0,5,1,0,0,0\n",
     },
