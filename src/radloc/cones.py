@@ -41,7 +41,6 @@ class ProjectionResult(NamedTuple):
     case: ProjectionCase
     alpha: float
     beta: float
-    distance: float
 
 
 def _split(px: float, py: float, pz: float, cone: Cone) -> tuple[float, float, float, float, float, float]:
@@ -217,13 +216,13 @@ def project_to_cone(x, cone: Cone) -> ProjectionResult:
     ell, axial, wx, wy, wz, perp_norm = _split(px, py, pz, cone)
     if ell < 1e-15:
         # apex is itself a surface point; azimuth meaningless
-        return ProjectionResult(cone.origin, ProjectionCase.ON_AXIS, 0.0, -cone.half_angle, 0.0)
+        return ProjectionResult(cone.origin, ProjectionCase.ON_AXIS, 0.0, -cone.half_angle)
 
     alpha = math.atan2(perp_norm, axial)
     beta = alpha - cone.half_angle
 
     if alpha >= 0.5 * math.pi:
-        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta, ell)
+        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta)
 
     case = ProjectionCase.SURFACE
     if perp_norm < 1e-12 * ell:
@@ -234,15 +233,14 @@ def project_to_cone(x, cone: Cone) -> ProjectionResult:
 
     along = ell * math.cos(beta)
     if along <= 0.0:
-        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta, ell)
+        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta)
 
     c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
     (ox, oy, oz), (ax, ay, az) = cone.origin, cone.axis
     qx = ox + along * (c * ax + s * wx)
     qy = oy + along * (c * ay + s * wy)
     qz = oz + along * (c * az + s * wz)
-    gap = math.hypot(px - qx, py - qy, pz - qz)
-    return ProjectionResult((qx, qy, qz), case, alpha, beta, gap)
+    return ProjectionResult((qx, qy, qz), case, alpha, beta)
 
 
 def surface_normal(point, cone: Cone) -> Vec3:

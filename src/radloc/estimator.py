@@ -342,7 +342,7 @@ class SourceEstimator:
                     return kept
         return None
 
-    def _try_initialize(self, cones: list[Cone], timestamp: float) -> bool:
+    def _try_initialize(self, cones: list[Cone], timestamp: float) -> None:
         problem = InitProblem(
             list(cones),
             mode=self.config.mode,
@@ -354,7 +354,7 @@ class SourceEstimator:
         except InfeasibleInitError:
             self.stats.infeasible_solves += 1
             log.debug("initialization infeasible at t=%.3f", timestamp)
-            return False
+            return
         self.last_solution = solution
         if solution.degenerate:
             self.stats.degenerate_solves += 1
@@ -363,7 +363,7 @@ class SourceEstimator:
                 solution.condition,
                 timestamp,
             )
-            return False
+            return
         # consistency gate: geometrically lucky but mutually inconsistent
         # cones (pure background) leave a large best-fit residual
         if solution.cost > INIT_COST_GATE * len(cones) * self.config.r:
@@ -371,14 +371,13 @@ class SourceEstimator:
             log.debug(
                 "inconsistent initialization (cost %.3g) at t=%.3f", solution.cost, timestamp
             )
-            return False
+            return
         v = self.config.init_variance
         omega = (v, 0.0, 0.0), (0.0, v, 0.0), (0.0, 0.0, v)
         self.state = FilterState(solution.p, omega, 0, Status.TRACKING)
         self.buffer = []
         self.init_time = timestamp
         log.info("initialized at t=%.3f, p=(%.3f, %.3f, %.3f)", timestamp, *self.state.x)
-        return True
 
 
 __all__ = [

@@ -75,14 +75,12 @@ class InitProblem:
 
 @dataclass
 class InitSolution:
-    """A solve's point and cost, the conditioning verdict, and the
-    number of polish steps the returned start took."""
+    """A solve's point and cost, and the conditioning verdict."""
 
     p: np.ndarray
     cost: float
     condition: float
     degenerate: bool
-    iterations: int
 
 
 def default_bounds(cones: list[Cone]) -> tuple[np.ndarray, np.ndarray]:
@@ -107,25 +105,16 @@ def cost_and_gradient(p: np.ndarray, cones: Sequence[Cone] | ConeBatch) -> tuple
     return float(r @ r), 2.0 * jac.T @ r
 
 
-def _constraint_system(cones: list[Cone]) -> tuple[np.ndarray, np.ndarray]:
-    """Half-space constraints axis . (p - origin) >= 0 as A p >= b."""
-    a = np.array([c.axis for c in cones])
-    b = np.array([float(np.dot(c.axis, c.origin)) for c in cones])
-    return a, b
-
-
 class Descent(NamedTuple):
     """Outcome of a batched descent from K starts.
 
     x is (K, dims); cost is inf where a start was dropped because the
-    constraints leave no feasible point. steps counts each start's
-    iterations; nit is the most any start took, and nfev counts cost
-    evaluations summed over starts.
+    constraints leave no feasible point. nit is the most steps any start
+    took, and nfev counts cost evaluations summed over starts.
     """
 
     x: np.ndarray
     cost: np.ndarray
-    steps: np.ndarray
     nit: int
     nfev: int
 
@@ -237,7 +226,7 @@ def _descend(
     nfev = k
     feasible = meets(x)
     damping = np.full(k, 1e-3)
-    steps = np.zeros(k, dtype=int)
+    nit = 0
     live = np.arange(k)
     for _ in range(max_steps):
         xl, gl = x[live], grad[live]
@@ -256,7 +245,7 @@ def _descend(
         trial = np.clip(xl + step, lo, hi)
         trial_cost, trial_grad, trial_hess = evaluate(trial)
         nfev += live.size
-        steps[live] += 1
+        nit += 1
         fall = cost[live] - trial_cost
         was_feasible = feasible[live]
         kept = (fall > 0.0) | ~was_feasible
@@ -271,7 +260,7 @@ def _descend(
         if live.size == 0:
             break
     cost[~feasible] = np.inf
-    return Descent(x, cost, steps, int(steps.max(initial=0)), nfev)
+    return Descent(x, cost, nit, nfev)
 
 
 def minimize(
@@ -308,14 +297,15 @@ def solve(problem: InitProblem) -> InitSolution:
     every start that the half-spaces and the box have no common point;
     a degenerate (direction-only) solution is reported, not raised.
     """
-    cones = problem.cones
-    batch = ConeBatch.of(cones)
+    batch = ConeBatch.of(problem.cones)
     lo, hi = problem.bounds
     two_d = problem.mode is Mode.TWO_D
     dims = 2 if two_d else 3
     box = (lo[:dims], hi[:dims])
 
-    a_full, b_vec = _constraint_system(cones)
+    # half-spaces axis . (p - origin) >= 0 as a . p >= b
+    a = batch.axes
+    b = np.array([axis @ origin for axis, origin in zip(a, batch.origins)])
     centroid = np.mean(batch.origins, axis=0)
     rng = np.random.default_rng(_START_SEED)
     pool = lo + rng.random((32 * problem.multistart, 3)) * (hi - lo)
@@ -331,7 +321,7 @@ def solve(problem: InitProblem) -> InitSolution:
         batch,
         refined.x[np.r_[0, order]],
         bounds=box,
-        constraints=(a_full[:, :dims], b_vec),
+        constraints=(a[:, :dims], b),
         options={"maxiter": problem.max_iterations},
     )
     idx = int(np.argmin(polished.cost))
@@ -341,20 +331,19 @@ def solve(problem: InitProblem) -> InitSolution:
 
     p = np.zeros(3)
     p[:dims] = polished.x[idx]
-    iterations = int(polished.steps[idx])
     # Conditioning is judged only from cones whose distance is smooth at p;
     # a cone whose apex coincides with p has no gradient there and cannot
     # pin the solution down.  No smooth cone left means the point is fully
     # unconstrained to first order.
-    smooth = [c for c in cones if np.linalg.norm(p - c.origin) >= 1e-9]
-    if smooth:
-        jac_free = jacobian(p, smooth)[:, :dims]
+    smooth = np.linalg.norm(p - batch.origins, axis=1) >= 1e-9
+    if smooth.any():
+        jac_free = batch.derivatives(p)[1][smooth, :dims]
         normal = jac_free.T @ jac_free
         condition = float(np.linalg.cond(normal))
     else:
         condition = float("inf")
     degenerate = (not np.isfinite(condition)) or condition > DEGENERACY_THRESHOLD
-    return InitSolution(p, cost, condition, degenerate, iterations)
+    return InitSolution(p, cost, condition, degenerate)
 
 
 __all__ = [

@@ -7,11 +7,12 @@ cells, numbers first and any text cells last. Numbers are plain decimal
 digit separators are read. The reader parses the numbers of the whole
 body in one call and checks columns as arrays; only a failure makes it
 look at single lines. Readers raise ParseError at the earliest faulty
-line, SchemaError for wrong headers or config keys, and OrderingError
-when a time-ordered stream runs backwards. A record's values are
-checked by its own type (HitBatch, PairBatch, Cone; poses as columns),
-and a refusal is a ParseError at its line. Writers go through an atomic
-temp-file rename so interrupted runs never leave truncated output behind.
+line, SchemaError for wrong headers or config keys and for a pose or
+truth file with no rows, and OrderingError when a time-ordered stream
+runs backwards. A record's values are checked by its own type
+(HitBatch, PairBatch, Cone; poses as columns), and a refusal is a
+ParseError at its line. Writers go through an atomic temp-file rename
+so interrupted runs never leave truncated output behind.
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def _pose_stream(t, px, py, pz, qw, qx, qy, qz) -> PoseStream:
 
 def read_poses_csv(path: str | Path) -> PoseStream:
     order = (np.less_equal, "pose timestamps must strictly increase")
-    return _read_table(path, POSES_HEADER, partial(_batch, _pose_stream), finite={0: "timestamp"}, order=order)
+    stream = _read_table(path, POSES_HEADER, partial(_batch, _pose_stream), finite={0: "timestamp"}, order=order)
+    if not stream.times:
+        raise SchemaError(f"{path}: no poses", keys=[])
+    return stream
 
 
 def _cone(t: float, ox: float, oy: float, oz: float, dx: float, dy: float, dz: float, theta: float,

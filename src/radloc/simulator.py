@@ -34,8 +34,8 @@ MIN_THETA = 0.2
 MAX_THETA = 1.4
 
 _TWO_PI = 2.0 * math.pi
-# a step record's action and status names, looked up once per step
-_NAMES = {None: "none", **{a: a.value for a in Action}, **{s: s.value for s in Status}}
+# a step record's action names, looked up once per step
+_NAMES = {None: "none", **{a: a.value for a in Action}}
 
 
 class Program(Enum):
@@ -44,11 +44,6 @@ class Program(Enum):
     SEARCH = "search"
     STATIONARY = "stationary"
     RADIAL = "radial"
-
-
-class Phase(Enum):
-    SWEEP_AREA = "sweep"
-    ORBIT_HYPOTHESIS = "orbit"
 
 
 @dataclass
@@ -101,20 +96,12 @@ class Scenario:
 
 
 @dataclass
-class StrategyState:
-    phase: Phase = Phase.SWEEP_AREA
-    center: Vec3 = (0.0, 0.0, 0.0)
-    azimuth: float = 0.0
-
-
-@dataclass
 class StepRecord:
     t: float
     truth: Vec3
     estimate: Vec3 | None
     error: float  # nan while no hypothesis exists
     phase: str
-    status: str
     action: str  # last ingest action within the step, or "none"
 
 
@@ -213,6 +200,17 @@ def _default_start(scenario: Scenario) -> Vec3:
     return sweep_radius, 0.0, alt
 
 
+def _approach(position: Vec3, target: Vec3, step: float) -> Vec3:
+    """A step of at most `step` straight toward target, held at a standoff."""
+    offset = [a - b for a, b in zip(target, position)]
+    dist = math.hypot(*offset)
+    standoff = 1.5  # keep a residual range so the rate stays finite
+    if dist <= standoff:
+        return position
+    step = min(step, dist - standoff)
+    return tuple(p + o / dist * step for p, o in zip(position, offset))
+
+
 def run_scenario(scenario: Scenario) -> SimulationReport:
     """Advance the closed loop scenario and log every step.
 
@@ -224,27 +222,23 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     session = SourceEstimator(scenario.estimator)
     report = SimulationReport(scenario.seed, scenario.duration, stats=session.stats)
 
-    alt = scenario.flight_altitude
-    sweep_center = (0.0, 0.0, alt)
-    strategy = StrategyState(center=sweep_center)
-
+    dt, speed, alt = scenario.timestep, scenario.uav_speed, scenario.flight_altitude
+    sweep_center, sweep_radius = (0.0, 0.0, alt), min(scenario.area) / 2.0
     position = scenario.uav_start if scenario.uav_start is not None else _default_start(scenario)
     search = scenario.program is Program.SEARCH
-    if search:
-        strategy.azimuth = math.atan2(
-            position[1] - sweep_center[1], position[0] - sweep_center[0]
-        )
+    orbiting = False
+    azimuth = math.atan2(position[1] - sweep_center[1], position[0] - sweep_center[0])
 
     (s0, s1, s2), (v0, v1, v2) = scenario.source_initial, scenario.source_velocity
-    phase = strategy.phase.value if search else scenario.program.value
-    n_steps = int(round(scenario.duration / scenario.timestep))
+    phase = "sweep" if search else scenario.program.value
+    n_steps = int(round(scenario.duration / dt))
     for k in range(n_steps):
-        t = k * scenario.timestep
+        t = k * dt
         truth = s0 + t * v0, s1 + t * v1, s2 + t * v2
         if not all(map(math.isfinite, position)):
             raise MalformedInputError(f"pose position must be finite, got {position!r}")
 
-        src, bg = sample_cones(truth, position, t, scenario.detector, scenario.activity, scenario.timestep, rng)
+        src, bg = sample_cones(truth, position, t, scenario.detector, scenario.activity, dt, rng)
         report.cones_source += len(src)
         report.cones_background += len(bg)
 
@@ -264,61 +258,28 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
         # strategy reacts only to estimator status changes: a lock starts
         # the orbit around the hypothesis, a reset the sweep again
-        if search and tracking == (strategy.phase is Phase.SWEEP_AREA):
-            strategy.phase = Phase.ORBIT_HYPOTHESIS if tracking else Phase.SWEEP_AREA
-            strategy.center = session.state.x if tracking else sweep_center
-            strategy.azimuth = math.atan2(
-                position[1] - strategy.center[1], position[0] - strategy.center[0]
-            )
-            phase = strategy.phase.value
+        if search and tracking != orbiting:
+            orbiting = tracking
+            center = session.state.x if orbiting else sweep_center
+            azimuth = math.atan2(position[1] - center[1], position[0] - center[0])
+            phase = "orbit" if orbiting else "sweep"
             report.transitions.append((t, phase))
 
         estimate = session.state.x if tracking else None
         error = math.dist(estimate, truth) if estimate is not None else float("nan")
-        report.steps.append(
-            StepRecord(t, truth, estimate, error, phase, _NAMES[session.state.status], _NAMES[action])
-        )
+        report.steps.append(StepRecord(t, truth, estimate, error, phase, _NAMES[action]))
 
-        position = _advance(scenario, strategy, session, position)
+        if speed == 0.0 or scenario.program is Program.STATIONARY:
+            continue
+        if not search:
+            position = _approach(position, (*scenario.source_initial[:2], alt), speed * dt)
+            continue
+        # the orbit follows the live hypothesis so a moving source stays encircled
+        center, radius = (session.state.x, scenario.orbit_radius) if orbiting else (sweep_center, sweep_radius)
+        azimuth += _chord_step(speed, dt, radius)
+        position = center[0] + radius * math.cos(azimuth), center[1] + radius * math.sin(azimuth), alt
 
     return report
-
-
-def _advance(
-    scenario: Scenario,
-    strategy: StrategyState,
-    session: SourceEstimator,
-    position: Vec3,
-) -> Vec3:
-    """Next vehicle position under the active program."""
-    dt = scenario.timestep
-    speed = scenario.uav_speed
-    alt = scenario.flight_altitude
-    if scenario.program is Program.STATIONARY or speed == 0.0:
-        return position
-    if scenario.program is Program.RADIAL:
-        target = (*scenario.source_initial[:2], alt)
-        offset = [a - b for a, b in zip(target, position)]
-        dist = math.hypot(*offset)
-        standoff = 1.5  # keep a residual range so the rate stays finite
-        if dist <= standoff:
-            return position
-        step = min(speed * dt, dist - standoff)
-        return tuple(p + o / dist * step for p, o in zip(position, offset))
-
-    if strategy.phase is Phase.ORBIT_HYPOTHESIS:
-        # follow the live hypothesis so a moving source stays encircled
-        if session.state.status is Status.TRACKING:
-            strategy.center = session.state.x
-        radius = scenario.orbit_radius
-    else:
-        radius = min(scenario.area) / 2.0
-    strategy.azimuth += _chord_step(speed, dt, radius)
-    return (
-        strategy.center[0] + radius * math.cos(strategy.azimuth),
-        strategy.center[1] + radius * math.sin(strategy.azimuth),
-        alt,
-    )
 
 
 def metrics(report: SimulationReport) -> dict:
@@ -358,12 +319,10 @@ __all__ = [
     "DetectorModel",
     "MAX_THETA",
     "MIN_THETA",
-    "Phase",
     "Program",
     "Scenario",
     "SimulationReport",
     "StepRecord",
-    "StrategyState",
     "metrics",
     "run_scenario",
     "sample_cones",

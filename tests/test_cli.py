@@ -257,6 +257,17 @@ def test_reconstruct_schema_error_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("events", ["hits.csv", "hits_empty.csv", "pairs.csv"])
+def test_reconstruct_header_only_pose_file_exit_3(tmp_path, capsys, events):
+    # refused by the pose reader, whatever the events hold
+    poses = tmp_path / "poses.csv"
+    poses.write_text(",".join(POSES_HEADER) + "\n")
+    argv = ["reconstruct", "--events", str(FIXTURE / events), "--poses", str(poses)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert f"{poses}: no poses" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_ordering_error_exit_4(tmp_path):
     events = tmp_path / "hits.csv"
     write_hits_csv(events, synthetic_stream(5, 1, 0, duration_s=1.0))
@@ -350,7 +361,7 @@ def test_estimate_tuning_defaults_come_from_noise_config(tmp_path, monkeypatch):
 def test_estimate_summary_counts_inconsistent_solves(tmp_path, monkeypatch):
     # a best fit far above the consistency gate: every attempt is inconsistent
     def inconsistent(problem):
-        return InitSolution(np.zeros(3), 1e9, 1.0, False, 1)
+        return InitSolution(np.zeros(3), 1e9, 1.0, False)
 
     monkeypatch.setattr(estimator, "solve", inconsistent)
     cones_path = tmp_path / "cones.csv"

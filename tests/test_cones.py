@@ -96,18 +96,20 @@ def test_signed_deviation_sign():
 
 
 def test_project_point_on_surface_is_fixed():
-    res = project_to_cone(np.array([1.0, 0.0, 1.0]), upcone())
+    x = np.array([1.0, 0.0, 1.0])
+    res = project_to_cone(x, upcone())
     assert res.case is ProjectionCase.SURFACE
     assert np.allclose(res.point, [1.0, 0.0, 1.0], atol=1e-12)
-    assert res.distance == pytest.approx(0.0, abs=1e-12)
+    assert math.dist(x, res.point) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_behind_apex_maps_to_apex():
-    res = project_to_cone(np.array([0.0, 0.0, -1.0]), upcone())
+    x = np.array([0.0, 0.0, -1.0])
+    res = project_to_cone(x, upcone())
     assert res.case is ProjectionCase.APEX
     assert np.allclose(res.point, np.zeros(3))
     assert res.alpha == pytest.approx(math.pi, abs=1e-12)
-    assert res.distance == 1.0
+    assert math.dist(x, res.point) == 1.0
 
 
 def test_project_axial_plane_value():
@@ -208,7 +210,7 @@ def test_projection_orthogonality():
         cone = random_cone(rng)
         x = cone.origin + rng.normal(size=3) * 4.0
         res = project_to_cone(x, cone)
-        if res.case is not ProjectionCase.SURFACE or res.distance < 1e-6:
+        if res.case is not ProjectionCase.SURFACE or math.dist(x, res.point) < 1e-6:
             continue
         r = x - res.point
         gen = unit(np.subtract(res.point, cone.origin))
@@ -233,7 +235,7 @@ def test_projection_rotation_equivariance():
         want = cone.origin + R @ np.subtract(res.point, cone.origin)
         if res.case is ProjectionCase.SURFACE:
             assert np.linalg.norm(res_rot.point - want) < 1e-9
-        assert res_rot.distance == pytest.approx(res.distance, abs=1e-9)
+        assert math.dist(x_rot, res_rot.point) == pytest.approx(math.dist(x, res.point), abs=1e-9)
 
 
 # --- surface helpers ---

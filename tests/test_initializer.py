@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from radloc.cones import distance_to_cone, project_to_cone
+from radloc import initializer
 from radloc.errors import InfeasibleInitError, MalformedInputError
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import (
@@ -17,6 +18,7 @@ from radloc.initializer import (
     cost_and_gradient,
     default_bounds,
     jacobian,
+    minimize,
     residuals,
     solve,
 )
@@ -437,5 +439,27 @@ def test_solve_reports_iterations():
     rng = np.random.default_rng(14)
     cones = exact_instance(np.array([1.0, 1.0, 1.0]), rng)
     sol = solve(InitProblem(cones=cones))
-    assert sol.iterations >= 0
     assert np.isfinite(sol.condition)
+
+
+def test_minimize_reports_steps_and_evaluations(monkeypatch):
+    # what the benchmark's tracer reads of the polish: the steps the slowest
+    # start took (at the cap when a start is cut off) and the cost evaluations
+    calls = []
+
+    def traced(batch, x0, **kwargs):
+        out = minimize(batch, x0, **kwargs)
+        calls.append((len(x0), kwargs["options"]["maxiter"], out))
+        return out
+
+    monkeypatch.setattr(initializer, "minimize", traced)
+    cones = exact_instance(np.array([1.0, 1.0, 1.0]), np.random.default_rng(14))
+    solve(InitProblem(cones=cones))
+    (starts, maxiter, full), = calls
+    assert 2 <= full.nit < maxiter
+    assert full.nfev >= starts + full.nit
+    # one step short of what the slowest start needs, it stops at the cap
+    solve(InitProblem(cones=cones, max_iterations=full.nit - 1))
+    starts, maxiter, cut = calls[-1]
+    assert cut.nit == maxiter == full.nit - 1
+    assert cut.nfev >= starts + cut.nit

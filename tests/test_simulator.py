@@ -230,7 +230,7 @@ def report_equal(a, b):
     if len(a.steps) != len(b.steps):
         return False
     for sa, sb in zip(a.steps, b.steps):
-        if sa.t != sb.t or sa.phase != sb.phase or sa.status != sb.status:
+        if sa.t != sb.t or sa.phase != sb.phase:
             return False
         if sa.action != sb.action or not np.array_equal(sa.truth, sb.truth):
             return False
@@ -269,20 +269,23 @@ def test_run_scenario_truth_follows_kinematics():
 
 
 def test_run_scenario_orbit_only_while_tracking():
+    # the search orbits exactly while it has an estimate, and each transition
+    # lands on a step where that flips; the open-loop programs carry their name
     report = run_scenario(
         static_scenario(detector=DetectorModel(angular_sigma=0.05, background_rate=0.1))
     )
-    for step in report.steps:
-        if step.phase == "orbit":
-            assert step.status == "tracking"
-    # transitions land exactly on status flips
+    assert {step.phase for step in report.steps} == {"sweep", "orbit"}
     flips = []
-    prev = "collecting"
+    tracking = False
     for step in report.steps:
-        if step.status != prev:
-            flips.append(step.t)
-            prev = step.status
-    assert [t for t, _ in report.transitions] == flips
+        assert (step.phase == "orbit") == (step.estimate is not None)
+        if (step.estimate is not None) != tracking:
+            tracking = not tracking
+            flips.append((step.t, step.phase))
+    assert report.transitions == flips
+    for program in (Program.STATIONARY, Program.RADIAL):
+        report = run_scenario(static_scenario(program=program, duration=5.0))
+        assert report.steps and {step.phase for step in report.steps} == {program.value}
 
 
 def test_run_scenario_stationary_uav_never_tracks():
