@@ -12,7 +12,6 @@ Pipeline layout:
 
 from .cones import ProjectionCase, ProjectionResult, project_to_cone
 from .errors import (
-    FilterLifecycleError,
     InfeasibleInitError,
     InvalidRowError,
     MalformedInputError,
@@ -28,7 +27,6 @@ from .estimator import (
     NoiseConfig,
     SessionStats,
     SourceEstimator,
-    Status,
     correct,
     predict,
 )

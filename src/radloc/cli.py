@@ -29,7 +29,7 @@ from .errors import (
     RadlocError,
     SchemaError,
 )
-from .estimator import NoiseConfig, SourceEstimator, Status
+from .estimator import NoiseConfig, SourceEstimator
 from .events import EventClass, check_positive, process_hits, process_pairs
 from .geometry import Frame, interpolate_pose, transform_cone
 from .initializer import Mode
@@ -166,29 +166,30 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     tuning = {f.name: given[f.name] for f in dataclasses.fields(NoiseConfig) if f.name in given}
     session = SourceEstimator(NoiseConfig(**tuning))
     rows = []
-    nan3 = (float("nan"),) * 3
+    nan9 = (float("nan"),) * 9  # the estimate and the covariance's upper triangle
     for cone in cones:
         state, action = session.ingest(cone)
-        tracking = state.status is Status.TRACKING
-        (xx, xy, xz), (_, yy, yz), (_, _, zz) = state.omega if tracking else (nan3,) * 3
-        rows.append((cone.timestamp, *(state.x if tracking else nan3), xx, xy, xz, yy, yz, zz,
-                     state.status.value, action.value))
+        if state is None:
+            rows.append((cone.timestamp, *nan9, "collecting", action.value))
+        else:
+            (xx, xy, xz), (_, yy, yz), (_, _, zz) = state.omega
+            rows.append((cone.timestamp, *state.x, xx, xy, xz, yy, yz, zz, "tracking", action.value))
     rio.write_estimates_csv(out / "estimates.csv", rows)
 
-    tracking = session.state.status is Status.TRACKING
+    state = session.state
     summary = {
         "cones": len(cones),
         "init_time_s": session.init_time,
         "initialized": session.init_time is not None,
-        "status": session.state.status.value,
-        "final_estimate": session.state.x if tracking else None,
-        "final_covariance": session.state.omega if tracking else None,
+        "status": "collecting" if state is None else "tracking",
+        "final_estimate": None if state is None else state.x,
+        "final_covariance": None if state is None else state.omega,
         **dataclasses.asdict(session.stats),
         "degenerate": session.last_solution.degenerate if session.last_solution else None,
     }
     rio.write_json(out / "summary.json", summary)
-    if tracking:
-        x = session.state.x
+    if state is not None:
+        x = state.x
         print(f"status=tracking estimate=({x[0]:.3f}, {x[1]:.3f}, {x[2]:.3f}) m")
     elif session.init_time is not None:  # locked, then reset by a run of gated cones
         print(f"status=collecting (initialized, then reset; {len(cones)} cones)")

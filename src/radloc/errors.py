@@ -51,9 +51,5 @@ class PoseExtrapolationError(RadlocError):
     """Requested time lies outside the pose stream."""
 
 
-class FilterLifecycleError(RadlocError):
-    """Estimator operation called in the wrong lifecycle phase."""
-
-
 class InfeasibleInitError(RadlocError):
     """No feasible initializer solution was found from any start."""

@@ -7,7 +7,8 @@ the hypothesis onto the cone surface. The measurement covariance is
 anisotropic: informative along the correction direction, effectively
 uninformative across it. A session object handles the lifecycle:
 collect cones, initialize by constrained least squares, track, and
-reset after a run of gated outliers.
+reset after a run of gated outliers. The session has a filter state
+only while tracking.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cones import ProjectionCase, project_to_cone, surface_normal
-from .errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
+from .errors import InfeasibleInitError, MalformedInputError
 from .geometry import Cone, Frame, Vec3, vec3
 from .initializer import InitProblem, InitSolution, Mode, solve
 
 log = logging.getLogger(__name__)
-
-
-class Status(Enum):
-    COLLECTING = "collecting"
-    TRACKING = "tracking"
 
 
 class Action(Enum):
@@ -60,7 +56,7 @@ class NoiseConfig:
     model follow a slowly moving source. A cone whose squared
     Mahalanobis innovation exceeds gate is rejected; RESET_RUN_LENGTH + 1
     (4) rejections in a row reset the hypothesis, and the rejected run
-    seeds the new buffer.
+    is the new buffer.
 
     Initialization solves on init_count cones whose origins lie pairwise
     more than MIN_ORIGIN_SEPARATION (0.5 m) apart, and starts the filter
@@ -114,20 +110,18 @@ class SessionStats:
 
 @dataclass
 class FilterState:
-    """Source hypothesis x (m) with covariance omega (m^2), and its lifecycle.
+    """Source hypothesis x (m) with covariance omega (m^2).
 
     x is a tuple of three floats and omega the tuple of its three rows,
     whatever sequences they were given as. Every state is checked: x and
     omega finite, omega symmetric to 1e-12 and positive definite (every
     LDL^T pivot > 0), or MalformedInputError. predict and correct run the
     checks on the floats they computed, without converting them again; a
-    branch that returns its input's x and omega reuses them unchecked.
+    correct that returns its input state returns it as it is.
     """
 
-    x: Vec3 = (0.0, 0.0, 0.0)
-    omega: tuple[Vec3, Vec3, Vec3] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    consecutive_outliers: int = 0
-    status: Status = Status.COLLECTING
+    x: Vec3
+    omega: tuple[Vec3, Vec3, Vec3]
 
     def __post_init__(self) -> None:
         self.x = vec3(self.x)
@@ -147,10 +141,10 @@ def _check(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> None:
         raise MalformedInputError("covariance must be positive definite")
 
 
-def _state(x: Vec3, omega: tuple[Vec3, Vec3, Vec3], outliers: int, status: Status) -> FilterState:
+def _state(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> FilterState:
     """A FilterState of fields in their stored form, without __post_init__: x and omega checked already."""
     state = object.__new__(FilterState)
-    state.x, state.omega, state.consecutive_outliers, state.status = x, omega, outliers, status
+    state.x, state.omega = x, omega
     return state
 
 
@@ -179,34 +173,30 @@ def _ldl_solve(factor, b0: float, b1: float, b2: float) -> tuple[float, float, f
 
 def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     """Identity-motion prediction: position kept, covariance inflated by q."""
-    if state.status is not Status.TRACKING:
-        raise FilterLifecycleError("predict requires an initialized (tracking) state")
     q = config.q
     (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
     omega = (o00 + q, o01, o02), (o10, o11 + q, o12), (o20, o21, o22 + q)
     _check(state.x, omega)
-    return _state(state.x, omega, state.consecutive_outliers, state.status)
+    return _state(state.x, omega)
 
 
-def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
+def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState | None:
     """One gated Kalman correction toward the cone surface.
 
     The innovation nu points from the hypothesis to its projection on the
     cone, along n; one LDL^T factorization of S = omega + far (I - n n^T)
     + r n n^T gives both d2 = nu^T S^-1 nu and the gain. A hypothesis
     already on the surface takes the surface normal as n; at the apex or
-    on the axis there is no usable direction and nothing to update. A cone
-    whose d2 exceeds the gate is gated: an innovation exactly at the
-    gate is accepted. Accepted measurements (including zero-innovation
-    ones, which update only the covariance along the surface normal) reset
-    the outlier run; gated ones increment it and leave the state untouched
-    otherwise. Ground-plane mode re-pins z to 0 and restores the prior z
-    variance so the flattening never fakes confidence in altitude. The
-    step is plain float arithmetic, each entry in a fixed order of
-    operations, so equal inputs give equal bits.
+    on the axis there is no usable direction and nothing to update, so the
+    input state is returned. A cone whose d2 exceeds the gate is gated,
+    and None is returned: an innovation exactly at the gate is accepted.
+    An accepted measurement (a zero-innovation one updates only the
+    covariance along the surface normal) returns the new state.
+    Ground-plane mode re-pins z to 0 and restores the prior z variance so
+    the flattening never fakes confidence in altitude. The step is plain
+    float arithmetic, each entry in a fixed order of operations, so equal
+    inputs give equal bits.
     """
-    if state.status is not Status.TRACKING:
-        raise FilterLifecycleError("correct requires an initialized (tracking) state")
     if cone.frame is not Frame.WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
@@ -220,9 +210,9 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         try:
             d0, d1, d2 = surface_normal(res.point, cone)
         except ValueError:
-            return _state(state.x, state.omega, 0, state.status)
+            return state
     else:
-        return _state(state.x, state.omega, 0, state.status)
+        return state
     # along = n n^T / n^T n and P = I - along; each diagonal entry of P is
     # a sum of the other two squares, so no entry cancels
     r, far = config.r, config.far_variance
@@ -239,7 +229,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
     y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
     if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
-        return _state(state.x, state.omega, state.consecutive_outliers + 1, state.status)
+        return None
 
     # x moves by K nu = omega S^-1 nu. K = omega S^-1 is solved row by row
     # (omega is symmetric), then the Joseph form (I - K) omega (I - K)^T + K R K^T
@@ -274,7 +264,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
         z, w02, w12, w22 = 0.0, 0.0, 0.0, o22
     x, omega = (*xy, z), ((w00, w01, w02), (w01, w11, w12), (w02, w12, w22))
     _check(x, omega)
-    return _state(x, omega, 0, Status.TRACKING)
+    return _state(x, omega)
 
 
 class SourceEstimator:
@@ -286,21 +276,27 @@ class SourceEstimator:
     platform never moves enough, a fallback solve on the most recent
     cones runs anyway so degenerate geometry gets reported instead of
     stalling silently.
+
+    state is None while collecting and the filter state while tracking.
+    buffer holds every cone the filter has not absorbed: while
+    collecting, the cones initialization may solve on; while tracking,
+    the gated cones since the last accepted one. When that run grows past
+    RESET_RUN_LENGTH, the hypothesis is dropped and the run is the buffer
+    the next initialization starts from.
     """
 
     def __init__(self, config: NoiseConfig | None = None):
         self.config = config if config is not None else NoiseConfig()
-        self.state = FilterState()
+        self.state: FilterState | None = None
         self.buffer: list[Cone] = []
-        self._rejected_run: list[Cone] = []
         self.last_solution: InitSolution | None = None
         self.stats = SessionStats()
         self.init_time: float | None = None
 
-    def ingest(self, cone: Cone) -> tuple[FilterState, Action]:
+    def ingest(self, cone: Cone) -> tuple[FilterState | None, Action]:
         if cone.frame is not Frame.WORLD:
             raise MalformedInputError("ingest expects world-frame cones")
-        if self.state.status is Status.COLLECTING:
+        if self.state is None:
             self.buffer.append(cone)
             trigger = self._separated_subset()
             if trigger is None and len(self.buffer) >= FALLBACK_FACTOR * self.config.init_count:
@@ -311,26 +307,22 @@ class SourceEstimator:
                 self._try_initialize(trigger, cone.timestamp)
             return self.state, Action.BUFFERED
 
-        self.state = predict(self.state, self.config)
-        before = self.state.consecutive_outliers
-        self.state = correct(self.state, cone, self.config)
-        if self.state.consecutive_outliers > before:
+        predicted = predict(self.state, self.config)
+        corrected = correct(predicted, cone, self.config)
+        if corrected is None:
             self.stats.rejected += 1
-            self._rejected_run.append(cone)
-            if self.state.consecutive_outliers > RESET_RUN_LENGTH:
-                return self._reset()
-            return self.state, Action.REJECTED
+            self.buffer.append(cone)
+            if len(self.buffer) > RESET_RUN_LENGTH:
+                self.stats.resets += 1
+                self.state = None
+                log.info("hypothesis reset; reseeding buffer with %d cones", len(self.buffer))
+                return None, Action.RESET
+            self.state = predicted
+            return predicted, Action.REJECTED
         self.stats.accepted += 1
-        self._rejected_run.clear()
-        return self.state, Action.CORRECTED
-
-    def _reset(self) -> tuple[FilterState, Action]:
-        self.stats.resets += 1
-        # the rejected run is the last RESET_RUN_LENGTH + 1 cones
-        self.buffer, self._rejected_run = self._rejected_run, []
-        self.state = FilterState()
-        log.info("hypothesis reset; reseeding buffer with %d cones", len(self.buffer))
-        return self.state, Action.RESET
+        self.buffer.clear()
+        self.state = corrected
+        return corrected, Action.CORRECTED
 
     def _separated_subset(self) -> list[Cone] | None:
         """Earliest arrival-order subset with pairwise separated origins."""
@@ -374,7 +366,7 @@ class SourceEstimator:
             return
         v = self.config.init_variance
         omega = (v, 0.0, 0.0), (0.0, v, 0.0), (0.0, 0.0, v)
-        self.state = FilterState(solution.p, omega, 0, Status.TRACKING)
+        self.state = FilterState(solution.p, omega)
         self.buffer = []
         self.init_time = timestamp
         log.info("initialized at t=%.3f, p=(%.3f, %.3f, %.3f)", timestamp, *self.state.x)
@@ -386,7 +378,6 @@ __all__ = [
     "NoiseConfig",
     "SessionStats",
     "SourceEstimator",
-    "Status",
     "correct",
     "predict",
 ]

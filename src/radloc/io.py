@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import NoReturn, get_type_hints
 
 import numpy as np
-import yaml
 
 from .errors import InvalidRowError, MalformedInputError, OrderingError, ParseError, RadlocError, SchemaError
 from .estimator import NoiseConfig
@@ -409,16 +408,16 @@ def _check_keys(section: dict, allowed: Iterable[str], where: str) -> None:
         raise SchemaError(f"unknown {where} keys: {', '.join(unknown)}", keys=unknown)
 
 
-# libyaml's parser where PyYAML was built with it: the same resolver and
-# constructor as yaml.SafeLoader, about ten times faster on a scenario file
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario config file."""
+    # imported here, so that only simulate pays for PyYAML's import; libyaml's
+    # parser where PyYAML was built with it: the same resolver and constructor
+    # as yaml.SafeLoader, about ten times faster on a scenario file
+    import yaml
+
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     except yaml.YAMLError as exc:

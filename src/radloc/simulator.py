@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import MalformedInputError
-from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator, Status
+from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator
 from .geometry import Cone, Frame, Vec3, cross, perpendicular_unit, unit, vec3
 
 log = logging.getLogger(__name__)
@@ -252,7 +252,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
             elif action is Action.RESET:
                 log.info("reset at t=%.1f", t)
 
-        tracking = session.state.status is Status.TRACKING
+        tracking = session.state is not None
         if report.init_time is None and session.init_time is not None:
             report.init_time = session.init_time
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from radloc.constants import (
 )
 from radloc.cones import ProjectionCase, project_to_cone, surface_normal
 from radloc.errors import (
-    FilterLifecycleError,
     MalformedInputError,
     OrderingError,
     ParseError,
@@ -43,7 +42,7 @@ from radloc.events import (
     PipelineResult,
     delta_z,
 )
-from radloc.estimator import FilterState, NoiseConfig, Status, _ldl, _ldl_solve
+from radloc.estimator import FilterState, NoiseConfig, _ldl, _ldl_solve
 from radloc.geometry import Cone, Frame, PoseStream, cross, perpendicular_unit, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 from radloc.simulator import CONE_RATE_CONSTANT, MAX_THETA, MIN_THETA
@@ -184,15 +183,14 @@ def cone_normal_reference(point, origin, axis, half_angle) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState:
+def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState | None:
     """The filter correction as radloc.estimator.correct computed it before it
     was written out entry by entry: the same floating-point operations in the
     same order, with the gain rows, I - K, K P and the Joseph form built as
     nested lists multiplied by _mul_reference. The production function must
-    match it bit for bit; the LDL^T helpers are shared, not re-derived.
+    match it bit for bit; the LDL^T helpers are shared, not re-derived. A gated
+    cone gives None, and one with no usable direction the state it was given.
     """
-    if state.status is not Status.TRACKING:
-        raise FilterLifecycleError("correct requires an initialized (tracking) state")
     if cone.frame is not Frame.WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
@@ -206,9 +204,9 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
         try:
             d0, d1, d2 = surface_normal(res.point, cone)
         except ValueError:
-            return replace(state, consecutive_outliers=0)
+            return state
     else:
-        return replace(state, consecutive_outliers=0)
+        return state
     r, far = config.r, config.far_variance
     nn = d0 * d0 + d1 * d1 + d2 * d2
     a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
@@ -224,7 +222,7 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
     y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
     if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
-        return replace(state, consecutive_outliers=state.consecutive_outliers + 1)
+        return None
 
     x_new = [xi + o0 * y0 + o1 * y1 + o2 * y2 for xi, (o0, o1, o2) in zip((x0, x1, x2), omega)]
     gain = [_ldl_solve(factor, *row) for row in omega]
@@ -239,7 +237,7 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
     if config.mode is Mode.TWO_D:
         x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
     omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
-    return FilterState(x_new, omega_new, 0, Status.TRACKING)
+    return FilterState(x_new, omega_new)
 
 
 def _mul_reference(a, b_t) -> list[list[float]]:

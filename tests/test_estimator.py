@@ -2,24 +2,26 @@ import math
 import struct
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radloc.cones import ProjectionCase, project_to_cone
 from radloc import estimator
-from radloc.errors import FilterLifecycleError, InfeasibleInitError, MalformedInputError
+from radloc.errors import InfeasibleInitError, MalformedInputError
 from radloc.estimator import (
     Action,
     FilterState,
     NoiseConfig,
     SourceEstimator,
-    Status,
     correct,
     predict,
 )
 from radloc.geometry import Cone, Frame, unit
 from radloc.initializer import Mode
+from radloc.io import load_scenario
+from radloc.simulator import run_scenario
 
 from oracles import cone_normal_reference, correct_reference, kalman_cone_update_reference, surface_points
 from test_initializer import cone_through, exact_instance
@@ -29,7 +31,6 @@ def tracking_state(x, omega=None):
     return FilterState(
         x=np.asarray(x, dtype=float),
         omega=np.eye(3) if omega is None else omega,
-        status=Status.TRACKING,
     )
 
 
@@ -85,24 +86,24 @@ def test_filter_state_stores_tuples_of_floats():
             assert type(row) is tuple and len(row) == 3 and all(type(c) is float for c in row)
     # symmetric with a positive diagonal, but indefinite: the second pivot is negative
     with pytest.raises(MalformedInputError):
-        FilterState(omega=((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        FilterState((0.0, 0.0, 0.0), ((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def test_filter_state_validation():
     with pytest.raises(MalformedInputError):
-        FilterState(omega=np.diag([1.0, 1.0, 0.0]))
+        FilterState((0.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]))
     bad = np.eye(3)
     bad[0, 1] = 1e-6
     with pytest.raises(MalformedInputError):
-        FilterState(omega=bad)
+        FilterState((0.0, 0.0, 0.0), bad)
     for x in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]):
         with pytest.raises(MalformedInputError):
-            FilterState(x=x)
+            FilterState(x, np.eye(3))
     for i, j, value in ((0, 0, math.nan), (1, 1, math.inf), (0, 2, math.nan), (1, 2, math.inf)):
         bad = np.eye(3)
         bad[i, j] = bad[j, i] = value
         with pytest.raises(MalformedInputError):
-            FilterState(omega=bad)
+            FilterState((0.0, 0.0, 0.0), bad)
 
 
 def test_positive_definite_check_matches_eigvalsh():
@@ -137,7 +138,7 @@ def test_positive_definite_check_matches_eigvalsh():
             inside += 1
             continue
         try:
-            FilterState(omega=omega)
+            FilterState((0.0, 0.0, 0.0), omega)
             accepted = True
         except MalformedInputError:
             accepted = False
@@ -170,11 +171,6 @@ def test_predict_additive_q():
     assert np.allclose(out.omega, 2.0 * np.eye(3), atol=1e-12)
 
 
-def test_predict_requires_tracking():
-    with pytest.raises(FilterLifecycleError):
-        predict(FilterState(), NoiseConfig())
-
-
 def test_predict_checks_the_state_it_builds():
     # the diagonal overflows to inf: predict's own state is checked, not trusted
     big = 1.5e308
@@ -190,13 +186,13 @@ def test_predict_keeps_the_lower_entries_bit_for_bit():
     a = np.random.default_rng(3).normal(size=(3, 3))
     (o00, o01, o02), (_, o11, o12), (_, _, o22) = (a @ a.T + np.eye(3)).tolist()
     omega = (o00, o01, o02), (o01 * (1.0 + 3 * eps), o11, o12), (o02 * (1.0 - 2 * eps), o12 * (1.0 + eps), o22)
-    state = FilterState((1.0, 2.0, 3.0), omega, 1, Status.TRACKING)
+    state = FilterState((1.0, 2.0, 3.0), omega)
     out = predict(state, NoiseConfig(q=0.25))
     for i in range(3):
         for j in range(3):
             want = omega[i][j] + 0.25 if i == j else omega[i][j]
             assert out.omega[i][j].hex() == want.hex()
-    assert out.x == state.x and out.consecutive_outliers == 1
+    assert out.x == state.x
 
 
 # --- correct ---
@@ -207,8 +203,8 @@ def test_correct_halves_unit_prior_gap():
     state = tracking_state([2.0, 0.0, 0.0])
     cone = apex_cone([1.0, 0.0, 0.0], toward=[2.0, 0.0, 0.0])
     out = correct(state, cone, NoiseConfig(r=1.0, q=0.0))
+    assert out is not None
     assert np.allclose(out.x, [1.5, 0.0, 0.0], atol=1e-8)
-    assert out.consecutive_outliers == 0
 
 
 def test_correct_uninformative_limit():
@@ -223,10 +219,9 @@ def test_correct_zero_innovation_shrinks_along_normal():
     cone = Cone(np.zeros(3), np.array([0.0, 0, 1.0]), math.pi / 4, Frame.WORLD)
     x = np.array([1.0, 0.0, 1.0])  # exactly on the surface
     state = tracking_state(x, omega=4.0 * np.eye(3))
-    state.consecutive_outliers = 2
     out = correct(state, cone, NoiseConfig(r=1.0, q=0.0))
+    assert out is not None
     assert np.allclose(out.x, x, atol=1e-12)
-    assert out.consecutive_outliers == 0
     # variance drops along the surface normal, stays put along the generator
     normal = np.asarray(unit(np.array([1.0, 0.0, -1.0])))
     gen = np.asarray(unit(np.array([1.0, 0.0, 1.0])))
@@ -235,18 +230,15 @@ def test_correct_zero_innovation_shrinks_along_normal():
 
 
 def test_correct_gated_outlier_increments_run():
+    # a gated cone gives no new state and leaves x as it was; the session
+    # counts the run (test_session_reset_after_outlier_run)
     state = tracking_state([0.0, 0.0, 0.0])
     far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
-    out = correct(state, far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
-    assert np.array_equal(out.x, state.x)
-    assert out.consecutive_outliers == 1
-    out2 = correct(out, far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
-    assert out2.consecutive_outliers == 2
+    assert correct(state, far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0)) is None
+    assert state.x == (0.0, 0.0, 0.0)
 
 
 def test_correct_requires_tracking_and_world_frame():
-    with pytest.raises(FilterLifecycleError):
-        correct(FilterState(), apex_cone([1.0, 0, 0], [0.0, 0, 0]), NoiseConfig())
     cam = Cone(np.zeros(3), np.array([0.0, 0, 1.0]), 0.5, Frame.CAMERA)
     with pytest.raises(MalformedInputError):
         correct(tracking_state([0.0, 0, 2.0]), cam, NoiseConfig())
@@ -258,7 +250,7 @@ def test_correct_refuses_innovation_covariance_it_cannot_factor():
     cone = Cone(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0.5, Frame.WORLD)
     with pytest.raises(MalformedInputError, match="innovation covariance"):
         correct(tracking_state([3.0, 1.0, 2.0]), cone, NoiseConfig(r=1.0, far_variance=1e20))
-    assert correct(tracking_state([3.0, 1.0, 2.0]), cone, NoiseConfig()).consecutive_outliers == 0
+    assert correct(tracking_state([3.0, 1.0, 2.0]), cone, NoiseConfig()) is not None
 
 
 def test_correct_mode2d_pins_ground_plane():
@@ -298,8 +290,9 @@ def test_correct_second_application_moves_less():
 
 
 def test_gain_orthogonality_bound():
-    # with an isotropic prior the gain cross-coupling is negligible
-    cfg = NoiseConfig(r=1.0, far_variance=1e9, q=0.0)
+    # with an isotropic prior the gain cross-coupling is negligible; each
+    # innovation is 5 m, d2 = 25 / 2, so a gate of 25 accepts every cone
+    cfg = NoiseConfig(r=1.0, far_variance=1e9, q=0.0, gate=25.0)
     rng = np.random.default_rng(9)
     for _ in range(20):
         u = np.asarray(unit(rng.normal(size=3)))
@@ -307,13 +300,14 @@ def test_gain_orthogonality_bound():
         cone = apex_cone(5.0 * u, toward=[0.0, 0.0, 0.0])
         state = tracking_state(x)
         out = correct(state, cone, cfg)
+        assert out is not None
         move = out.x - x
         parallel = float(move @ u)
         ortho = np.linalg.norm(move - parallel * u)
         assert abs(ortho) <= cfg.r / cfg.far_variance * abs(parallel) + 1e-12
 
 
-# --- outlier gate: correct counts a gated cone in consecutive_outliers ---
+# --- outlier gate: correct returns None for a gated cone ---
 
 
 def test_is_outlier_examples():
@@ -321,10 +315,10 @@ def test_is_outlier_examples():
     cfg = NoiseConfig(r=1.0, q=0.0, gate=9.0)
     on_surface = Cone(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5, Frame.WORLD)
     p = surface_points(on_surface.origin, on_surface.axis, on_surface.half_angle, [2.0], [0.3])[0]
-    assert correct(tracking_state(p), on_surface, cfg).consecutive_outliers == 0
+    assert correct(tracking_state(p), on_surface, cfg) is not None
     # a 100 m innovation against unit-scale covariance trips the gate
     far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
-    assert correct(state, far_cone, cfg).consecutive_outliers == 1
+    assert correct(state, far_cone, cfg) is None
 
 
 def test_is_outlier_boundary_is_inclusive():
@@ -332,16 +326,8 @@ def test_is_outlier_boundary_is_inclusive():
     # r = 1 give S = 2 along it, so d^2 = 16 / 2 = 8 exactly
     state = tracking_state([4.0, 0.0, 0.0])
     cone = apex_cone([0.0, 0.0, 0.0], toward=[4.0, 0.0, 0.0])
-    assert correct(state, cone, NoiseConfig(r=1.0, gate=8.0)).consecutive_outliers == 0
-    assert correct(state, cone, NoiseConfig(r=1.0, gate=7.999)).consecutive_outliers == 1
-
-
-def test_is_outlier_requires_tracking():
-    # the gate needs a tracked estimate: an idle filter raises instead of
-    # counting a cone it would gate as an outlier
-    far_cone = apex_cone([100.0, 0.0, 0.0], toward=[0.0, 0.0, 0.0])
-    with pytest.raises(FilterLifecycleError):
-        correct(FilterState(), far_cone, NoiseConfig(r=1.0, q=0.0, gate=9.0))
+    assert correct(state, cone, NoiseConfig(r=1.0, gate=8.0)) is not None
+    assert correct(state, cone, NoiseConfig(r=1.0, gate=7.999)) is None
 
 
 # --- filter step against the textbook reference ---
@@ -402,15 +388,14 @@ def test_correct_matches_reference_kalman_update():
             ground_plane=cfg.mode is Mode.TWO_D,
         )
         out = correct(state, cone, cfg)
+        gated = out is None
         # these states are symmetric, and a new covariance is built from its
         # upper triangle: every output is symmetric exactly
-        assert np.array_equal(np.asarray(out.omega), np.asarray(out.omega).T)
-        gated = out.consecutive_outliers == 1
+        assert gated or np.array_equal(np.asarray(out.omega), np.asarray(out.omega).T)
         if abs(d2 - cfg.gate) <= 1e-6:
             continue
         assert gated == (d2 > cfg.gate)
         if gated:
-            assert np.array_equal(out.x, state.x) and np.array_equal(out.omega, state.omega)
             seen["gated"] += 1
             continue
         seen["surface" if on_surface else "accepted"] += 1
@@ -425,13 +410,10 @@ def test_correct_matches_reference_kalman_update():
 
 
 def _bits(state):
-    """A state's floats as hex strings, which tell -0.0 from 0.0, and its counters."""
-    return (
-        [v.hex() for v in state.x],
-        [v.hex() for row in state.omega for v in row],
-        state.consecutive_outliers,
-        state.status,
-    )
+    """A state's floats as hex strings, which tell -0.0 from 0.0; None for a gated cone."""
+    if state is None:
+        return None
+    return [v.hex() for v in state.x], [v.hex() for row in state.omega for v in row]
 
 
 def _outcome(state, cone, cfg, fn):
@@ -448,7 +430,7 @@ def _gate_at_d2(state, cone, cfg):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         gate = struct.unpack("<d", struct.pack("<q", mid))[0]
-        accepted = correct(state, cone, replace(cfg, gate=gate)).consecutive_outliers == 0
+        accepted = correct(state, cone, replace(cfg, gate=gate)) is not None
         lo, hi = (lo, mid) if accepted else (mid, hi)
     return struct.unpack("<d", struct.pack("<q", hi))[0]
 
@@ -463,7 +445,8 @@ def test_correct_is_bit_identical_to_the_nested_list_reference():
         # symmetry tolerance: each entry must be read where the reference reads it
         skew = 1.0 + rng.integers(-4, 5) * np.finfo(float).eps
         omega = (o00, o01, o02), (o01 * skew, o11, o12), (o02, o12 * skew, o22)
-        state = FilterState(state.x, omega, int(rng.integers(0, 4)), Status.TRACKING)
+        rng.integers(0, 4)  # once an outlier count; still drawn, so that the cases stay the same
+        state = FilterState(state.x, omega)
         cases = [cfg]
         d2 = _gate_at_d2(state, cone, cfg) if i % 4 == 0 else 0.0
         if math.nextafter(d2, 0.0) > 0.0:  # not a zero innovation, which any gate accepts
@@ -475,16 +458,16 @@ def test_correct_is_bit_identical_to_the_nested_list_reference():
         for c in cases:
             out = _outcome(state, cone, c, correct)
             assert out == _outcome(state, cone, c, correct_reference)
-            gated = out[2] > state.consecutive_outliers
-            new = correct(state, cone, c).omega
-            if new is not state.omega:  # a new covariance, built from its upper triangle
-                (_, w01, w02), (w10, _, w12), (w20, w21, _) = new
+            gated = out is None
+            new = correct(state, cone, c)
+            if not gated and new.omega is not state.omega:  # a new covariance, built from its upper triangle
+                (_, w01, w02), (w10, _, w12), (w20, w21, _) = new.omega
                 assert (w10, w20, w21) == (w01, w02, w12)
                 rebuilt += 1
             seen[(c.mode, "gated" if gated else "accepted")] += 1
         if len(cases) > 1:
             seen["at the gate"] += 1
-            assert [_outcome(state, cone, c, correct)[2] for c in cases[1:]] == [0, state.consecutive_outliers + 1]
+            assert [_outcome(state, cone, c, correct) is None for c in cases[1:]] == [False, True]
     assert min(seen.values()) >= 50 and len(seen) == 6, seen
     assert rebuilt >= 500, rebuilt
 
@@ -492,7 +475,7 @@ def test_correct_is_bit_identical_to_the_nested_list_reference():
 def test_correct_is_bit_identical_to_the_reference_without_a_direction():
     # at the apex, just behind it (APEX) and just ahead of it on the axis
     # (ON_AXIS), the projection is within 1e-12 of the hypothesis and not a
-    # SURFACE case, so the state is kept and the outlier run cleared
+    # SURFACE case, so correct returns the state it was given
     # (the apex at 0, so that the offsets are not lost to rounding)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -502,12 +485,12 @@ def test_correct_is_bit_identical_to_the_reference_without_a_direction():
             x = [o + offset * a for o, a in zip(cone.origin, cone.axis)]
             assert project_to_cone(x, cone).case is case
             a = rng.normal(size=(3, 3))
-            state = FilterState(x, a @ a.T + np.eye(3), 2, Status.TRACKING)
+            state = FilterState(x, a @ a.T + np.eye(3))
             for mode in Mode:
                 cfg = NoiseConfig(mode=mode)
                 out = _outcome(state, cone, cfg, correct)
                 assert out == _outcome(state, cone, cfg, correct_reference)
-                assert out == _bits(replace(state, consecutive_outliers=0))
+                assert correct(state, cone, cfg) is state
 
 
 # --- covariance health and convergence ---
@@ -527,7 +510,7 @@ def test_covariance_spd_over_random_sequences():
                 rng.uniform(0.2, 1.3),
                 rng.normal(size=3),
             )
-            state = correct(state, cone, cfg)
+            state = correct(state, cone, cfg) or state  # a gated cone keeps the state, as in the session
             omega = np.asarray(state.omega)
             assert np.max(np.abs(omega - omega.T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(omega)) > 0.0
@@ -604,7 +587,7 @@ def test_session_buffers_until_count_reached():
     for c in cones:
         state, action = est.ingest(c)
         assert action is Action.BUFFERED
-        assert state.status is Status.COLLECTING
+        assert state is None
 
 
 def test_session_initializes_and_tracks():
@@ -613,7 +596,7 @@ def test_session_initializes_and_tracks():
     est = SourceEstimator(NoiseConfig(init_count=5, multistart=4))
     for c in world_cones_through(p_star, rng, 5):
         state, action = est.ingest(c)
-    assert state.status is Status.TRACKING
+    assert state is not None
     assert est.init_time == 4.0
     assert np.linalg.norm(state.x - p_star) < 0.01
     # subsequent cones correct the filter
@@ -641,7 +624,7 @@ def test_session_ignores_unseparated_origins():
         state, action = est.ingest(
             Cone(c.origin, c.axis, c.half_angle, Frame.WORLD, float(i))
         )
-        assert state.status is Status.COLLECTING
+        assert state is None
     assert est.stats.degenerate_solves > 0
 
 
@@ -660,7 +643,7 @@ def test_session_rejects_inconsistent_geometry():
         state, action = est.ingest(
             Cone(c.origin, c.axis, c.half_angle, Frame.WORLD, float(i))
         )
-        assert state.status is Status.COLLECTING
+        assert state is None
     assert est.stats.inconsistent_solves >= 1
     assert est.init_time is None
 
@@ -690,17 +673,20 @@ def test_session_reset_after_outlier_run():
     est = SourceEstimator(cfg)
     for c in world_cones_through(p_star, rng, 5):
         est.ingest(c)
-    assert est.state.status is Status.TRACKING
+    assert est.state is not None
     # garbage cones whose apex projection sits 80 m away
-    actions = []
+    actions, garbage_cones = [], []
     for i in range(4):
         garbage = apex_cone([80.0 + i, -40.0, 0.0], toward=p_star)
         garbage = Cone(garbage.origin, garbage.axis, garbage.half_angle, Frame.WORLD, 10.0 + i)
+        garbage_cones.append(garbage)
         _, action = est.ingest(garbage)
         actions.append(action)
+        # the buffer holds the run of gated cones: one, then two, ...
+        assert est.buffer == garbage_cones
     assert actions[:3] == [Action.REJECTED] * 3
     assert actions[3] is Action.RESET
-    assert est.state.status is Status.COLLECTING
+    assert est.state is None
     assert est.stats.resets == 1
     # rejected cones reseed the buffer for the next initialization attempt
     assert len(est.buffer) == 4
@@ -716,3 +702,42 @@ def test_session_accept_counters():
         est.ingest(c)
     assert est.stats.accepted == 6
     assert est.stats.rejected == 0
+
+
+def test_session_lifecycle_holds_on_closed_loop_runs(monkeypatch):
+    # moving_1ms seeds 5 and 9 lock, lose the source to a run of gated
+    # cones and collect again; every ingest of both runs is checked
+    ingest = SourceEstimator.ingest
+    ingested, actions = [], Counter()
+    run = 0  # REJECTED since the last CORRECTED or lock
+
+    def checked(session, cone):
+        nonlocal run
+        state, action = ingest(session, cone)
+        ingested.append(cone)
+        assert state is session.state
+        if action is Action.BUFFERED and state is not None:  # this cone's solve locked
+            assert session.init_time == cone.timestamp and session.buffer == []
+            run = 0
+        elif action in (Action.BUFFERED, Action.RESET):
+            assert state is None
+        else:
+            assert state is not None
+            run = run + 1 if action is Action.REJECTED else 0
+            assert len(session.buffer) == run <= estimator.RESET_RUN_LENGTH
+            tail = ingested[len(ingested) - run:]
+            assert all(a is b for a, b in zip(session.buffer, tail, strict=True))
+        if action is Action.RESET:
+            tail = ingested[-(estimator.RESET_RUN_LENGTH + 1):]
+            assert all(a is b for a, b in zip(session.buffer, tail, strict=True))
+        actions[action] += 1
+        return state, action
+
+    monkeypatch.setattr(SourceEstimator, "ingest", checked)
+    base = load_scenario(Path(estimator.__file__).parent / "scenarios" / "moving_1ms.yaml")
+    for seed in (5, 9):
+        ingested.clear()
+        actions.clear()
+        report = run_scenario(replace(base, seed=seed))
+        assert report.stats.resets == actions[Action.RESET] > 0, seed
+        assert actions[Action.CORRECTED] > 0 and actions[Action.REJECTED] > 0, seed
