@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .estimator import Action, NoiseConfig, SessionStats, SourceEstimator
-from .geometry import Cone, Frame, Vec3, cross, perpendicular_unit, unit, vec3
+from .geometry import Cone, Vec3, _world_cone, cross, perpendicular_unit, unit, vec3
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +149,7 @@ def _about_perpendicular(v: Vec3, w0: Vec3, w1: Vec3, psi: float, angle: float) 
 def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: float, dt: float,
                  rng: np.random.Generator) -> tuple[list[Cone], list[Cone]]:
     """Source-driven and background cones for one timestep at apex and time t, in that order."""
-    (s0, s1, s2), (a0, a1, a2) = map(float, source), apex
+    (s0, s1, s2), (a0, a1, a2) = map(float, source), map(float, apex)
     o0, o1, o2 = s0 - a0, s1 - a1, s2 - a2
     dist2 = o0 * o0 + o1 * o1 + o2 * o2
     if dist2 < 1e-12:
@@ -177,7 +177,7 @@ def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: f
         half_angle = theta
         if model.angular_sigma > 0.0:
             half_angle = min(max(theta + model.angular_sigma * rng.standard_normal(), 1e-3), math.pi - 1e-3)
-        source_cones.append(Cone(apex, unit(axis), half_angle, Frame.WORLD, t))
+        source_cones.append(_world_cone((a0, a1, a2), unit(axis), half_angle, t))
 
     background: list[Cone] = []
     # poisson(0) is 0 without a draw, so skipping the call leaves the stream as it was
@@ -185,7 +185,7 @@ def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: f
     for _ in range(n_background):
         axis = _random_unit(rng)
         theta = lo + span * rng.random()
-        background.append(Cone(apex, axis, theta, Frame.WORLD, t))
+        background.append(_world_cone((a0, a1, a2), axis, theta, t))
     return source_cones, background
 
 

@@ -43,7 +43,7 @@ from radloc.events import (
     delta_z,
 )
 from radloc.estimator import FilterState, NoiseConfig, _ldl, _ldl_solve
-from radloc.geometry import Cone, Frame, PoseStream, cross, perpendicular_unit, unit
+from radloc.geometry import Cone, Frame, PoseStream, Quat, Vec3, cross, perpendicular_unit, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 from radloc.simulator import CONE_RATE_CONSTANT, MAX_THETA, MIN_THETA
 
@@ -973,3 +973,81 @@ def trajectory_waypoints(center, radius: float, speed: float, timestep: float, c
         yaw = math.atan2(center[1] - position[1], center[0] - position[0])
         poses.append(Pose(k * timestep, position, (math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))))
     return poses
+
+
+# --- the world-frame step composed of scalar quaternion helpers, as the
+# library ran it before writing the step inline: the bit-level referee of
+# radloc.geometry's interpolate_pose and transform_cone, whose float
+# operations run in the same order. ---
+
+
+def quat_normalize(q) -> Quat:
+    w, x, y, z = map(float, q)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-15:
+        raise MalformedInputError("zero quaternion")
+    return w / n, x / n, y / n, z / n
+
+
+def quat_to_matrix(q) -> tuple[Vec3, Vec3, Vec3]:
+    """Rows of the rotation matrix of a unit quaternion (w, x, y, z), used as given."""
+    w, x, y, z = q
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+
+
+def quat_slerp(q0, q1, t: float) -> Quat:
+    """Shortest-arc spherical interpolation between two unit quaternions, used as given."""
+    dot = q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3]
+    if dot < 0.0:
+        q1 = tuple(-c for c in q1)
+        dot = -dot
+    if dot > 0.9995:
+        # nearly identical: lerp + renormalize avoids sin(theta) ~ 0
+        return quat_normalize([a + t * (b - a) for a, b in zip(q0, q1)])
+    theta = math.acos(min(1.0, dot))
+    s0 = math.sin((1.0 - t) * theta) / math.sin(theta)
+    s1 = math.sin(t * theta) / math.sin(theta)
+    return tuple(s0 * a + s1 * b for a, b in zip(q0, q1))
+
+
+def interpolate_pose_composed(stream: PoseStream, t: float) -> tuple[Vec3, Quat]:
+    """Position and orientation at time t of a pose stream, in O(log P).
+
+    A binary search finds the bracketing samples. Position is
+    interpolated linearly, orientation by slerp; an exact timestamp match
+    gives that sample's values. The orientation is normalized once more
+    either way. Raises PoseExtrapolationError outside [first, last].
+    """
+    times = stream.times
+    if not times:
+        raise MalformedInputError("empty pose stream")
+    if not times[0] <= t <= times[-1]:
+        raise PoseExtrapolationError(f"t = {t} outside pose stream range [{times[0]}, {times[-1]}]")
+    i = bisect_left(times, t)
+    if times[i] == t:
+        return stream.positions[i], quat_normalize(stream.orientations[i])
+    u = (t - times[i - 1]) / (times[i] - times[i - 1])
+    v = 1.0 - u
+    (a0, a1, a2), (b0, b1, b2) = stream.positions[i - 1], stream.positions[i]
+    q = quat_slerp(stream.orientations[i - 1], stream.orientations[i], u)
+    return (v * a0 + u * b0, v * a1 + u * b1, v * a2 + u * b2), quat_normalize(q)
+
+
+def transform_cone_composed(origin: Vec3, axis: Vec3, half_angle: float, t: float, pose: tuple[Vec3, Quat]) -> Cone:
+    """The world-frame cone at time t of a camera-frame origin, axis and half-angle.
+
+    The camera frame is the body frame, since no flag or config key sets
+    camera extrinsics: the pose rotates and moves the origin and rotates the axis.
+    """
+    position, orientation = pose
+    rows = quat_to_matrix(orientation)
+    o0, o1, o2 = origin
+    a0, a1, a2 = axis
+    world = [r0 * o0 + r1 * o1 + r2 * o2 + p for (r0, r1, r2), p in zip(rows, position)]
+    x, y, z = (r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in rows)
+    n = math.sqrt(x * x + y * y + z * z)
+    return Cone(world, (x / n, y / n, z / n), half_angle, Frame.WORLD, t)

@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +13,6 @@ from radloc.geometry import (
     cross,
     interpolate_pose,
     perpendicular_unit,
-    quat_slerp,
-    quat_to_matrix,
     transform_cone,
     unit,
 )
@@ -20,11 +20,15 @@ from radloc.simulator import _about_perpendicular
 
 from oracles import (
     Pose,
+    interpolate_pose_composed,
     interpolate_pose_reference,
     pose_stream,
     quat_from_axis_angle,
+    quat_slerp,
+    quat_to_matrix,
     rotate_about_axis,
     rotation_matrix,
+    transform_cone_composed,
     transform_cone_reference,
 )
 
@@ -212,6 +216,81 @@ def test_world_cones_match_numpy_reference():
             assert (got.timestamp, got.half_angle, got.frame) == (want.timestamp, want.half_angle, want.frame)
             assert np.max(np.abs(np.subtract(got.origin, want.origin))) <= 1e-12 * np.linalg.norm(want.origin)
             assert np.max(np.abs(np.subtract(got.axis, want.axis))) <= 1e-15
+
+
+def _bits(*values):
+    return tuple(map(float.hex, values))
+
+
+def test_world_frame_step_matches_the_composed_helpers_to_the_last_bit():
+    # the inline step runs the composed helpers' float operations in their
+    # order, so every output float is equal, signed zeros included; each
+    # case is tagged with the branch it takes, and every branch is taken
+    rng = np.random.default_rng(53)
+    taken = Counter()
+    # random turns (slerp, half of them sign-flipped), 0.02 rad per sample as
+    # in the benchmark's pose stream (lerp) and 0.5 rad (slerp); negating
+    # every other quaternion, the same rotations, flips the sign of each dot
+    for spin, negate in ((None, False), (0.02, False), (0.02, True), (0.5, False), (0.5, True)) * 8:
+        stream = random_pose_stream(rng, int(rng.integers(2, 40)), spin)
+        poses = pose_stream(stream)
+        if negate:
+            poses.orientations[1::2] = [tuple(-c for c in q) for q in poses.orientations[1::2]]
+        t0, t1 = poses.times[0], poses.times[-1]
+        inside = (math.nextafter(t0, math.inf), math.nextafter(t1, -math.inf))
+        for t in (*rng.uniform(t0, t1, size=60).tolist(), *poses.times, *inside):
+            i = bisect_left(poses.times, t)
+            if poses.times[i] == t:
+                taken["first" if i == 0 else "last" if i == len(poses.times) - 1 else "exact"] += 1
+            else:
+                dot = sum(a * b for a, b in zip(poses.orientations[i - 1], poses.orientations[i]))
+                taken[("flipped " if dot < 0.0 else "") + ("lerp" if abs(dot) > 0.9995 else "slerp")] += 1
+            origin, axis = (rng.normal(size=3) * 0.01).tolist(), unit(rng.normal(size=3))
+            half_angle = float(rng.uniform(0.1, 3.0))
+            pose, want_pose = interpolate_pose(poses, t), interpolate_pose_composed(poses, t)
+            assert _bits(*pose[0], *pose[1]) == _bits(*want_pose[0], *want_pose[1])
+            got = transform_cone(origin, axis, half_angle, t, pose)
+            want = transform_cone_composed(origin, axis, half_angle, t, want_pose)
+            assert got.frame is want.frame is Frame.WORLD
+            assert (_bits(got.timestamp, *got.origin, *got.axis, got.half_angle)
+                    == _bits(want.timestamp, *want.origin, *want.axis, want.half_angle))
+    branches = {"first", "last", "exact", "lerp", "flipped lerp", "slerp", "flipped slerp"}
+    assert set(taken) == branches and min(taken.values()) >= 40, taken
+    assert sum(taken.values()) >= 3000, taken
+
+
+def test_transform_cone_refuses_with_the_cone_messages():
+    # the world cone is checked once, on the floats just computed, with the
+    # checks and messages of Cone itself; a NaN quaternion makes every
+    # rotated origin component NaN, so the origin check refuses it first,
+    # and a NaN camera axis reaches the axis check
+    origin, up, still = (0.01, 0.0, 0.002), (0.0, 0.0, 1.0), ((1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0))
+    refused = [  # camera axis, half-angle, pose, and how Cone's message starts
+        (up, 0.5, ((math.inf, 0.0, 0.0), still[1]), "cone origin must be finite"),
+        (up, 0.5, ((0.0, math.nan, 0.0), still[1]), "cone origin must be finite"),
+        (up, 0.5, (still[0], (math.nan, 0.0, 0.0, 0.0)), "cone origin must be finite"),
+        ((math.nan, 0.0, 1.0), 0.5, still, "cone axis must be unit length, got |axis| = nan"),
+        (up, 0.0, still, "cone half-angle out of (0, pi): 0.0"),
+        (up, math.pi, still, "cone half-angle out of (0, pi)"),
+    ]
+    for axis, half_angle, pose, message in refused:
+        with pytest.raises(MalformedInputError) as got:
+            transform_cone(origin, axis, half_angle, 2.0, pose)
+        with pytest.raises(MalformedInputError) as want:
+            transform_cone_composed(origin, axis, half_angle, 2.0, pose)
+        assert str(got.value) == str(want.value) and str(got.value).startswith(message)
+
+
+def test_interpolate_pose_refuses_a_zero_quaternion_at_and_between_samples():
+    zero = (0.0, 0.0, 0.0, 0.0)
+    cases = [
+        (PoseStream([0.0, 1.0], [(0.0, 0.0, 0.0)] * 2, [(1.0, 0.0, 0.0, 0.0), zero]), 1.0),  # exact match
+        (PoseStream([0.0, 1.0], [(0.0, 0.0, 0.0)] * 2, [zero, zero]), 0.25),  # between samples
+    ]
+    for stream, t in cases:
+        for step in (interpolate_pose, interpolate_pose_composed):
+            with pytest.raises(MalformedInputError, match="^zero quaternion$"):
+                step(stream, t)
 
 
 def test_transform_cone_identity_pose():

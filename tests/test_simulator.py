@@ -8,7 +8,7 @@ from radloc import simulator
 from radloc.cones import distance_to_cone
 from radloc.errors import MalformedInputError
 from radloc.estimator import NoiseConfig
-from radloc.geometry import quat_to_matrix, unit
+from radloc.geometry import unit
 from radloc.simulator import (
     CONE_RATE_CONSTANT,
     MAX_THETA,
@@ -21,7 +21,7 @@ from radloc.simulator import (
     sample_cones,
 )
 
-from oracles import sample_cones_reference, source_at, trajectory_waypoints
+from oracles import quat_to_matrix, sample_cones_reference, source_at, trajectory_waypoints
 
 
 # --- configuration validation ---
