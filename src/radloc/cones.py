@@ -29,6 +29,11 @@ class ProjectionCase(Enum):
     ON_AXIS = "on_axis"
 
 
+# the members project_to_cone returns, looked up once: an enum member lookup
+# costs about as much as a few float operations
+_SURFACE, _APEX, _ON_AXIS = ProjectionCase.SURFACE, ProjectionCase.APEX, ProjectionCase.ON_AXIS
+
+
 class ProjectionResult(NamedTuple):
     """Projected point with the diagnostic angles of the construction.
 
@@ -213,30 +218,35 @@ def project_to_cone(x, cone: Cone) -> ProjectionResult:
     behind the apex (cos(beta) <= 0); the apex is then nearest.
     """
     px, py, pz = map(float, x)
-    ell, axial, wx, wy, wz, perp_norm = _split(px, py, pz, cone)
+    origin, axis, half_angle = cone.origin, cone.axis, cone.half_angle
+    # the apex offset, its axial part and its off-axis part, as _split gives them, inline
+    (ox, oy, oz), (ax, ay, az) = origin, axis
+    ux, uy, uz = px - ox, py - oy, pz - oz
+    axial = ax * ux + ay * uy + az * uz
+    wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
+    ell, perp_norm = math.hypot(ux, uy, uz), math.hypot(wx, wy, wz)
     if ell < 1e-15:
         # apex is itself a surface point; azimuth meaningless
-        return ProjectionResult(cone.origin, ProjectionCase.ON_AXIS, 0.0, -cone.half_angle)
+        return ProjectionResult(origin, _ON_AXIS, 0.0, -half_angle)
 
     alpha = math.atan2(perp_norm, axial)
-    beta = alpha - cone.half_angle
+    beta = alpha - half_angle
 
     if alpha >= 0.5 * math.pi:
-        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta)
+        return ProjectionResult(origin, _APEX, alpha, beta)
 
-    case = ProjectionCase.SURFACE
+    case = _SURFACE
     if perp_norm < 1e-12 * ell:
-        wx, wy, wz = perpendicular_unit(cone.axis)
-        case = ProjectionCase.ON_AXIS
+        wx, wy, wz = perpendicular_unit(axis)
+        case = _ON_AXIS
     else:
         wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
 
     along = ell * math.cos(beta)
     if along <= 0.0:
-        return ProjectionResult(cone.origin, ProjectionCase.APEX, alpha, beta)
+        return ProjectionResult(origin, _APEX, alpha, beta)
 
-    c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
-    (ox, oy, oz), (ax, ay, az) = cone.origin, cone.axis
+    c, s = math.cos(half_angle), math.sin(half_angle)
     qx = ox + along * (c * ax + s * wx)
     qy = oy + along * (c * ay + s * wy)
     qz = oz + along * (c * az + s * wz)

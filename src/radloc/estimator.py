@@ -35,6 +35,12 @@ class Action(Enum):
     RESET = "reset"
 
 
+# members the tracking path reads, looked up once: an enum member lookup
+# costs about 0.1 us, as much as a few float operations
+_WORLD, _SURFACE, _TWO_D = Frame.WORLD, ProjectionCase.SURFACE, Mode.TWO_D
+_CORRECTED, _REJECTED = Action.CORRECTED, Action.REJECTED
+
+
 # Fixed session rules, explained in NoiseConfig's docstring
 MIN_ORIGIN_SEPARATION = 0.5  # m
 RESET_RUN_LENGTH = 3
@@ -133,7 +139,12 @@ class FilterState:
 def _check(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> None:
     """FilterState's checks of x and omega, given as tuples of floats."""
     (x0, x1, x2), ((o00, o01, o02), (o10, o11, o12), (o20, o21, o22)) = x, omega
-    if not all(map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))):
+    # a finite sum proves every entry finite; one that is not (an entry
+    # infinite or NaN, or finite entries summing past the float range)
+    # is settled entry by entry
+    if not math.isfinite(x0 + x1 + x2 + o00 + o01 + o02 + o10 + o11 + o12 + o20 + o21 + o22) and not all(
+        map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))
+    ):
         raise MalformedInputError("state must be finite")
     if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
         raise MalformedInputError("covariance must be symmetric")
@@ -162,15 +173,6 @@ def _ldl(s00: float, s01: float, s02: float, s11: float, s12: float, s22: float)
     return (s00, e1, e2, l10, l20, l21) if e2 > 0.0 else None
 
 
-def _ldl_solve(factor, b0: float, b1: float, b2: float) -> tuple[float, float, float]:
-    """S^-1 b from _ldl's factor of S."""
-    e0, e1, e2, l10, l20, l21 = factor
-    z1 = b1 - l10 * b0
-    y2 = (b2 - l20 * b0 - l21 * z1) / e2
-    y1 = z1 / e1 - l21 * y2
-    return b0 / e0 - l10 * y1 - l20 * y2, y1, y2
-
-
 def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     """Identity-motion prediction: position kept, covariance inflated by q."""
     q = config.q
@@ -197,18 +199,18 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     float arithmetic, each entry in a fixed order of operations, so equal
     inputs give equal bits.
     """
-    if cone.frame is not Frame.WORLD:
+    if cone.frame is not _WORLD:
         raise MalformedInputError("corrections expect world-frame cones")
 
-    res = project_to_cone(state.x, cone)
-    (x0, x1, x2), (p0, p1, p2) = state.x, res.point
+    point, case, _, _ = project_to_cone(state.x, cone)
+    (x0, x1, x2), (p0, p1, p2) = state.x, point
     v0, v1, v2 = p0 - x0, p1 - x1, p2 - x2
     n = math.hypot(v0, v1, v2)
     if n > 1e-12 * max(1.0, math.hypot(x0, x1, x2)):
         d0, d1, d2 = v0 / n, v1 / n, v2 / n
-    elif res.case is ProjectionCase.SURFACE:
+    elif case is _SURFACE:
         try:
-            d0, d1, d2 = surface_normal(res.point, cone)
+            d0, d1, d2 = surface_normal(point, cone)
         except ValueError:
             return state
     else:
@@ -227,7 +229,13 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     )
     if factor is None:
         raise MalformedInputError("innovation covariance not definite in floats: far_variance / r too large")
-    y0, y1, y2 = _ldl_solve(factor, v0, v1, v2)
+    # each S^-1 b below is forward substitution with L, division by D and
+    # back substitution with L^T, written out in place
+    e0, e1, e2, l10, l20, l21 = factor
+    z1 = v1 - l10 * v0
+    y2 = (v2 - l20 * v0 - l21 * z1) / e2
+    y1 = z1 / e1 - l21 * y2
+    y0 = v0 / e0 - l10 * y1 - l20 * y2
     if v0 * y0 + v1 * y1 + v2 * y2 > config.gate:
         return None
 
@@ -235,9 +243,18 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     # (omega is symmetric), then the Joseph form (I - K) omega (I - K)^T + K R K^T
     # with K R K^T = r (K n)(K n)^T + far (K P)(K P)^T, so no far_variance-sized
     # terms are formed to cancel; entry by entry, the upper triangle only.
-    k00, k01, k02 = _ldl_solve(factor, o00, o01, o02)
-    k10, k11, k12 = _ldl_solve(factor, o10, o11, o12)
-    k20, k21, k22 = _ldl_solve(factor, o20, o21, o22)
+    z1 = o01 - l10 * o00
+    k02 = (o02 - l20 * o00 - l21 * z1) / e2
+    k01 = z1 / e1 - l21 * k02
+    k00 = o00 / e0 - l10 * k01 - l20 * k02
+    z1 = o11 - l10 * o10
+    k12 = (o12 - l20 * o10 - l21 * z1) / e2
+    k11 = z1 / e1 - l21 * k12
+    k10 = o10 / e0 - l10 * k11 - l20 * k12
+    z1 = o21 - l10 * o20
+    k22 = (o22 - l20 * o20 - l21 * z1) / e2
+    k21 = z1 / e1 - l21 * k22
+    k20 = o20 / e0 - l10 * k21 - l20 * k22
     n0, n1, n2 = k00 * d0 + k01 * d1 + k02 * d2, k10 * d0 + k11 * d1 + k12 * d2, k20 * d0 + k21 * d1 + k22 * d2
     q00, q01, q02 = (k00 * c00 - k01 * a01 - k02 * a02, -k00 * a01 + k01 * c11 - k02 * a12,
                      -k00 * a02 - k01 * a12 + k02 * c22)
@@ -260,7 +277,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     w22 = -m20 * k20 - m21 * k21 + m22 * i22 + r * n2 * n2 + far * (q20 * q20 + q21 * q21 + q22 * q22)
     xy = x0 + o00 * y0 + o01 * y1 + o02 * y2, x1 + o10 * y0 + o11 * y1 + o12 * y2
     z = x2 + o20 * y0 + o21 * y1 + o22 * y2
-    if config.mode is Mode.TWO_D:
+    if config.mode is _TWO_D:
         z, w02, w12, w22 = 0.0, 0.0, 0.0, o22
     x, omega = (*xy, z), ((w00, w01, w02), (w01, w11, w12), (w02, w12, w22))
     _check(x, omega)
@@ -294,7 +311,7 @@ class SourceEstimator:
         self.init_time: float | None = None
 
     def ingest(self, cone: Cone) -> tuple[FilterState | None, Action]:
-        if cone.frame is not Frame.WORLD:
+        if cone.frame is not _WORLD:
             raise MalformedInputError("ingest expects world-frame cones")
         if self.state is None:
             self.buffer.append(cone)
@@ -318,11 +335,11 @@ class SourceEstimator:
                 log.info("hypothesis reset; reseeding buffer with %d cones", len(self.buffer))
                 return None, Action.RESET
             self.state = predicted
-            return predicted, Action.REJECTED
+            return predicted, _REJECTED
         self.stats.accepted += 1
         self.buffer.clear()
         self.state = corrected
-        return corrected, Action.CORRECTED
+        return corrected, _CORRECTED
 
     def _separated_subset(self) -> list[Cone] | None:
         """Earliest arrival-order subset with pairwise separated origins."""

@@ -36,6 +36,8 @@ MAX_THETA = 1.4
 _TWO_PI = 2.0 * math.pi
 # a step record's action names, looked up once per step
 _NAMES = {None: "none", **{a: a.value for a in Action}}
+# the actions each ingest is compared with, looked up once
+_CORRECTED, _RESET = Action.CORRECTED, Action.RESET
 
 
 class Program(Enum):
@@ -226,6 +228,10 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     sweep_center, sweep_radius = (0.0, 0.0, alt), min(scenario.area) / 2.0
     position = scenario.uav_start if scenario.uav_start is not None else _default_start(scenario)
     search = scenario.program is Program.SEARCH
+    moving = not (speed == 0.0 or scenario.program is Program.STATIONARY)
+    # the azimuth step of each circle, whose radius is fixed for the run
+    sweep_step = _chord_step(speed, dt, sweep_radius)
+    orbit_step = _chord_step(speed, dt, scenario.orbit_radius)
     orbiting = False
     azimuth = math.atan2(position[1] - sweep_center[1], position[0] - sweep_center[0])
 
@@ -245,11 +251,11 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         action = None
         for cone in src + bg:
             state, action = session.ingest(cone)
-            if action is Action.CORRECTED:
+            if action is _CORRECTED:
                 err = math.dist(state.x, truth)
                 err_xy = math.dist(state.x[:2], truth[:2])
                 report.corrections.append((t, session.stats.accepted, err, err_xy))
-            elif action is Action.RESET:
+            elif action is _RESET:
                 log.info("reset at t=%.1f", t)
 
         tracking = session.state is not None
@@ -269,14 +275,17 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         error = math.dist(estimate, truth) if estimate is not None else float("nan")
         report.steps.append(StepRecord(t, truth, estimate, error, phase, _NAMES[action]))
 
-        if speed == 0.0 or scenario.program is Program.STATIONARY:
+        if not moving:
             continue
         if not search:
             position = _approach(position, (*scenario.source_initial[:2], alt), speed * dt)
             continue
         # the orbit follows the live hypothesis so a moving source stays encircled
-        center, radius = (session.state.x, scenario.orbit_radius) if orbiting else (sweep_center, sweep_radius)
-        azimuth += _chord_step(speed, dt, radius)
+        if orbiting:
+            center, radius, step = session.state.x, scenario.orbit_radius, orbit_step
+        else:
+            center, radius, step = sweep_center, sweep_radius, sweep_step
+        azimuth += step
         position = center[0] + radius * math.cos(azimuth), center[1] + radius * math.sin(azimuth), alt
 
     return report

@@ -42,7 +42,7 @@ from radloc.events import (
     PipelineResult,
     delta_z,
 )
-from radloc.estimator import FilterState, NoiseConfig, _ldl, _ldl_solve
+from radloc.estimator import FilterState, NoiseConfig, _ldl
 from radloc.geometry import Cone, Frame, PoseStream, Quat, Vec3, cross, perpendicular_unit, unit
 from radloc.initializer import _SLACK, Mode, cost_and_gradient
 from radloc.simulator import CONE_RATE_CONSTANT, MAX_THETA, MIN_THETA
@@ -183,12 +183,22 @@ def cone_normal_reference(point, origin, axis, half_angle) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+def _ldl_solve(factor, b0: float, b1: float, b2: float) -> tuple[float, float, float]:
+    """S^-1 b from radloc.estimator._ldl's factor of S, as a function: correct
+    writes the same substitutions out in place, in the same order."""
+    e0, e1, e2, l10, l20, l21 = factor
+    z1 = b1 - l10 * b0
+    y2 = (b2 - l20 * b0 - l21 * z1) / e2
+    y1 = z1 / e1 - l21 * y2
+    return b0 / e0 - l10 * y1 - l20 * y2, y1, y2
+
+
 def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState | None:
     """The filter correction as radloc.estimator.correct computed it before it
     was written out entry by entry: the same floating-point operations in the
     same order, with the gain rows, I - K, K P and the Joseph form built as
     nested lists multiplied by _mul_reference. The production function must
-    match it bit for bit; the LDL^T helpers are shared, not re-derived. A gated
+    match it bit for bit; the LDL^T factorization is shared, not re-derived. A gated
     cone gives None, and one with no usable direction the state it was given.
     """
     if cone.frame is not Frame.WORLD:
@@ -238,6 +248,69 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
         x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
     omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
     return FilterState(x_new, omega_new)
+
+
+def _split_reference(px: float, py: float, pz: float, cone: Cone) -> tuple[float, float, float, float, float, float]:
+    """Apex offset length, axial coordinate, off-axis offset and its length."""
+    ox, oy, oz = cone.origin
+    ax, ay, az = cone.axis
+    ux, uy, uz = px - ox, py - oy, pz - oz
+    axial = ax * ux + ay * uy + az * uz
+    wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
+    return math.hypot(ux, uy, uz), axial, wx, wy, wz, math.hypot(wx, wy, wz)
+
+
+def project_to_cone_reference(x, cone: Cone) -> tuple[Vec3, ProjectionCase, float, float]:
+    """radloc.cones.project_to_cone as it was written with a _split helper
+    and enum lookups at each return: the bit-level referee of the inline
+    version, whose float operations run in the same order. Returns the
+    point, the case, alpha and beta.
+    """
+    px, py, pz = map(float, x)
+    ell, axial, wx, wy, wz, perp_norm = _split_reference(px, py, pz, cone)
+    if ell < 1e-15:
+        return cone.origin, ProjectionCase.ON_AXIS, 0.0, -cone.half_angle
+
+    alpha = math.atan2(perp_norm, axial)
+    beta = alpha - cone.half_angle
+
+    if alpha >= 0.5 * math.pi:
+        return cone.origin, ProjectionCase.APEX, alpha, beta
+
+    case = ProjectionCase.SURFACE
+    if perp_norm < 1e-12 * ell:
+        wx, wy, wz = perpendicular_unit(cone.axis)
+        case = ProjectionCase.ON_AXIS
+    else:
+        wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
+
+    along = ell * math.cos(beta)
+    if along <= 0.0:
+        return cone.origin, ProjectionCase.APEX, alpha, beta
+
+    c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
+    (ox, oy, oz), (ax, ay, az) = cone.origin, cone.axis
+    qx = ox + along * (c * ax + s * wx)
+    qy = oy + along * (c * ay + s * wy)
+    qz = oz + along * (c * az + s * wz)
+    return (qx, qy, qz), case, alpha, beta
+
+
+def check_reference(x: Vec3, omega) -> None:
+    """radloc.estimator's state checks entry by entry: each of the twelve
+    floats finite, omega symmetric to 1e-12 and its LDL^T pivots positive,
+    each failure a MalformedInputError with the library's message.
+    """
+    entries = (*x, *omega[0], *omega[1], *omega[2])
+    for value in entries:
+        if not math.isfinite(value):
+            raise MalformedInputError("state must be finite")
+    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = omega
+    for upper, lower in ((o01, o10), (o02, o20), (o12, o21)):
+        if not abs(upper - lower) <= 1e-12:
+            raise MalformedInputError("covariance must be symmetric")
+    if _ldl(o00, o01, o02, o11, o12, o22) is None:
+        raise MalformedInputError("covariance must be positive definite")
 
 
 def _mul_reference(a, b_t) -> list[list[float]]:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from radloc.cones import (
 )
 from radloc.geometry import Cone, Frame, unit
 
-from oracles import cone_distance_reference, planar_cone_distance, rotation_matrix, surface_points
+from oracles import (
+    cone_distance_reference,
+    planar_cone_distance,
+    project_to_cone_reference,
+    rotation_matrix,
+    surface_points,
+)
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -239,6 +246,48 @@ def test_projection_rotation_equivariance():
 
 
 # --- surface helpers ---
+
+
+def test_projection_is_bit_identical_to_the_split_reference():
+    # every branch over seeded points: the apex itself, behind the apex
+    # plane, on the axis, inside a cone wider than pi/2 (the generator foot
+    # behind the apex) and the plain surface case; the point, alpha and beta
+    # must agree to the last bit and the case must be the same member
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for i in range(2000):
+        kind = ("apex", "behind", "on_axis", "wide_foot", "surface")[i % 5]
+        axis = unit(rng.normal(size=3))
+        origin = tuple(rng.normal(size=3) * 10.0)
+        half_angle = rng.uniform(math.pi / 2 + 0.05, math.pi - 0.05) if kind == "wide_foot" else rng.uniform(0.05, 1.5)
+        cone = Cone(origin, axis, half_angle, Frame.WORLD)
+        reach = 10.0 ** rng.uniform(-2.0, 2.0)
+        if kind == "apex":
+            x = origin
+        elif kind == "behind":
+            d = unit(rng.normal(size=3))
+            x = np.add(origin, reach * np.sign(-np.dot(d, axis)) * np.asarray(d))
+        elif kind == "on_axis":
+            x = [o + reach * a for o, a in zip(origin, axis)]
+        elif kind == "wide_foot":
+            # inside the cone at alpha < half_angle - pi / 2, so that cos(beta) < 0
+            x = surface_points(origin, axis, rng.uniform(0.0, half_angle - math.pi / 2), [reach],
+                               [rng.uniform(0.0, 2.0 * math.pi)])[0]
+        else:
+            x = surface_points(origin, axis, half_angle, [reach], [rng.uniform(0.0, 2.0 * math.pi)])[0]
+            x = x + rng.normal(size=3) * reach * 0.3
+        point, case, alpha, beta = project_to_cone_reference(x, cone)
+        res = project_to_cone(x, cone)
+        assert res.case is case, (kind, x, cone)
+        assert [c.hex() for c in (*res.point, res.alpha, res.beta)] == [
+            c.hex() for c in (*point, alpha, beta)
+        ], (kind, x, cone)
+        seen[kind, case] += 1
+    assert seen["apex", ProjectionCase.ON_AXIS] == 400, seen
+    assert seen["behind", ProjectionCase.APEX] == 400, seen
+    assert seen["on_axis", ProjectionCase.ON_AXIS] == 400, seen
+    assert seen["wide_foot", ProjectionCase.APEX] == 400, seen
+    assert seen["surface", ProjectionCase.SURFACE] >= 300, seen
 
 
 def test_surface_normal_orthogonal_to_tangents():

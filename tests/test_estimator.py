@@ -23,7 +23,13 @@ from radloc.initializer import Mode
 from radloc.io import load_scenario
 from radloc.simulator import run_scenario
 
-from oracles import cone_normal_reference, correct_reference, kalman_cone_update_reference, surface_points
+from oracles import (
+    check_reference,
+    cone_normal_reference,
+    correct_reference,
+    kalman_cone_update_reference,
+    surface_points,
+)
 from test_initializer import cone_through, exact_instance
 
 
@@ -150,6 +156,45 @@ def test_positive_definite_check_matches_eigvalsh():
     for kind in ("indefinite", "near_singular", "scaled"):
         assert outside[kind, False] >= 100, outside
     assert inside >= 800, inside  # every semidefinite one
+
+
+def _verdict(check, x, omega):
+    try:
+        check(x, omega)
+    except MalformedInputError as e:
+        return str(e)
+    return None
+
+
+def test_state_checks_give_the_per_entry_verdicts():
+    # estimator._check against the entry-by-entry checks: finite entries whose
+    # sum leaves the float range, every non-finite value in every position,
+    # and symmetry offsets at the tolerance and one float above it
+    eye = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    big = (1e308, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, 0.0, 1e308)
+    for x, omega in (((1e308, 1e308, 0.0), eye), ((-1e308, -1e308, 1.0), eye), ((1e308, 0.0, 0.0), big)):
+        assert _verdict(estimator._check, x, omega) is None
+        assert _verdict(check_reference, x, omega) is None
+        FilterState(x, omega)
+    flat = (0.5, -1.0, 2.0, *eye[0], *eye[1], *eye[2])
+    for i in range(12):
+        for bad in (math.nan, math.inf, -math.inf):
+            e = list(flat)
+            e[i] = bad
+            x, omega = tuple(e[:3]), (tuple(e[3:6]), tuple(e[6:9]), tuple(e[9:]))
+            assert _verdict(estimator._check, x, omega) == "state must be finite", (i, bad)
+            assert _verdict(check_reference, x, omega) == "state must be finite", (i, bad)
+    tol = 1e-12
+    for offset in (tol, -tol, math.nextafter(tol, math.inf), -math.nextafter(tol, math.inf)):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for upper in (True, False):
+                rows = [list(r) for r in ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0))]
+                rows[i][j] = offset if upper else 0.0
+                rows[j][i] = 0.0 if upper else offset
+                omega = tuple(map(tuple, rows))
+                want = None if abs(offset) == tol else "covariance must be symmetric"
+                assert _verdict(estimator._check, (0.0, 0.0, 0.0), omega) == want, (offset, i, j)
+                assert _verdict(check_reference, (0.0, 0.0, 0.0), omega) == want, (offset, i, j)
 
 
 # --- predict ---
@@ -741,3 +786,41 @@ def test_session_lifecycle_holds_on_closed_loop_runs(monkeypatch):
         report = run_scenario(replace(base, seed=seed))
         assert report.stats.resets == actions[Action.RESET] > 0, seed
         assert actions[Action.CORRECTED] > 0 and actions[Action.REJECTED] > 0, seed
+
+
+def test_tracking_ingest_calls_predict_correct_and_the_projection_once(monkeypatch):
+    # the bench tracer's estimator.* and cones.project_* metrics count these
+    # module-level calls: one predict and one correct per tracking ingest,
+    # none while collecting, and one projection per correct
+    calls = Counter()
+    wrapped = {name: getattr(estimator, name) for name in ("predict", "correct", "project_to_cone")}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return wrapped[name](*args)
+        return call
+
+    def checked_correct(*args):
+        before = calls["project_to_cone"]
+        out = counting("correct")(*args)
+        assert calls["project_to_cone"] == before + 1
+        return out
+
+    ingest, seen = SourceEstimator.ingest, Counter()
+
+    def checked_ingest(session, cone):
+        tracking, before = session.state is not None, calls.copy()
+        out = ingest(session, cone)
+        made = (calls["predict"] - before["predict"], calls["correct"] - before["correct"])
+        assert made == ((1, 1) if tracking else (0, 0)), (tracking, made)
+        seen[tracking] += 1
+        return out
+
+    monkeypatch.setattr(estimator, "predict", counting("predict"))
+    monkeypatch.setattr(estimator, "correct", checked_correct)
+    monkeypatch.setattr(estimator, "project_to_cone", counting("project_to_cone"))
+    monkeypatch.setattr(SourceEstimator, "ingest", checked_ingest)
+    report = run_scenario(load_scenario(Path(estimator.__file__).parent / "scenarios" / "static_3gbq.yaml"))
+    assert seen[True] == calls["predict"] == calls["correct"] == calls["project_to_cone"] > 100, (seen, calls)
+    assert seen[False] > 0 and report.stats.accepted > 0

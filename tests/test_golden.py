@@ -6,20 +6,29 @@ with ``--out <directory>`` appended. The runs cover only paths that write
 the same bytes under every BLAS kernel. The manifest's ``world_cones`` entry
 is finer: the SHA-256 of every world cone one reconstruct run writes, each
 float as ``float.hex``, so that a one-ulp change the ``%.12g`` of cones.csv
-rounds away still shows. A documented output change regenerates the digests
-in its own diff with
+rounds away still shows. The ``filter_steps`` entry is the tracking step's:
+the SHA-256 of every state ``predict`` and then ``correct`` compute over a
+fixed seeded family of cases, built from Python floats alone, so that it
+holds under every BLAS kernel. A documented output change regenerates the
+digests in its own diff with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import math
 import os
+import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from radloc import io as rio
 from radloc.cli import main
+from radloc.estimator import FilterState, NoiseConfig, correct, predict
+from radloc.geometry import Cone, Frame
+from radloc.initializer import Mode
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
@@ -49,6 +58,90 @@ def world_cone_digest(argv: list[str], out: Path) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
+def _unit(rng: random.Random) -> tuple[float, float, float]:
+    while True:
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        n = math.hypot(x, y, z)
+        if n > 1e-3:
+            return x / n, y / n, z / n
+
+
+def filter_step_cases(count: int, seed: int):
+    """(state, cone, config) cases of the tracking step, from Python floats alone.
+
+    Each config is one of six: both modes, each with three (r, far_variance,
+    q, gate) settings. Each cone has a random apex, axis and half-angle in
+    (0.05, pi - 0.05), wide cones included. The hypothesis is, in turn, a
+    point anywhere near the apex, a point near the surface, a point on the
+    surface, a point on the axis, or the apex itself, where the correction
+    has no direction. omega is L L^T for a random lower-triangular L with a
+    positive diagonal, at scales from 0.01 to 100 m^2.
+    """
+    rng = random.Random(seed)
+    configs = [
+        NoiseConfig(mode=mode, r=r, far_variance=far, q=q, gate=gate)
+        for mode in (Mode.THREE_D, Mode.TWO_D)
+        for r, far, q, gate in ((1.0, 1e9, 0.01, 9.0), (0.25, 1e6, 0.0, 4.0), (4.0, 1e9, 0.1, 25.0))
+    ]
+    kinds = ("near_apex", "near_surface", "on_surface", "on_axis", "apex")
+    for i in range(count):
+        config, kind = configs[i % len(configs)], kinds[i % len(kinds)]
+        o = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), rng.uniform(0.0, 20.0)
+        a = _unit(rng)
+        half_angle = rng.uniform(0.05, math.pi - 0.05)
+        g = _unit(rng)
+        dot = g[0] * a[0] + g[1] * a[1] + g[2] * a[2]
+        w = g[0] - dot * a[0], g[1] - dot * a[1], g[2] - dot * a[2]
+        nw = math.hypot(*w)
+        w = w[0] / nw, w[1] / nw, w[2] / nw
+        reach = 10.0 ** rng.uniform(-1.0, 1.7)
+        c, s = math.cos(half_angle), math.sin(half_angle)
+        if kind == "near_apex":
+            d = _unit(rng)
+        elif kind == "on_axis":
+            d = a
+        else:
+            d = c * a[0] + s * w[0], c * a[1] + s * w[1], c * a[2] + s * w[2]
+        x = o[0] + reach * d[0], o[1] + reach * d[1], o[2] + reach * d[2]
+        if kind == "near_surface":
+            spread = 10.0 ** rng.uniform(-2.0, 1.0)
+            x = tuple(c + spread * rng.gauss(0.0, 1.0) for c in x)
+        elif kind == "apex":
+            x = o
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        l00, l11, l22 = (scale * rng.uniform(0.2, 1.0) for _ in range(3))
+        l10, l20, l21 = (scale * rng.gauss(0.0, 0.5) for _ in range(3))
+        o00, o11 = l00 * l00, l10 * l10 + l11 * l11
+        o22 = l20 * l20 + l21 * l21 + l22 * l22
+        o01, o02, o12 = l10 * l00, l20 * l00, l20 * l10 + l21 * l11
+        omega = (o00, o01, o02), (o01, o11, o12), (o02, o12, o22)
+        yield FilterState(x, omega), Cone(o, a, half_angle, Frame.WORLD), config
+
+
+def filter_step_digest(count: int = 3000, seed: int = 2028) -> tuple[str, Counter]:
+    """The SHA-256 of float.hex of the 12 floats (x, then omega row by row) of
+    each case's state after predict and of its state after correct, one line
+    per case; a gated cone writes "gated" and a correction with no direction,
+    which returns its input state, "kept". Also the outcomes counted by mode."""
+    lines, outcomes = [], Counter()
+    for state, cone, config in filter_step_cases(count, seed):
+        predicted = predict(state, config)
+        corrected = correct(predicted, cone, config)
+        if corrected is None:
+            outcome, tail = "gated", "gated"
+        elif corrected is predicted:
+            outcome, tail = "kept", "kept"
+        else:
+            outcome, tail = "accepted", _hex_state(corrected)
+        outcomes[config.mode.value, outcome] += 1
+        lines.append(f"{_hex_state(predicted)};{tail}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest(), outcomes
+
+
+def _hex_state(state: FilterState) -> str:
+    return ",".join(map(float.hex, (*state.x, *state.omega[0], *state.omega[1], *state.omega[2])))
+
+
 def test_golden_runs_write_the_manifest_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     runs = json.loads(MANIFEST.read_text())["runs"]
@@ -64,6 +157,15 @@ def test_reconstruct_writes_the_manifest_world_cones_to_the_last_bit(tmp_path, m
     assert world_cone_digest(entry["argv"], tmp_path) == entry["sha256"]
 
 
+def test_tracking_steps_compute_the_manifest_filter_steps_to_the_last_bit():
+    entry = json.loads(MANIFEST.read_text())["filter_steps"]
+    digest, outcomes = filter_step_digest(entry["count"], entry["seed"])
+    for mode in ("3d", "2d"):  # every outcome in both modes
+        for outcome in ("accepted", "gated", "kept"):
+            assert outcomes[mode, outcome] >= 50, outcomes
+    assert digest == entry["sha256"]
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     manifest = json.loads(MANIFEST.read_text())
@@ -72,4 +174,6 @@ if __name__ == "__main__":
             run["files"] = digests(run["argv"], Path(tmp) / run["name"])
         entry = manifest["world_cones"]
         entry["sha256"] = world_cone_digest(entry["argv"], Path(tmp) / "world_cones")
+    entry = manifest["filter_steps"]
+    entry["sha256"] = filter_step_digest(entry["count"], entry["seed"])[0]
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
