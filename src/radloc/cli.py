@@ -233,40 +233,32 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     rows = rio.read_estimates_csv(args.estimates)
     t_truth, truth = rio.read_truth_csv(args.truth)
 
-    samples = []
-    for row in rows:
-        if not np.isfinite(row["x"]):
-            continue
-        t = row["t_s"]
-        if t < t_truth[0] or t > t_truth[-1]:
-            continue
-        ref = np.array([np.interp(t, t_truth, truth[:, k]) for k in range(3)])
-        est = np.array([row["x"], row["y"], row["z"]])
-        samples.append((t, est - ref))
-    if not samples:
+    # columns: a row is a sample when its estimate is finite and its time within the truth's
+    t, *estimate = (np.array([row[k] for row in rows], dtype=float) for k in ("t_s", "x", "y", "z"))
+    keep = np.isfinite(estimate).all(axis=0) & (t >= t_truth[0]) & (t <= t_truth[-1])
+    if not keep.any():
         raise MalformedInputError(
             "no tracked estimates overlap the truth time range; nothing to compare"
         )
+    t = t[keep]
+    ex, ey, ez = (column[keep] - np.interp(t, t_truth, truth[:, k]) for k, column in enumerate(estimate))
+    # norms element-wise in a fixed order, not through BLAS, so every CPU gives the same bits
+    planar = ex * ex + ey * ey
+    err_xy, err = np.sqrt(planar), np.sqrt(planar + ez * ez)
+    rio.write_errors_csv(out / "error_series.csv", zip(*(c.tolist() for c in (t, ex, ey, ez, err, err_xy))))
 
-    errs = [float(np.linalg.norm(e)) for _, e in samples]
-    errs_xy = [float(np.linalg.norm(e[:2])) for _, e in samples]
-    rows = [(t, *e, err, err_xy) for (t, e), err, err_xy in zip(samples, errs, errs_xy)]
-    rio.write_errors_csv(out / "error_series.csv", rows)
-
-    errs_arr = np.array(errs)
-    abs_axes = np.abs(np.array([e for _, e in samples]))
-    below = np.nonzero(errs_arr <= args.threshold)[0]
+    below = np.nonzero(err <= args.threshold)[0]
     summary = {
-        "samples": len(samples),
-        "mean_error_m": float(errs_arr.mean()),
-        "max_error_m": float(errs_arr.max()),
-        "mean_planar_error_m": float(np.mean(errs_xy)),
-        "max_planar_error_m": float(np.max(errs_xy)),
-        "mean_abs_x_m": float(abs_axes[:, 0].mean()),
-        "mean_abs_y_m": float(abs_axes[:, 1].mean()),
-        "mean_abs_z_m": float(abs_axes[:, 2].mean()),
+        "samples": len(t),
+        "mean_error_m": float(err.mean()),
+        "max_error_m": float(err.max()),
+        "mean_planar_error_m": float(err_xy.mean()),
+        "max_planar_error_m": float(err_xy.max()),
+        "mean_abs_x_m": float(np.abs(ex).mean()),
+        "mean_abs_y_m": float(np.abs(ey).mean()),
+        "mean_abs_z_m": float(np.abs(ez).mean()),
         "convergence_threshold_m": args.threshold,
-        "convergence_time_s": float(samples[below[0]][0]) if below.size else None,
+        "convergence_time_s": float(t[below[0]]) if below.size else None,
     }
     rio.write_json(out / "summary.json", summary)
     print(

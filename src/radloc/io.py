@@ -22,11 +22,9 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, fields, is_dataclass
-from enum import Enum
-from functools import partial
+from dataclasses import fields
 from pathlib import Path
-from typing import NoReturn, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -126,7 +124,7 @@ def _first(bad: np.ndarray | list[bool]) -> int | None:
 
 def _read_table(path: str | Path, header: list[str], build: Callable, *, text: int = 0,
                 choices: dict | None = None, finite: dict | None = None, order: tuple | None = None):
-    """What build(numbers, texts, refuse) makes of the rows of a CSV file.
+    """What build(numbers, texts) makes of the rows of a CSV file.
 
     numbers holds all columns but the last `text` as floats, and texts
     those cells of each row, stripped. Within a row the table refuses,
@@ -134,8 +132,9 @@ def _read_table(path: str | Path, header: list[str], build: Callable, *, text: i
     tuple choices[k]; a non-finite value in column k, named finite[k];
     with order = (backwards, message), a row whose first column is
     backwards(it, the row before's). build gets the rows before the
-    first refused one and calls refuse(i, error) to refuse its row i,
-    so the earliest faulty line is the one reported.
+    first refused one and raises InvalidRowError(i, message) to refuse
+    its row i, so the earliest faulty line is the one reported: a
+    refusal of build, like the table's own, is a ParseError at its line.
     """
     name = str(path)
     body = _read_lines(path, header)[1:]
@@ -170,31 +169,16 @@ def _read_table(path: str | Path, header: list[str], build: Callable, *, text: i
     def line(i: int) -> int:  # row i is on the i-th nonblank line after the header
         return [n for n, cells in enumerate(body, 2) if cells.strip()][i]
 
-    def refuse(i: int, exc: Exception) -> NoReturn:
-        raise ParseError(str(exc), path=name, line=line(i)) from exc
-
     i, error, message = min(faults, key=lambda fault: fault[0], default=(len(rows), None, ""))
-    records = build(numbers[:i], texts[:i], refuse)
+    try:
+        records = build(numbers[:i], texts[:i])
+    except InvalidRowError as exc:
+        raise ParseError(str(exc), path=name, line=line(exc.index)) from exc
     if error is OrderingError:
         raise OrderingError(f"{name}:{line(i)}: {message}")
     if error is ParseError:
         raise ParseError(message, path=name, line=line(i))
     return records
-
-
-def _each_row(make: Callable) -> Callable:
-    """A table build that makes one record per row, make(*numbers, *texts)."""
-
-    def build(numbers: np.ndarray, texts: list, refuse: Callable) -> list:
-        records = []
-        for i, (values, cells) in enumerate(zip(numbers.tolist(), texts)):
-            try:
-                records.append(make(*values, *cells))
-            except MalformedInputError as exc:
-                refuse(i, exc)
-        return records
-
-    return build
 
 
 def _header(path: Path) -> list[str]:
@@ -218,24 +202,17 @@ def sniff_events_format(path: str | Path) -> str:
     )
 
 
-def _batch(batch: type, numbers: np.ndarray, texts: list, refuse: Callable):
-    """A table build that makes one column batch of all rows, batch(*columns)."""
-    try:
-        return batch(*numbers.T)
-    except InvalidRowError as exc:
-        refuse(exc.index, exc)
-
-
 def read_hits_csv(path: str | Path) -> HitBatch:
     """The hit stream of a file as one checked column batch; a bad hit
     is reported at its own line."""
-    return _read_table(path, HITS_HEADER, partial(_batch, HitBatch))
+    return _read_table(path, HITS_HEADER, lambda numbers, _: HitBatch(*numbers.T))
 
 
 def read_pairs_csv(path: str | Path) -> PairBatch:
     """The Compton pairs of a file as one checked column batch; a bad
     pair is reported at its own line."""
-    return _read_table(path, PAIRS_HEADER, partial(_batch, PairBatch), finite={3: "timestamp", 7: "timestamp"})
+    return _read_table(path, PAIRS_HEADER, lambda numbers, _: PairBatch(*numbers.T),
+                       finite={3: "timestamp", 7: "timestamp"})
 
 
 def _pose_stream(t, px, py, pz, qw, qx, qy, qz) -> PoseStream:
@@ -254,24 +231,31 @@ def _pose_stream(t, px, py, pz, qw, qx, qy, qz) -> PoseStream:
 
 def read_poses_csv(path: str | Path) -> PoseStream:
     order = (np.less_equal, "pose timestamps must strictly increase")
-    stream = _read_table(path, POSES_HEADER, partial(_batch, _pose_stream), finite={0: "timestamp"}, order=order)
+    stream = _read_table(path, POSES_HEADER, lambda numbers, _: _pose_stream(*numbers.T), finite={0: "timestamp"},
+                         order=order)
     if not stream.times:
         raise SchemaError(f"{path}: no poses", keys=[])
     return stream
 
 
-def _cone(t: float, ox: float, oy: float, oz: float, dx: float, dy: float, dz: float, theta: float,
-          frame: str) -> Cone:
-    norm = math.hypot(dx, dy, dz)
-    if norm < 1e-12:
-        raise MalformedInputError("zero cone axis")
-    return Cone((ox, oy, oz), (dx / norm, dy / norm, dz / norm), theta, Frame(frame), t)
+def _cones(numbers: np.ndarray, texts: list) -> list[Cone]:
+    """A Cone per row, its axis normalized; a zero axis, or a value Cone refuses, refuses the row."""
+    cones = []
+    for i, ((t, ox, oy, oz, dx, dy, dz, theta), (frame,)) in enumerate(zip(numbers.tolist(), texts)):
+        norm = math.hypot(dx, dy, dz)
+        if norm < 1e-12:
+            raise InvalidRowError(i, "zero cone axis")
+        try:
+            cones.append(Cone((ox, oy, oz), (dx / norm, dy / norm, dz / norm), theta, Frame(frame), t))
+        except MalformedInputError as exc:
+            raise InvalidRowError(i, str(exc)) from exc
+    return cones
 
 
 def read_cones_csv(path: str | Path) -> list[Cone]:
     order = (np.less, "cone timestamps must be nondecreasing")
-    return _read_table(path, CONES_HEADER, _each_row(_cone), text=1, choices={8: ("C", "W")},
-                       finite={0: "timestamp"}, order=order)
+    return _read_table(path, CONES_HEADER, _cones, text=1, choices={8: ("C", "W")}, finite={0: "timestamp"},
+                       order=order)
 
 
 def write_cones_csv(path: str | Path, cones: list[Cone]) -> None:
@@ -285,8 +269,10 @@ def write_estimates_csv(path: str | Path, rows: Iterable[tuple]) -> None:
 
 
 def read_estimates_csv(path: str | Path) -> list[dict]:
-    estimate = _each_row(lambda *row: dict(zip(ESTIMATES_HEADER, row)))
-    return _read_table(path, ESTIMATES_HEADER, estimate, text=2, finite={0: "timestamp"})
+    def rows(numbers: np.ndarray, texts: list) -> list[dict]:
+        return [dict(zip(ESTIMATES_HEADER, (*values, *cells))) for values, cells in zip(numbers.tolist(), texts)]
+
+    return _read_table(path, ESTIMATES_HEADER, rows, text=2, finite={0: "timestamp"})
 
 
 def write_steps_csv(path: str | Path, report: SimulationReport) -> None:
@@ -311,33 +297,16 @@ def read_truth_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     # the truth columns come first; a step log's other cells are kept as text, unread
     finite = {0: "timestamp", 1: header[1], 2: header[2], 3: header[3]}
     order = (np.less, "truth timestamps must be nondecreasing")
-    data = _read_table(path, header, lambda numbers, *_: numbers, text=len(header) - 4, finite=finite,
-                       order=order)
+    data = _read_table(path, header, lambda numbers, _: numbers, text=len(header) - 4, finite=finite, order=order)
     if data.size == 0:
         raise SchemaError(f"{path}: no truth samples", keys=[])
     return data[:, 0], data[:, 1:4]
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Enum):
-        return obj.value
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
-
-
 def write_json(path: str | Path, obj) -> None:
-    atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    """obj, built of dicts with str keys, lists, tuples, str, int, float, bool
+    and None, as JSON: keys sorted, two-space indent, a final newline."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # --- scenario config ---

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -577,6 +580,43 @@ def test_metrics_no_overlap_exit_1(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_metrics_writes_the_same_bytes_under_every_blas_kernel(tmp_path):
+    # the error norms used to go through BLAS: on this fixture the default,
+    # Prescott and Haswell OpenBLAS kernels wrote three different summaries
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("OPENBLAS_CORETYPE", None)
+    written = {}
+    for core in ("", "Prescott", "Haswell"):
+        out = tmp_path / (core or "default")
+        argv = ["metrics", "--estimates", str(FIXTURE / "estimates.csv"), "--truth", str(FIXTURE / "truth.csv"),
+                "--out", str(out)]
+        run_env = dict(env, OPENBLAS_CORETYPE=core) if core else env
+        proc = subprocess.run([sys.executable, "-m", "radloc.cli", *argv], env=run_env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        written[core] = {name: (out / name).read_bytes() for name in ("error_series.csv", "summary.json")}
+    assert written["Prescott"] == written[""] == written["Haswell"]
+    # collecting rows and rows outside the truth's time range are left out
+    assert json.loads(written[""]["summary.json"])["samples"] == 2
+
+
+def test_metrics_samples_only_rows_with_a_finite_estimate(tmp_path):
+    # a row with x finite but y or z not used to count, its error NaN or infinite
+    rows = [(t, 5.0, -3.0, 0.0, *(1.0, 0.0, 0.0, 1.0, 0.0, 1.0), "tracking", "corrected") for t in range(4)]
+    rows[1] = (1.0, 5.0, float("nan"), 0.0, *rows[1][4:])
+    rows[2] = (2.0, 5.0, -3.0, float("inf"), *rows[2][4:])
+    write_estimates_csv(tmp_path / "estimates.csv", rows)
+    (tmp_path / "truth.csv").write_text("t_s,x,y,z\n0,5.0,-3.0,0.0\n3,5.0,-3.0,3.0\n")
+    out = tmp_path / "met"
+    argv = ["metrics", "--estimates", str(tmp_path / "estimates.csv"), "--truth", str(tmp_path / "truth.csv")]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == 2
+    assert summary["max_error_m"] == 3.0 and summary["mean_error_m"] == 1.5
+    series = (out / "error_series.csv").read_text().splitlines()
+    assert series[1:] == ["0,0,0,0,0,0", "3,0,0,-3,3,0"]
 
 
 def test_metrics_missing_truth_exit_2(tmp_path, capsys):

@@ -3,10 +3,10 @@ must write files with the SHA-256 digests recorded there.
 
 Each run is a radloc command line, run in-process from the repository root
 with ``--out <directory>`` appended. The runs cover only paths that write
-the same bytes under every BLAS kernel. The manifest's ``world_cones`` entry
-is finer: the SHA-256 of every world cone one reconstruct run writes, each
-float as ``float.hex``, so that a one-ulp change the ``%.12g`` of cones.csv
-rounds away still shows. The ``filter_steps`` entry is the tracking step's:
+the same bytes under every BLAS kernel: ``reconstruct`` and ``metrics``.
+The manifest's ``world_cones`` entry is finer: the SHA-256 of every world
+cone one reconstruct run writes, each float as ``float.hex``, so that a
+one-ulp change the ``%.12g`` of cones.csv rounds away still shows. The ``filter_steps`` entry is the tracking step's:
 the SHA-256 of every state ``predict`` and then ``correct`` compute over a
 fixed seeded family of cases, built from Python floats alone, so that it
 holds under every BLAS kernel. A documented output change regenerates the
@@ -145,7 +145,7 @@ def _hex_state(state: FilterState) -> str:
 def test_golden_runs_write_the_manifest_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     runs = json.loads(MANIFEST.read_text())["runs"]
-    assert [run["argv"][0] for run in runs] == ["reconstruct"] * 4
+    assert [run["argv"][0] for run in runs] == ["reconstruct"] * 4 + ["metrics"]
     for run in runs:
         assert digests(run["argv"], tmp_path / run["name"]) == run["files"], run["name"]
 
