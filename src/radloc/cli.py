@@ -172,18 +172,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if state is None:
             rows.append((cone.timestamp, *nan9, "collecting", action.value))
         else:
-            (xx, xy, xz), (_, yy, yz), (_, _, zz) = state.omega
-            rows.append((cone.timestamp, *state.x, xx, xy, xz, yy, yz, zz, "tracking", action.value))
+            rows.append((cone.timestamp, *state.x, *state.omega, "tracking", action.value))
     rio.write_estimates_csv(out / "estimates.csv", rows)
 
-    state = session.state
+    state, covariance = session.state, None
+    if state is not None:  # summary.json writes the covariance as rows
+        xx, xy, xz, yy, yz, zz = state.omega
+        covariance = (xx, xy, xz), (xy, yy, yz), (xz, yz, zz)
     summary = {
         "cones": len(cones),
         "init_time_s": session.init_time,
         "initialized": session.init_time is not None,
         "status": "collecting" if state is None else "tracking",
         "final_estimate": None if state is None else state.x,
-        "final_covariance": None if state is None else state.omega,
+        "final_covariance": covariance,
         **dataclasses.asdict(session.stats),
         "degenerate": session.last_solution.degenerate if session.last_solution else None,
     }

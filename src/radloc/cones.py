@@ -51,16 +51,6 @@ class ProjectionResult(NamedTuple):
     beta: float
 
 
-def _split(px: float, py: float, pz: float, cone: Cone) -> tuple[float, float, float, float, float, float]:
-    """Apex offset length, axial coordinate, off-axis offset and its length."""
-    ox, oy, oz = cone.origin
-    ax, ay, az = cone.axis
-    ux, uy, uz = px - ox, py - oy, pz - oz
-    axial = ax * ux + ay * uy + az * uz
-    wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
-    return math.hypot(ux, uy, uz), axial, wx, wy, wz, math.hypot(wx, wy, wz)
-
-
 @dataclass(frozen=True)
 class ConeBatch:
     """N cones as arrays: the one kernel for distance and its gradient.
@@ -213,7 +203,7 @@ def project_to_cone(x, cone: Cone) -> ProjectionResult:
     """
     px, py, pz = map(float, x)
     origin, axis, half_angle = cone.origin, cone.axis, cone.half_angle
-    # the apex offset, its axial part and its off-axis part, as _split gives them, inline
+    # the apex offset, its axial part and its off-axis part
     (ox, oy, oz), (ax, ay, az) = origin, axis
     ux, uy, uz = px - ox, py - oy, pz - oz
     axial = ax * ux + ay * uy + az * uz
@@ -254,14 +244,19 @@ def surface_normal(point, cone: Cone) -> Vec3:
     Used by the filter when a zero-length innovation still carries
     directional information.
     """
-    ell, _, wx, wy, wz, perp_norm = _split(*map(float, point), cone)
+    px, py, pz = map(float, point)
+    # the apex offset and its off-axis part, in project_to_cone's order of operations
+    (ox, oy, oz), (ax, ay, az) = cone.origin, cone.axis
+    ux, uy, uz = px - ox, py - oy, pz - oz
+    axial = ax * ux + ay * uy + az * uz
+    wx, wy, wz = ux - axial * ax, uy - axial * ay, uz - axial * az
+    ell, perp_norm = math.hypot(ux, uy, uz), math.hypot(wx, wy, wz)
     if ell < 1e-15:
         raise ValueError("normal undefined at the apex")
     if perp_norm < 1e-12 * ell:
         raise ValueError("normal undefined on the axis")
     wx, wy, wz = wx / perp_norm, wy / perp_norm, wz / perp_norm
     c, s = math.cos(cone.half_angle), math.sin(cone.half_angle)
-    ax, ay, az = cone.axis
     return c * wx - s * ax, c * wy - s * ay, c * wz - s * az
 
 

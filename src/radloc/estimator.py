@@ -118,41 +118,39 @@ class SessionStats:
 class FilterState:
     """Source hypothesis x (m) with covariance omega (m^2).
 
-    x is a tuple of three floats and omega the tuple of its three rows,
-    whatever sequences they were given as. Every state is checked: x and
-    omega finite, omega symmetric to 1e-12 and positive definite (every
-    LDL^T pivot > 0), or MalformedInputError. predict and correct run the
-    checks on the floats they computed, without converting them again; a
-    correct that returns its input state returns it as it is.
+    x is a tuple of three floats and omega the tuple of the covariance's
+    six upper entries (xx, xy, xz, yy, yz, zz), the order of _ldl's
+    arguments and of estimates.csv's columns, whatever sequences they were
+    given as. Every state is checked: x and omega finite and omega
+    positive definite (every LDL^T pivot > 0), or MalformedInputError.
+    predict and correct run the checks on the floats they computed,
+    without converting them again; a correct that returns its input state
+    returns it as it is.
     """
 
     x: Vec3
-    omega: tuple[Vec3, Vec3, Vec3]
+    omega: tuple[float, float, float, float, float, float]
 
     def __post_init__(self) -> None:
-        self.x = vec3(self.x)
-        r0, r1, r2 = self.omega
-        self.omega = vec3(r0), vec3(r1), vec3(r2)
+        self.x, self.omega = vec3(self.x), tuple(map(float, self.omega))
         _check(self.x, self.omega)
 
 
-def _check(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> None:
+def _check(x: Vec3, omega: tuple[float, ...]) -> None:
     """FilterState's checks of x and omega, given as tuples of floats."""
-    (x0, x1, x2), ((o00, o01, o02), (o10, o11, o12), (o20, o21, o22)) = x, omega
+    (x0, x1, x2), (o00, o01, o02, o11, o12, o22) = x, omega
     # a finite sum proves every entry finite; one that is not (an entry
     # infinite or NaN, or finite entries summing past the float range)
     # is settled entry by entry
-    if not math.isfinite(x0 + x1 + x2 + o00 + o01 + o02 + o10 + o11 + o12 + o20 + o21 + o22) and not all(
-        map(math.isfinite, (x0, x1, x2, o00, o01, o02, o10, o11, o12, o20, o21, o22))
+    if not math.isfinite(x0 + x1 + x2 + o00 + o01 + o02 + o11 + o12 + o22) and not all(
+        map(math.isfinite, (x0, x1, x2, o00, o01, o02, o11, o12, o22))
     ):
         raise MalformedInputError("state must be finite")
-    if not max(abs(o01 - o10), abs(o02 - o20), abs(o12 - o21)) <= 1e-12:
-        raise MalformedInputError("covariance must be symmetric")
     if _ldl(o00, o01, o02, o11, o12, o22) is None:
         raise MalformedInputError("covariance must be positive definite")
 
 
-def _state(x: Vec3, omega: tuple[Vec3, Vec3, Vec3]) -> FilterState:
+def _state(x: Vec3, omega: tuple[float, ...]) -> FilterState:
     """A FilterState of fields in their stored form, without __post_init__: x and omega checked already."""
     state = object.__new__(FilterState)
     state.x, state.omega = x, omega
@@ -176,8 +174,8 @@ def _ldl(s00: float, s01: float, s02: float, s11: float, s12: float, s22: float)
 def predict(state: FilterState, config: NoiseConfig) -> FilterState:
     """Identity-motion prediction: position kept, covariance inflated by q."""
     q = config.q
-    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
-    omega = (o00 + q, o01, o02), (o10, o11 + q, o12), (o20, o21, o22 + q)
+    o00, o01, o02, o11, o12, o22 = state.omega
+    omega = o00 + q, o01, o02, o11 + q, o12, o22 + q
     _check(state.x, omega)
     return _state(state.x, omega)
 
@@ -222,7 +220,7 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
     a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
     c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
-    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = state.omega
+    o00, o01, o02, o11, o12, o22 = state.omega
     factor = _ldl(  # of S = omega + far P + r along
         o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
         o11 + far * c11 + r * a11, o12 - far * a12 + r * a12, o22 + far * c22 + r * a22,
@@ -247,14 +245,14 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     k02 = (o02 - l20 * o00 - l21 * z1) / e2
     k01 = z1 / e1 - l21 * k02
     k00 = o00 / e0 - l10 * k01 - l20 * k02
-    z1 = o11 - l10 * o10
-    k12 = (o12 - l20 * o10 - l21 * z1) / e2
+    z1 = o11 - l10 * o01
+    k12 = (o12 - l20 * o01 - l21 * z1) / e2
     k11 = z1 / e1 - l21 * k12
-    k10 = o10 / e0 - l10 * k11 - l20 * k12
-    z1 = o21 - l10 * o20
-    k22 = (o22 - l20 * o20 - l21 * z1) / e2
+    k10 = o01 / e0 - l10 * k11 - l20 * k12
+    z1 = o12 - l10 * o02
+    k22 = (o22 - l20 * o02 - l21 * z1) / e2
     k21 = z1 / e1 - l21 * k22
-    k20 = o20 / e0 - l10 * k21 - l20 * k22
+    k20 = o02 / e0 - l10 * k21 - l20 * k22
     n0, n1, n2 = k00 * d0 + k01 * d1 + k02 * d2, k10 * d0 + k11 * d1 + k12 * d2, k20 * d0 + k21 * d1 + k22 * d2
     q00, q01, q02 = (k00 * c00 - k01 * a01 - k02 * a02, -k00 * a01 + k01 * c11 - k02 * a12,
                      -k00 * a02 - k01 * a12 + k02 * c22)
@@ -263,23 +261,23 @@ def correct(state: FilterState, cone: Cone, config: NoiseConfig) -> FilterState 
     q20, q21, q22 = (k20 * c00 - k21 * a01 - k22 * a02, -k20 * a01 + k21 * c11 - k22 * a12,
                      -k20 * a02 - k21 * a12 + k22 * c22)
     i00, i11, i22 = 1.0 - k00, 1.0 - k11, 1.0 - k22
-    m00, m01, m02 = (i00 * o00 - k01 * o01 - k02 * o02, i00 * o10 - k01 * o11 - k02 * o12,
-                     i00 * o20 - k01 * o21 - k02 * o22)
-    m10, m11, m12 = (-k10 * o00 + i11 * o01 - k12 * o02, -k10 * o10 + i11 * o11 - k12 * o12,
-                     -k10 * o20 + i11 * o21 - k12 * o22)
-    m20, m21, m22 = (-k20 * o00 - k21 * o01 + i22 * o02, -k20 * o10 - k21 * o11 + i22 * o12,
-                     -k20 * o20 - k21 * o21 + i22 * o22)
+    m00, m01, m02 = (i00 * o00 - k01 * o01 - k02 * o02, i00 * o01 - k01 * o11 - k02 * o12,
+                     i00 * o02 - k01 * o12 - k02 * o22)
+    m10, m11, m12 = (-k10 * o00 + i11 * o01 - k12 * o02, -k10 * o01 + i11 * o11 - k12 * o12,
+                     -k10 * o02 + i11 * o12 - k12 * o22)
+    m20, m21, m22 = (-k20 * o00 - k21 * o01 + i22 * o02, -k20 * o01 - k21 * o11 + i22 * o12,
+                     -k20 * o02 - k21 * o12 + i22 * o22)
     w00 = m00 * i00 - m01 * k01 - m02 * k02 + r * n0 * n0 + far * (q00 * q00 + q01 * q01 + q02 * q02)
     w01 = -m00 * k10 + m01 * i11 - m02 * k12 + r * n0 * n1 + far * (q00 * q10 + q01 * q11 + q02 * q12)
     w02 = -m00 * k20 - m01 * k21 + m02 * i22 + r * n0 * n2 + far * (q00 * q20 + q01 * q21 + q02 * q22)
     w11 = -m10 * k10 + m11 * i11 - m12 * k12 + r * n1 * n1 + far * (q10 * q10 + q11 * q11 + q12 * q12)
     w12 = -m10 * k20 - m11 * k21 + m12 * i22 + r * n1 * n2 + far * (q10 * q20 + q11 * q21 + q12 * q22)
     w22 = -m20 * k20 - m21 * k21 + m22 * i22 + r * n2 * n2 + far * (q20 * q20 + q21 * q21 + q22 * q22)
-    xy = x0 + o00 * y0 + o01 * y1 + o02 * y2, x1 + o10 * y0 + o11 * y1 + o12 * y2
-    z = x2 + o20 * y0 + o21 * y1 + o22 * y2
+    xy = x0 + o00 * y0 + o01 * y1 + o02 * y2, x1 + o01 * y0 + o11 * y1 + o12 * y2
+    z = x2 + o02 * y0 + o12 * y1 + o22 * y2
     if config.mode is _TWO_D:
         z, w02, w12, w22 = 0.0, 0.0, 0.0, o22
-    x, omega = (*xy, z), ((w00, w01, w02), (w01, w11, w12), (w02, w12, w22))
+    x, omega = (*xy, z), (w00, w01, w02, w11, w12, w22)
     _check(x, omega)
     return _state(x, omega)
 
@@ -382,8 +380,7 @@ class SourceEstimator:
             )
             return
         v = self.config.init_variance
-        omega = (v, 0.0, 0.0), (0.0, v, 0.0), (0.0, 0.0, v)
-        self.state = FilterState(solution.p, omega)
+        self.state = FilterState(solution.p, (v, 0.0, 0.0, v, 0.0, v))
         self.buffer = []
         self.init_time = timestamp
         log.info("initialized at t=%.3f, p=(%.3f, %.3f, %.3f)", timestamp, *self.state.x)

@@ -183,6 +183,19 @@ def cone_normal_reference(point, origin, axis, half_angle) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+def packed(m) -> tuple[float, float, float, float, float, float]:
+    """The upper entries (xx, xy, xz, yy, yz, zz) of a 3x3 matrix given as rows,
+    the form radloc.estimator.FilterState stores a covariance in."""
+    (xx, xy, xz), (_, yy, yz), (_, _, zz) = m
+    return float(xx), float(xy), float(xz), float(yy), float(yz), float(zz)
+
+
+def rows(omega) -> tuple[tuple[float, float, float], ...]:
+    """A covariance stored as its six upper entries, as the rows of the symmetric matrix."""
+    xx, xy, xz, yy, yz, zz = omega
+    return (xx, xy, xz), (xy, yy, yz), (xz, yz, zz)
+
+
 def _ldl_solve(factor, b0: float, b1: float, b2: float) -> tuple[float, float, float]:
     """S^-1 b from radloc.estimator._ldl's factor of S, as a function: correct
     writes the same substitutions out in place, in the same order."""
@@ -222,8 +235,8 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
     a00, a11, a22 = d0 * d0 / nn, d1 * d1 / nn, d2 * d2 / nn
     a01, a02, a12 = d0 * d1 / nn, d0 * d2 / nn, d1 * d2 / nn
     c00, c11, c22 = (d1 * d1 + d2 * d2) / nn, (d0 * d0 + d2 * d2) / nn, (d0 * d0 + d1 * d1) / nn
-    omega = state.omega
-    (o00, o01, o02), (_, o11, o12), (_, _, o22) = omega
+    omega = rows(state.omega)
+    o00, o01, o02, o11, o12, o22 = state.omega
     factor = _ldl(
         o00 + far * c00 + r * a00, o01 - far * a01 + r * a01, o02 - far * a02 + r * a02,
         o11 + far * c11 + r * a11, o12 - far * a12 + r * a12, o22 + far * c22 + r * a22,
@@ -246,8 +259,7 @@ def correct_reference(state: FilterState, cone: Cone, config: NoiseConfig) -> Fi
     ]
     if config.mode is Mode.TWO_D:
         x_new[2], w02, w12, w22 = 0.0, 0.0, 0.0, o22
-    omega_new = (w00, w01, w02), (w01, w11, w12), (w02, w12, w22)
-    return FilterState(x_new, omega_new)
+    return FilterState(x_new, (w00, w01, w02, w11, w12, w22))
 
 
 def _split_reference(px: float, py: float, pz: float, cone: Cone) -> tuple[float, float, float, float, float, float]:
@@ -297,19 +309,15 @@ def project_to_cone_reference(x, cone: Cone) -> tuple[Vec3, ProjectionCase, floa
 
 
 def check_reference(x: Vec3, omega) -> None:
-    """radloc.estimator's state checks entry by entry: each of the twelve
-    floats finite, omega symmetric to 1e-12 and its LDL^T pivots positive,
-    each failure a MalformedInputError with the library's message.
+    """radloc.estimator's state checks entry by entry: each of the nine
+    floats (x, then omega's six upper entries) finite and omega's LDL^T
+    pivots positive, each failure a MalformedInputError with the library's
+    message.
     """
-    entries = (*x, *omega[0], *omega[1], *omega[2])
-    for value in entries:
+    for value in (*x, *omega):
         if not math.isfinite(value):
             raise MalformedInputError("state must be finite")
-    (o00, o01, o02), (o10, o11, o12), (o20, o21, o22) = omega
-    for upper, lower in ((o01, o10), (o02, o20), (o12, o21)):
-        if not abs(upper - lower) <= 1e-12:
-            raise MalformedInputError("covariance must be symmetric")
-    if _ldl(o00, o01, o02, o11, o12, o22) is None:
+    if _ldl(*omega) is None:
         raise MalformedInputError("covariance must be positive definite")
 
 

@@ -28,15 +28,18 @@ from oracles import (
     cone_normal_reference,
     correct_reference,
     kalman_cone_update_reference,
+    packed,
+    rows,
     surface_points,
 )
 from test_initializer import cone_through, exact_instance
 
 
 def tracking_state(x, omega=None):
+    """A filter state at x whose covariance is given as a symmetric 3x3 matrix, the identity by default."""
     return FilterState(
         x=np.asarray(x, dtype=float),
-        omega=np.eye(3) if omega is None else omega,
+        omega=packed(np.eye(3) if omega is None else omega),
     )
 
 
@@ -87,29 +90,23 @@ def test_filter_state_stores_tuples_of_floats():
     cone = Cone(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -1.0]), 0.5, Frame.WORLD)
     for s in (state, predict(state, NoiseConfig()), correct(state, cone, NoiseConfig())):
         assert type(s.x) is tuple and len(s.x) == 3 and all(type(c) is float for c in s.x)
-        assert type(s.omega) is tuple and len(s.omega) == 3
-        for row in s.omega:
-            assert type(row) is tuple and len(row) == 3 and all(type(c) is float for c in row)
-    # symmetric with a positive diagonal, but indefinite: the second pivot is negative
+        assert type(s.omega) is tuple and len(s.omega) == 6 and all(type(c) is float for c in s.omega)
+    # a positive diagonal, but indefinite: the second pivot is negative
     with pytest.raises(MalformedInputError):
-        FilterState((0.0, 0.0, 0.0), ((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        FilterState((0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 1.0, 0.0, 1.0))
 
 
 def test_filter_state_validation():
     with pytest.raises(MalformedInputError):
-        FilterState((0.0, 0.0, 0.0), np.diag([1.0, 1.0, 0.0]))
-    bad = np.eye(3)
-    bad[0, 1] = 1e-6
-    with pytest.raises(MalformedInputError):
-        FilterState((0.0, 0.0, 0.0), bad)
+        FilterState((0.0, 0.0, 0.0), packed(np.diag([1.0, 1.0, 0.0])))
     for x in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]):
         with pytest.raises(MalformedInputError):
-            FilterState(x, np.eye(3))
+            FilterState(x, packed(np.eye(3)))
     for i, j, value in ((0, 0, math.nan), (1, 1, math.inf), (0, 2, math.nan), (1, 2, math.inf)):
         bad = np.eye(3)
         bad[i, j] = bad[j, i] = value
         with pytest.raises(MalformedInputError):
-            FilterState((0.0, 0.0, 0.0), bad)
+            FilterState((0.0, 0.0, 0.0), packed(bad))
 
 
 def test_positive_definite_check_matches_eigvalsh():
@@ -144,7 +141,7 @@ def test_positive_definite_check_matches_eigvalsh():
             inside += 1
             continue
         try:
-            FilterState((0.0, 0.0, 0.0), omega)
+            FilterState((0.0, 0.0, 0.0), packed(omega))
             accepted = True
         except MalformedInputError:
             accepted = False
@@ -168,33 +165,21 @@ def _verdict(check, x, omega):
 
 def test_state_checks_give_the_per_entry_verdicts():
     # estimator._check against the entry-by-entry checks: finite entries whose
-    # sum leaves the float range, every non-finite value in every position,
-    # and symmetry offsets at the tolerance and one float above it
-    eye = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-    big = (1e308, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, 0.0, 1e308)
+    # sum leaves the float range, and every non-finite value in every position
+    eye = 1.0, 0.0, 0.0, 1.0, 0.0, 1.0
+    big = 1e308, 0.0, 0.0, 1e308, 0.0, 1e308
     for x, omega in (((1e308, 1e308, 0.0), eye), ((-1e308, -1e308, 1.0), eye), ((1e308, 0.0, 0.0), big)):
         assert _verdict(estimator._check, x, omega) is None
         assert _verdict(check_reference, x, omega) is None
         FilterState(x, omega)
-    flat = (0.5, -1.0, 2.0, *eye[0], *eye[1], *eye[2])
-    for i in range(12):
+    flat = (0.5, -1.0, 2.0, *eye)
+    for i in range(9):
         for bad in (math.nan, math.inf, -math.inf):
             e = list(flat)
             e[i] = bad
-            x, omega = tuple(e[:3]), (tuple(e[3:6]), tuple(e[6:9]), tuple(e[9:]))
+            x, omega = tuple(e[:3]), tuple(e[3:])
             assert _verdict(estimator._check, x, omega) == "state must be finite", (i, bad)
             assert _verdict(check_reference, x, omega) == "state must be finite", (i, bad)
-    tol = 1e-12
-    for offset in (tol, -tol, math.nextafter(tol, math.inf), -math.nextafter(tol, math.inf)):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            for upper in (True, False):
-                rows = [list(r) for r in ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0))]
-                rows[i][j] = offset if upper else 0.0
-                rows[j][i] = 0.0 if upper else offset
-                omega = tuple(map(tuple, rows))
-                want = None if abs(offset) == tol else "covariance must be symmetric"
-                assert _verdict(estimator._check, (0.0, 0.0, 0.0), omega) == want, (offset, i, j)
-                assert _verdict(check_reference, (0.0, 0.0, 0.0), omega) == want, (offset, i, j)
 
 
 # --- predict ---
@@ -204,16 +189,16 @@ def test_predict_identity_motion():
     s = tracking_state([1.0, 2.0, 3.0])
     out = predict(s, NoiseConfig(q=0.0))
     assert np.array_equal(out.x, [1.0, 2.0, 3.0])
-    assert np.array_equal(out.omega, np.eye(3))
+    assert out.omega == packed(np.eye(3))
 
 
 def test_predict_additive_q():
     s = tracking_state([0.0, 0.0, 0.0])
     out = predict(s, NoiseConfig(q=0.1))
-    assert np.allclose(out.omega, 1.1 * np.eye(3))
+    assert np.allclose(rows(out.omega), 1.1 * np.eye(3))
     for _ in range(9):
         out = predict(out, NoiseConfig(q=0.1))
-    assert np.allclose(out.omega, 2.0 * np.eye(3), atol=1e-12)
+    assert np.allclose(rows(out.omega), 2.0 * np.eye(3), atol=1e-12)
 
 
 def test_predict_checks_the_state_it_builds():
@@ -222,22 +207,6 @@ def test_predict_checks_the_state_it_builds():
     state = tracking_state([0.0, 0.0, 0.0], omega=np.diag([big, big, big]))
     with pytest.raises(MalformedInputError, match="state must be finite"):
         predict(state, NoiseConfig(q=1e308))
-
-
-def test_predict_keeps_the_lower_entries_bit_for_bit():
-    # lower entries a few ulps off the upper ones, within FilterState's
-    # symmetry tolerance: predict neither copies nor averages them
-    eps = np.finfo(float).eps
-    a = np.random.default_rng(3).normal(size=(3, 3))
-    (o00, o01, o02), (_, o11, o12), (_, _, o22) = (a @ a.T + np.eye(3)).tolist()
-    omega = (o00, o01, o02), (o01 * (1.0 + 3 * eps), o11, o12), (o02 * (1.0 - 2 * eps), o12 * (1.0 + eps), o22)
-    state = FilterState((1.0, 2.0, 3.0), omega)
-    out = predict(state, NoiseConfig(q=0.25))
-    for i in range(3):
-        for j in range(3):
-            want = omega[i][j] + 0.25 if i == j else omega[i][j]
-            assert out.omega[i][j].hex() == want.hex()
-    assert out.x == state.x
 
 
 # --- correct ---
@@ -270,8 +239,9 @@ def test_correct_zero_innovation_shrinks_along_normal():
     # variance drops along the surface normal, stays put along the generator
     normal = np.asarray(unit(np.array([1.0, 0.0, -1.0])))
     gen = np.asarray(unit(np.array([1.0, 0.0, 1.0])))
-    assert normal @ out.omega @ normal < 4.0
-    assert gen @ out.omega @ gen == pytest.approx(4.0, rel=1e-6)
+    omega = np.asarray(rows(out.omega))
+    assert normal @ omega @ normal < 4.0
+    assert gen @ omega @ gen == pytest.approx(4.0, rel=1e-6)
 
 
 def test_correct_gated_outlier_increments_run():
@@ -308,9 +278,9 @@ def test_correct_mode2d_pins_ground_plane():
             p_star, p_star + np.array([8 * math.cos(i), 8 * math.sin(i), 5.0]),
             0.4 + 0.3 * (i % 3), rng.normal(size=3),
         )
-        prior_zz = state.omega[2][2]
+        prior_zz = state.omega[5]
         state = correct(state, cone, cfg)
-        omega = np.asarray(state.omega)
+        omega = np.asarray(rows(state.omega))
         assert state.x[2] == 0.0
         assert np.all(omega[2, :2] == 0.0)
         assert np.all(omega[:2, 2] == 0.0)
@@ -429,14 +399,11 @@ def test_correct_matches_reference_kalman_update():
             assert res.case is ProjectionCase.SURFACE
             direction = cone_normal_reference(res.point, cone.origin, cone.axis, cone.half_angle)
         d2, x_ref, omega_ref = kalman_cone_update_reference(
-            state.x, state.omega, nu, direction, cfg.r, cfg.far_variance,
+            state.x, rows(state.omega), nu, direction, cfg.r, cfg.far_variance,
             ground_plane=cfg.mode is Mode.TWO_D,
         )
         out = correct(state, cone, cfg)
         gated = out is None
-        # these states are symmetric, and a new covariance is built from its
-        # upper triangle: every output is symmetric exactly
-        assert gated or np.array_equal(np.asarray(out.omega), np.asarray(out.omega).T)
         if abs(d2 - cfg.gate) <= 1e-6:
             continue
         assert gated == (d2 > cfg.gate)
@@ -445,12 +412,12 @@ def test_correct_matches_reference_kalman_update():
             continue
         seen["surface" if on_surface else "accepted"] += 1
         n = direction / np.linalg.norm(direction)
-        lam = cfg.r + float(n @ state.omega @ n)
+        lam = cfg.r + float(n @ np.asarray(rows(state.omega)) @ n)
         step = float(np.linalg.norm(x_ref - state.x))
         assert np.linalg.norm(out.x - x_ref) <= 10.0 * cfg.far_variance * eps / lam * step + 1e-12
-        assert np.max(np.abs(out.omega - omega_ref)) <= 1e-6 * np.max(np.abs(omega_ref))
+        assert np.max(np.abs(rows(out.omega) - omega_ref)) <= 1e-6 * np.max(np.abs(omega_ref))
         if cfg.mode is Mode.TWO_D:
-            assert out.x[2] == 0.0 and out.omega[2][2] == state.omega[2][2]
+            assert out.x[2] == 0.0 and out.omega[5] == state.omega[5]
     assert min(seen["accepted"], seen["gated"], seen["surface"]) >= 300, seen
 
 
@@ -458,7 +425,7 @@ def _bits(state):
     """A state's floats as hex strings, which tell -0.0 from 0.0; None for a gated cone."""
     if state is None:
         return None
-    return [v.hex() for v in state.x], [v.hex() for row in state.omega for v in row]
+    return [v.hex() for v in state.x], [v.hex() for v in state.omega]
 
 
 def _outcome(state, cone, cfg, fn):
@@ -483,15 +450,9 @@ def _gate_at_d2(state, cone, cfg):
 def test_correct_is_bit_identical_to_the_nested_list_reference():
     rng = np.random.default_rng(47)
     seen = Counter()
-    rebuilt = 0
     for i, (state, cone, cfg) in enumerate(reference_cases(rng, 1200)):
-        (o00, o01, o02), (_, o11, o12), (_, _, o22) = state.omega
-        # lower entries a few ulps off the upper ones, within FilterState's
-        # symmetry tolerance: each entry must be read where the reference reads it
-        skew = 1.0 + rng.integers(-4, 5) * np.finfo(float).eps
-        omega = (o00, o01, o02), (o01 * skew, o11, o12), (o02, o12 * skew, o22)
-        rng.integers(0, 4)  # once an outlier count; still drawn, so that the cases stay the same
-        state = FilterState(state.x, omega)
+        # once a symmetry skew and an outlier count; still drawn, so that the cases stay the same
+        rng.integers(-4, 5), rng.integers(0, 4)
         cases = [cfg]
         d2 = _gate_at_d2(state, cone, cfg) if i % 4 == 0 else 0.0
         if math.nextafter(d2, 0.0) > 0.0:  # not a zero innovation, which any gate accepts
@@ -504,17 +465,11 @@ def test_correct_is_bit_identical_to_the_nested_list_reference():
             out = _outcome(state, cone, c, correct)
             assert out == _outcome(state, cone, c, correct_reference)
             gated = out is None
-            new = correct(state, cone, c)
-            if not gated and new.omega is not state.omega:  # a new covariance, built from its upper triangle
-                (_, w01, w02), (w10, _, w12), (w20, w21, _) = new.omega
-                assert (w10, w20, w21) == (w01, w02, w12)
-                rebuilt += 1
             seen[(c.mode, "gated" if gated else "accepted")] += 1
         if len(cases) > 1:
             seen["at the gate"] += 1
             assert [_outcome(state, cone, c, correct) is None for c in cases[1:]] == [False, True]
     assert min(seen.values()) >= 50 and len(seen) == 6, seen
-    assert rebuilt >= 500, rebuilt
 
 
 def test_correct_is_bit_identical_to_the_reference_without_a_direction():
@@ -530,7 +485,7 @@ def test_correct_is_bit_identical_to_the_reference_without_a_direction():
             x = [o + offset * a for o, a in zip(cone.origin, cone.axis)]
             assert project_to_cone(x, cone).case is case
             a = rng.normal(size=(3, 3))
-            state = FilterState(x, a @ a.T + np.eye(3))
+            state = FilterState(x, packed(a @ a.T + np.eye(3)))
             for mode in Mode:
                 cfg = NoiseConfig(mode=mode)
                 out = _outcome(state, cone, cfg, correct)
@@ -556,7 +511,7 @@ def test_covariance_spd_over_random_sequences():
                 rng.normal(size=3),
             )
             state = correct(state, cone, cfg) or state  # a gated cone keeps the state, as in the session
-            omega = np.asarray(state.omega)
+            omega = np.asarray(rows(state.omega))
             assert np.max(np.abs(omega - omega.T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(omega)) > 0.0
 

@@ -9,8 +9,12 @@ cone one reconstruct run writes, each float as ``float.hex``, so that a
 one-ulp change the ``%.12g`` of cones.csv rounds away still shows. The ``filter_steps`` entry is the tracking step's:
 the SHA-256 of every state ``predict`` and then ``correct`` compute over a
 fixed seeded family of cases, built from Python floats alone, so that it
-holds under every BLAS kernel. A documented output change regenerates the
-digests in its own diff with
+holds under every BLAS kernel. The ``closed_loop_events`` entry is the
+closed loop's: the SHA-256 of the cells of each ``simulate`` run's steps.csv
+that no BLAS kernel moves (time, truth, phase and action) and of the integer
+counters of its summary.json, over the bundled scenarios at a few seeds; the
+estimate columns and the summary's floats move in their last bits with the
+kernel. A documented output change regenerates the digests in its own diff with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -114,8 +118,7 @@ def filter_step_cases(count: int, seed: int):
         o00, o11 = l00 * l00, l10 * l10 + l11 * l11
         o22 = l20 * l20 + l21 * l21 + l22 * l22
         o01, o02, o12 = l10 * l00, l20 * l00, l20 * l10 + l21 * l11
-        omega = (o00, o01, o02), (o01, o11, o12), (o02, o12, o22)
-        yield FilterState(x, omega), Cone(o, a, half_angle, Frame.WORLD), config
+        yield FilterState(x, (o00, o01, o02, o11, o12, o22)), Cone(o, a, half_angle, Frame.WORLD), config
 
 
 def filter_step_digest(count: int = 3000, seed: int = 2028) -> tuple[str, Counter]:
@@ -138,8 +141,28 @@ def filter_step_digest(count: int = 3000, seed: int = 2028) -> tuple[str, Counte
     return hashlib.sha256("".join(lines).encode()).hexdigest(), outcomes
 
 
+def closed_loop_event_digest(scenarios: list[str], seeds: list[int], out: Path) -> str:
+    """Run simulate on each scenario at each seed into out (the working directory
+    must be ROOT); the SHA-256 of each run's steps.csv cells t_s, truth_x,
+    truth_y, truth_z, phase and action, one line per row, header included, and
+    then its summary.json's int-valued keys as sorted JSON, one line per run."""
+    lines = []
+    for scenario in scenarios:
+        for seed in seeds:
+            run = out / f"{Path(scenario).stem}_{seed}"
+            assert main(["simulate", "--scenario", scenario, "--seed", str(seed), "--out", str(run)]) == 0
+            for row in (run / "steps.csv").read_text().splitlines():
+                cells = row.split(",")
+                lines.append(",".join(cells[:4] + cells[8:]) + "\n")
+            summary = json.loads((run / "summary.json").read_text())
+            lines.append(json.dumps({k: v for k, v in summary.items() if type(v) is int}, sort_keys=True) + "\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def _hex_state(state: FilterState) -> str:
-    return ",".join(map(float.hex, (*state.x, *state.omega[0], *state.omega[1], *state.omega[2])))
+    """x, then omega row by row: each stored upper entry once more in the lower triangle."""
+    xx, xy, xz, yy, yz, zz = state.omega
+    return ",".join(map(float.hex, (*state.x, xx, xy, xz, xy, yy, yz, xz, yz, zz)))
 
 
 def test_golden_runs_write_the_manifest_bytes(tmp_path, monkeypatch):
@@ -166,6 +189,14 @@ def test_tracking_steps_compute_the_manifest_filter_steps_to_the_last_bit():
     assert digest == entry["sha256"]
 
 
+def test_closed_loop_runs_keep_the_manifest_events(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    entry = json.loads(MANIFEST.read_text())["closed_loop_events"]
+    bundled = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "src" / "radloc" / "scenarios").glob("*.yaml"))
+    assert entry["scenarios"] == bundled and len(bundled) == 4
+    assert closed_loop_event_digest(entry["scenarios"], entry["seeds"], tmp_path) == entry["sha256"]
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     manifest = json.loads(MANIFEST.read_text())
@@ -174,6 +205,8 @@ if __name__ == "__main__":
             run["files"] = digests(run["argv"], Path(tmp) / run["name"])
         entry = manifest["world_cones"]
         entry["sha256"] = world_cone_digest(entry["argv"], Path(tmp) / "world_cones")
+        entry = manifest["closed_loop_events"]
+        entry["sha256"] = closed_loop_event_digest(entry["scenarios"], entry["seeds"], Path(tmp) / "closed_loop")
     entry = manifest["filter_steps"]
     entry["sha256"] = filter_step_digest(entry["count"], entry["seed"])[0]
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
