@@ -53,13 +53,16 @@ def perpendicular_unit(v) -> Vec3:
     Projects the world x-axis onto the plane normal to v, falling back to
     the world y-axis when v is (anti)parallel to x.
     """
-    v = unit(v)
-    for i, basis in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
-        w = [b - vj * v[i] for b, vj in zip(basis, v)]  # basis . v is v[i]
-        n = math.hypot(*w)
-        if n > 1e-6:
-            return w[0] / n, w[1] / n, w[2] / n
-    raise MalformedInputError("could not construct a perpendicular vector")
+    x, y, z = unit(v)
+    # basis - (basis . v) v, its zero entries kept as 0.0 - p so a zero keeps its sign
+    a, b, c = 1.0 - x * x, 0.0 - y * x, 0.0 - z * x
+    n = math.hypot(a, b, c)
+    if not n > 1e-6:
+        a, b, c = 0.0 - x * y, 1.0 - y * y, 0.0 - z * y
+        n = math.hypot(a, b, c)
+        if not n > 1e-6:
+            raise MalformedInputError("could not construct a perpendicular vector")
+    return a / n, b / n, c / n
 
 
 class Frame(str, Enum):

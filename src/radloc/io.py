@@ -276,10 +276,8 @@ def read_estimates_csv(path: str | Path) -> list[dict]:
 
 
 def write_steps_csv(path: str | Path, report: SimulationReport) -> None:
-    nan3 = (float("nan"),) * 3
-    rows = ((s.t, *s.truth, *(nan3 if s.estimate is None else s.estimate), s.error, s.phase, s.action)
-            for s in report.steps)
-    _write_table(path, STEPS_HEADER, rows, text=2)
+    """The report's step rows, already in STEPS_HEADER order."""
+    _write_table(path, STEPS_HEADER, report.steps, text=2)
 
 
 def write_errors_csv(path: str | Path, rows: Iterable[tuple]) -> None:

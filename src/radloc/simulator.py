@@ -8,7 +8,9 @@ the naive strategy: sweep the area until a hypothesis locks, then orbit
 the hypothesis; a reset sends the vehicle back to sweeping. Cones are
 sampled in the world frame at the vehicle position, so the loop builds
 no heading or orientation; each variate is one scalar draw from the run's
-Generator in a fixed order, so the seed fixes every cone.
+Generator in a fixed order, so the seed fixes every cone. The sampler and
+the loop are straight-line float arithmetic, and each step is logged as
+the row of cells steps.csv writes for it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ MIN_THETA = 0.2
 MAX_THETA = 1.4
 
 _TWO_PI = 2.0 * math.pi
-# a step record's action names, looked up once per step
+# a step row's action names, looked up once per step
 _NAMES = {None: "none", **{a: a.value for a in Action}}
 # the actions each ingest is compared with, looked up once
 _CORRECTED, _RESET = Action.CORRECTED, Action.RESET
@@ -98,20 +100,12 @@ class Scenario:
 
 
 @dataclass
-class StepRecord:
-    t: float
-    truth: Vec3
-    estimate: Vec3 | None
-    error: float  # nan while no hypothesis exists
-    phase: str
-    action: str  # last ingest action within the step, or "none"
-
-
-@dataclass
 class SimulationReport:
     seed: int
     duration: float
-    steps: list[StepRecord] = field(default_factory=list)
+    # per step the cells of its steps.csv row, in STEPS_HEADER order: t, truth,
+    # estimate, error (those four NaN while no hypothesis exists), phase, action
+    steps: list[tuple] = field(default_factory=list)
     transitions: list[tuple[float, str]] = field(default_factory=list)
     corrections: list[tuple[float, int, float, float]] = field(default_factory=list)
     cones_source: int = 0
@@ -157,37 +151,53 @@ def sample_cones(source, apex: Vec3, t: float, model: DetectorModel, activity: f
     if dist2 < 1e-12:
         raise MalformedInputError("source coincides with the detector")
     lam = CONE_RATE_CONSTANT * activity / dist2
-    d = math.sqrt(dist2)
-    true_dir = o0 / d, o1 / d, o2 / d
 
     # numpy draws uniform(lo, hi) as lo + (hi - lo) * random() and
     # normal(0, sigma) as 0 + sigma * standard_normal(), so these are the
     # same floats from the same stream, without the per-call overhead
-    lo, span = MIN_THETA, MAX_THETA - MIN_THETA
+    lo, span, random = MIN_THETA, MAX_THETA - MIN_THETA, rng.random
+    apex = a0, a1, a2
     source_cones: list[Cone] = []
-    count = int(rng.poisson(lam * dt))
-    if count:  # the perpendicular pair of true_dir, shared by the step's cones
-        w0 = perpendicular_unit(true_dir)
-        w1 = cross(true_dir, w0)
+    count = rng.poisson(lam * dt)
+    if count:  # what the step's cones share: true_dir, its perpendicular pair w0, w1 and the bound calls
+        d = math.sqrt(dist2)
+        true_dir = d0, d1, d2 = o0 / d, o1 / d, o2 / d
+        p0, p1, p2 = perpendicular_unit(true_dir)
+        q0, q1, q2 = d1 * p2 - d2 * p1, d2 * p0 - d0 * p2, d0 * p1 - d1 * p0  # w1 = cross(true_dir, w0)
+        standard_normal, cos, sin, hypot = rng.standard_normal, math.cos, math.sin, math.hypot
+        axis_sigma, angular_sigma = model.axis_sigma, model.angular_sigma
     for _ in range(count):
-        theta = lo + span * rng.random()
-        axis = _about_perpendicular(true_dir, w0, w1, _TWO_PI * rng.random(), theta)
-        if model.axis_sigma > 0.0:
-            tilt = float(rng.normal(0.0, model.axis_sigma))
+        # _about_perpendicular(true_dir, w0, w1, psi, theta), its unit call and the final
+        # unit(axis), written out in the same operations: the same floats without the calls
+        theta = lo + span * random()
+        psi = _TWO_PI * random()
+        c, s = cos(psi), sin(psi)
+        k0, k1, k2 = c * p0 + s * q0, c * p1 + s * q1, c * p2 + s * q2
+        n = hypot(k0, k1, k2)
+        k0, k1, k2 = k0 / n, k1 / n, k2 / n
+        c, s = cos(theta), sin(theta)
+        dot, f = k0 * d0 + k1 * d1 + k2 * d2, 1.0 - c
+        x = d0 * c + (k1 * d2 - k2 * d1) * s + k0 * dot * f
+        y = d1 * c + (k2 * d0 - k0 * d2) * s + k1 * dot * f
+        z = d2 * c + (k0 * d1 - k1 * d0) * s + k2 * dot * f
+        if axis_sigma > 0.0:
+            tilt = float(rng.normal(0.0, axis_sigma))
+            axis = x, y, z
             w = perpendicular_unit(axis)
-            axis = _about_perpendicular(axis, w, cross(axis, w), _TWO_PI * rng.random(), tilt)
+            x, y, z = _about_perpendicular(axis, w, cross(axis, w), _TWO_PI * random(), tilt)
         half_angle = theta
-        if model.angular_sigma > 0.0:
-            half_angle = min(max(theta + model.angular_sigma * rng.standard_normal(), 1e-3), math.pi - 1e-3)
-        source_cones.append(_world_cone((a0, a1, a2), unit(axis), half_angle, t))
+        if angular_sigma > 0.0:
+            half_angle = min(max(theta + angular_sigma * standard_normal(), 1e-3), math.pi - 1e-3)
+        n = hypot(x, y, z)
+        source_cones.append(_world_cone(apex, (x / n, y / n, z / n), half_angle, t))
 
     background: list[Cone] = []
     # poisson(0) is 0 without a draw, so skipping the call leaves the stream as it was
-    n_background = int(rng.poisson(model.background_rate * dt)) if model.background_rate > 0.0 else 0
+    n_background = rng.poisson(model.background_rate * dt) if model.background_rate > 0.0 else 0
     for _ in range(n_background):
         axis = _random_unit(rng)
-        theta = lo + span * rng.random()
-        background.append(_world_cone((a0, a1, a2), axis, theta, t))
+        theta = lo + span * random()
+        background.append(_world_cone(apex, axis, theta, t))
     return source_cones, background
 
 
@@ -236,31 +246,36 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     azimuth = math.atan2(position[1] - sweep_center[1], position[0] - sweep_center[0])
 
     (s0, s1, s2), (v0, v1, v2) = scenario.source_initial, scenario.source_velocity
+    detector, activity, stats, nan = scenario.detector, scenario.activity, session.stats, math.nan
+    steps, corrections, transitions = report.steps, report.corrections, report.transitions
+    n_source = n_background = 0
+    init_time = None
     phase = "sweep" if search else scenario.program.value
     n_steps = int(round(scenario.duration / dt))
     for k in range(n_steps):
         t = k * dt
         truth = s0 + t * v0, s1 + t * v1, s2 + t * v2
-        if not all(map(math.isfinite, position)):
+        p0, p1, p2 = position
+        # a finite sum proves every entry finite; one that is not is settled entry by entry
+        if not math.isfinite(p0 + p1 + p2) and not all(map(math.isfinite, position)):
             raise MalformedInputError(f"pose position must be finite, got {position!r}")
 
-        src, bg = sample_cones(truth, position, t, scenario.detector, scenario.activity, dt, rng)
-        report.cones_source += len(src)
-        report.cones_background += len(bg)
+        src, bg = sample_cones(truth, position, t, detector, activity, dt, rng)
+        n_source += len(src)
+        n_background += len(bg)
 
         action = None
         for cone in src + bg:
             state, action = session.ingest(cone)
             if action is _CORRECTED:
-                err = math.dist(state.x, truth)
-                err_xy = math.dist(state.x[:2], truth[:2])
-                report.corrections.append((t, session.stats.accepted, err, err_xy))
+                x = state.x
+                corrections.append((t, stats.accepted, math.dist(x, truth), math.dist(x[:2], truth[:2])))
             elif action is _RESET:
                 log.info("reset at t=%.1f", t)
 
         tracking = session.state is not None
-        if report.init_time is None and session.init_time is not None:
-            report.init_time = session.init_time
+        if init_time is None:  # the first lock; session.init_time moves on every lock
+            init_time = session.init_time
 
         # strategy reacts only to estimator status changes: a lock starts
         # the orbit around the hypothesis, a reset the sweep again
@@ -269,11 +284,13 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
             center = session.state.x if orbiting else sweep_center
             azimuth = math.atan2(position[1] - center[1], position[0] - center[0])
             phase = "orbit" if orbiting else "sweep"
-            report.transitions.append((t, phase))
+            transitions.append((t, phase))
 
-        estimate = session.state.x if tracking else None
-        error = math.dist(estimate, truth) if estimate is not None else float("nan")
-        report.steps.append(StepRecord(t, truth, estimate, error, phase, _NAMES[action]))
+        if tracking:
+            x = session.state.x
+            steps.append((t, *truth, *x, math.dist(x, truth), phase, _NAMES[action]))
+        else:
+            steps.append((t, *truth, nan, nan, nan, nan, phase, _NAMES[action]))
 
         if not moving:
             continue
@@ -288,18 +305,16 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         azimuth += step
         position = center[0] + radius * math.cos(azimuth), center[1] + radius * math.sin(azimuth), alt
 
+    report.cones_source, report.cones_background, report.init_time = n_source, n_background, init_time
     return report
 
 
 def metrics(report: SimulationReport) -> dict:
     """Summary statistics of one simulation run."""
-    tracked = [s for s in report.steps if s.estimate is not None]
-    post_lock_errors = np.array([s.error for s in tracked]) if tracked else np.array([])
-    planar = (
-        np.array([math.dist(s.estimate[:2], s.truth[:2]) for s in tracked])
-        if tracked
-        else np.array([])
-    )
+    # a step row's cells: t, truth 1-3, estimate 4-6 and error 7, phase, action
+    tracked = [s for s in report.steps if not math.isnan(s[4])]
+    post_lock_errors = np.array([s[7] for s in tracked])
+    planar = np.array([math.dist(s[4:6], s[1:3]) for s in tracked])
     total_cones = report.cones_source + report.cones_background
     stats = report.stats
     judged = stats.accepted + stats.rejected
@@ -331,7 +346,6 @@ __all__ = [
     "Program",
     "Scenario",
     "SimulationReport",
-    "StepRecord",
     "metrics",
     "run_scenario",
     "sample_cones",

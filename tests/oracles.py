@@ -76,6 +76,21 @@ def rotate_about_axis(v, axis, angle: float) -> tuple[float, float, float]:
     return tuple(vi * c + wi * s + ki * dot * (1.0 - c) for vi, wi, ki in zip(v, cross(k, v), k))
 
 
+def perpendicular_unit_reference(v) -> Vec3:
+    """radloc.geometry.perpendicular_unit as it was written before its
+    floats were spelled out: each basis vector minus its part along v in
+    a comprehension, the world x-axis first, then y. The production form
+    must give the same bits, the sign of each zero included.
+    """
+    v = unit(v)
+    for i, basis in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))):
+        w = [b - vj * v[i] for b, vj in zip(basis, v)]  # basis . v is v[i]
+        n = math.hypot(*w)
+        if n > 1e-6:
+            return w[0] / n, w[1] / n, w[2] / n
+    raise MalformedInputError("could not construct a perpendicular vector")
+
+
 def quat_from_axis_angle(axis, angle: float) -> tuple[float, float, float, float]:
     """Unit quaternion (w, x, y, z) of the rotation by angle about axis."""
     k0, k1, k2 = unit(axis)

@@ -22,6 +22,7 @@ from oracles import (
     Pose,
     interpolate_pose_composed,
     interpolate_pose_reference,
+    perpendicular_unit_reference,
     pose_stream,
     quat_from_axis_angle,
     quat_slerp,
@@ -87,6 +88,31 @@ def test_perpendicular_unit_properties():
     # x-parallel input falls back to the y basis
     w = perpendicular_unit(np.array([1.0, 0.0, 0.0]))
     assert np.allclose(w, [0.0, 1.0, 0.0])
+
+
+def test_perpendicular_unit_is_bit_identical_to_the_comprehension_reference():
+    # float.hex tells every bit, a zero's sign too: seeded unit and
+    # unnormalized vectors as tuples and as numpy rows, vectors with zero
+    # entries, and the exactly x-parallel and anti-parallel ones (and a
+    # nearly parallel one) that take the world y-axis fallback
+    rng = np.random.default_rng(29)
+    fallback = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (7.5, 0.0, -0.0), (1.0, 1e-9, 0.0), np.array([-2.0, 0.0, 0.0])]
+    zeros = [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, -2.0, 0.0), (-0.0, 3.0, -0.0), (0.0, 1.0, 1.0)]
+    scaled = rng.normal(size=(500, 3)) * rng.lognormal(0.0, 3.0, size=(500, 1))
+    cases = fallback + zeros + [tuple(v.tolist()) for v in scaled] + list(rng.normal(size=(500, 3)))
+
+    def bits(w):
+        assert all(type(c) is float for c in w)
+        return [float.hex(c) for c in w]
+
+    for v in cases:
+        assert bits(perpendicular_unit(v)) == bits(perpendicular_unit_reference(v)), v
+    for v in fallback:
+        assert abs(perpendicular_unit(v)[1]) > 0.999999
+    for bad in (np.zeros(3), (math.nan, 0.0, 0.0)):
+        for perpendicular in (perpendicular_unit, perpendicular_unit_reference):
+            with pytest.raises(MalformedInputError):
+                perpendicular(bad)
 
 
 def test_quat_to_matrix_matches_axis_angle():

@@ -281,6 +281,27 @@ def test_solve_translation_equivariance():
     assert np.linalg.norm(translated.p - (base.p + shift)) < 1e-6
 
 
+def test_solve_yaw_equivariance():
+    # the exact yaw (x, y) -> (-y, x) of every origin and axis, on the
+    # exact-instance family: the yawed solve recovers the yawed source, keeps
+    # the verdict, and maps back onto the unyawed solution. Seeds 0-49
+    # measured 1.5e-11 at most, so the tolerance leaves a factor of 65.
+    def yaw(v):
+        return -v[1], v[0], v[2]
+
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        p_star = np.array(
+            [rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0), rng.uniform(-2.0, 2.0)]
+        )
+        cones = exact_instance(p_star, rng)
+        yawed = [Cone(yaw(c.origin), yaw(c.axis), c.half_angle, Frame.WORLD) for c in cones]
+        base, turned = solve(InitProblem(cones=cones)), solve(InitProblem(cones=yawed))
+        assert not turned.degenerate and turned.degenerate == base.degenerate, seed
+        assert np.linalg.norm(turned.p - np.array(yaw(p_star))) < 1e-3, seed
+        assert np.linalg.norm(turned.p - np.array(yaw(base.p))) < 1e-9, seed
+
+
 def test_solve_dominates_grid_oracle():
     rng = np.random.default_rng(13)
     for _ in range(5):

@@ -9,6 +9,7 @@ from radloc.cones import distance_to_cone
 from radloc.errors import MalformedInputError
 from radloc.estimator import NoiseConfig
 from radloc.geometry import unit
+from radloc.io import STEPS_HEADER
 from radloc.simulator import (
     CONE_RATE_CONSTANT,
     MAX_THETA,
@@ -226,17 +227,28 @@ def static_scenario(**overrides):
     return Scenario(**base)
 
 
+# a step row's cells by their STEPS_HEADER column
+T, PHASE, ACTION = (STEPS_HEADER.index(c) for c in ("t_s", "phase", "action"))
+TRUTH = slice(STEPS_HEADER.index("truth_x"), STEPS_HEADER.index("truth_z") + 1)
+EST = slice(STEPS_HEADER.index("est_x"), STEPS_HEADER.index("est_z") + 1)
+
+
+def estimate(step):
+    """A step row's estimate cells, or None where they are NaN: no hypothesis at that step."""
+    x = step[EST]
+    return None if all(map(math.isnan, x)) else x
+
+
 def report_equal(a, b):
     if len(a.steps) != len(b.steps):
         return False
     for sa, sb in zip(a.steps, b.steps):
-        if sa.t != sb.t or sa.phase != sb.phase:
+        if sa[T] != sb[T] or sa[PHASE] != sb[PHASE]:
             return False
-        if sa.action != sb.action or not np.array_equal(sa.truth, sb.truth):
+        if sa[ACTION] != sb[ACTION] or not np.array_equal(sa[TRUTH], sb[TRUTH]):
             return False
-        est_a = sa.estimate if sa.estimate is not None else np.full(3, np.nan)
-        est_b = sb.estimate if sb.estimate is not None else np.full(3, np.nan)
-        if not np.array_equal(est_a, est_b, equal_nan=True):
+        # the estimate cells are NaN where no hypothesis exists
+        if not np.array_equal(sa[EST], sb[EST], equal_nan=True):
             return False
     return (
         a.corrections == b.corrections
@@ -264,8 +276,8 @@ def test_run_scenario_truth_follows_kinematics():
     report = run_scenario(sc)
     for k, step in enumerate(report.steps):
         t = k * sc.timestep
-        assert step.t == t
-        assert np.array_equal(step.truth, source_at(sc, t))
+        assert step[T] == t
+        assert np.array_equal(step[TRUTH], source_at(sc, t))
 
 
 def test_run_scenario_orbit_only_while_tracking():
@@ -274,18 +286,37 @@ def test_run_scenario_orbit_only_while_tracking():
     report = run_scenario(
         static_scenario(detector=DetectorModel(angular_sigma=0.05, background_rate=0.1))
     )
-    assert {step.phase for step in report.steps} == {"sweep", "orbit"}
+    assert {step[PHASE] for step in report.steps} == {"sweep", "orbit"}
     flips = []
     tracking = False
     for step in report.steps:
-        assert (step.phase == "orbit") == (step.estimate is not None)
-        if (step.estimate is not None) != tracking:
+        assert (step[PHASE] == "orbit") == (estimate(step) is not None)
+        if (estimate(step) is not None) != tracking:
             tracking = not tracking
-            flips.append((step.t, step.phase))
+            flips.append((step[T], step[PHASE]))
     assert report.transitions == flips
     for program in (Program.STATIONARY, Program.RADIAL):
         report = run_scenario(static_scenario(program=program, duration=5.0))
-        assert report.steps and {step.phase for step in report.steps} == {program.value}
+        assert report.steps and {step[PHASE] for step in report.steps} == {program.value}
+
+
+def test_run_scenario_steps_are_steps_csv_rows():
+    # a cell per STEPS_HEADER column; the error cell is the estimate's
+    # distance to the truth, and NaN with the estimate cells before a lock
+    report = run_scenario(
+        static_scenario(detector=DetectorModel(angular_sigma=0.05, background_rate=0.1))
+    )
+    err = STEPS_HEADER.index("err_m")
+    tracked = 0
+    for step in report.steps:
+        assert len(step) == len(STEPS_HEADER)
+        if estimate(step) is None:
+            assert math.isnan(step[err])
+        else:
+            tracked += 1
+            assert step[err] == math.dist(step[EST], step[TRUTH])
+    assert 0 < tracked < len(report.steps)
+    assert metrics(report)["tracked_steps"] == tracked
 
 
 def test_run_scenario_stationary_uav_never_tracks():
